@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from math import comb, factorial
 
+from .core import _exact_div
+
 
 class UniPoly:
     """Dense univariate polynomial with exact integer coefficients."""
@@ -118,9 +120,7 @@ def catalan_power(r: int, m: int) -> int:
     if m < 0:
         raise ValueError(f"negative index {m}")
     num = r * factorial(2 * m + r - 1)
-    q, rem = divmod(num, factorial(m + r) * factorial(m))
-    assert rem == 0
-    return q
+    return _exact_div(num, factorial(m + r) * factorial(m))
 
 
 def p_poly(r: int) -> UniPoly:

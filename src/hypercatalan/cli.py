@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from . import catpow, raney, series, subdigon
 from .core import (
@@ -24,6 +25,11 @@ from .core import (
 from .series import LayerSpec, Measure
 
 
+def _usage_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _parse_type(text: str) -> TypeVector:
     text = text.strip()
     if not text:
@@ -33,20 +39,15 @@ def _parse_type(text: str) -> TypeVector:
         if any(c < 0 for c in counts):
             raise ValueError
     except ValueError:
-        raise SystemExit(f"error: bad type vector {text!r}") from None
+        _usage_error(f"bad type vector {text!r}")
     return TypeVector.from_counts(counts)
 
 
-def _measure(name: str) -> Measure:
-    return Measure(name)
-
-
-def _spec(args) -> LayerSpec:
+def _spec(measure: str, d: int, q: int | None) -> LayerSpec:
     try:
-        return LayerSpec(_measure(args.measure), args.d, args.q)
+        return LayerSpec(Measure(measure), d, q)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _usage_error(str(exc))
 
 
 def cmd_coeff(args) -> int:
@@ -64,7 +65,7 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_table(args) -> int:
-    spec = _spec(args)
+    spec = _spec(args.measure, args.d, args.q)
     if args.format == "csv":
         sys.stdout.write(series.table_csv(spec))
     elif args.format == "json":
@@ -80,7 +81,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _spec(args)
+    spec = _spec(args.measure, args.d, args.q)
     beta = series.build_beta(spec)
     residual = series.evaluate_geometric(beta, spec)
     if not residual:
@@ -97,40 +98,24 @@ def _parse_coeff(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise SystemExit(f"error: bad coefficient {text!r}") from None
+        _usage_error(f"bad coefficient {text!r}")
 
 
 def cmd_solve(args) -> int:
     coeffs = [_parse_coeff(p) for p in args.coeffs.split(",")] if args.coeffs else []
     q = len(coeffs) + 1
-    measure = _measure(args.measure)
     if q < 2:
         # no t_k at all: alpha = 1 solves 1 - alpha = 0
         print("alpha = 1")
         print("residual = 0")
         return 0
-    try:
-        spec = LayerSpec(measure, args.d, q)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = _spec(args.measure, args.d, q)
     values = {k: coeffs[k - 2] for k in range(2, q + 1)}
     if args.float:
         values = {k: float(v) for k, v in values.items()}
-
-    by_level: dict[int, object] = {}
-    for m in series.enumerate_types(spec):
-        term = hyper_catalan(m)
-        if args.float:
-            term = float(term)
-        for k, mk in m.items():
-            term = term * values[k] ** mk
-        lvl = series.level(m, spec.measure)
-        by_level[lvl] = by_level.get(lvl, 0) + term
-
     alpha = 0
-    for lvl in sorted(by_level):
-        alpha = alpha + by_level[lvl]
+    for lvl, part in sorted(series.layer_sums(spec, values).items()):
+        alpha = alpha + part
         print(f"level {lvl:>3}: partial sum = {_show(alpha)}")
     residual = 1 - alpha + sum(values[k] * alpha**k for k in values)
     print(f"alpha = {_show(alpha)}")

@@ -5,7 +5,7 @@ From a type vector alone we can compute vertex/edge/face counts, the
 number of subdivisions of that type, the split of that count by central
 polygon, the coefficients of powers of the generating series, and
 Raney's generalized word-list count.  Everything here is exact integer
-arithmetic; every division is asserted to be exact.
+arithmetic; every division is checked to be exact.
 """
 
 from __future__ import annotations

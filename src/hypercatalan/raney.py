@@ -5,7 +5,8 @@ A string is a finite sequence of naturals; its rank is the sum of
 words.  Every string of rank -n has exactly n cyclic rotations that
 split into n words; the identification algorithm finds those words in
 place by repeatedly grouping a symbol i with the i identified words
-following it.
+following it.  An identified word is a plane tree whose preorder
+arities are its symbols (``subdigon.to_word``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Composition
-from .subdigon import NULL, Subdigon
+from .subdigon import NULL, PlaneTree
 
 Symbols = tuple[int, ...]
 
@@ -93,22 +94,20 @@ def split_words(sigma: Sequence[int]) -> list[Symbols] | None:
 
 
 def is_word_list(sigma: Sequence[int], n: int) -> bool:
-    """True iff sigma is a concatenation of exactly n words."""
+    """True iff sigma is a concatenation of exactly n words.
+
+    Rank criterion: rank -n with no proper prefix of rank <= -n.
+    """
     if n < 1:
         raise ValueError(f"word count {n} < 1")
-    words = split_words(sigma)
-    greedy = words is not None and len(words) == n
-    # rank criterion: rank -n, no proper prefix of rank <= -n
+    if not sigma:
+        return False
     cum = 0
-    by_rank = bool(sigma)
-    for a in sigma[:-1] if sigma else ():
+    for a in sigma[:-1]:
         cum += a - 1
         if cum <= -n:
-            by_rank = False
-            break
-    by_rank = by_rank and rank(sigma) == -n
-    assert greedy == by_rank, f"criteria disagree on {sigma}"
-    return greedy
+            return False
+    return cum + sigma[-1] - 1 == -n
 
 
 def rotate(sigma: Sequence[int], offset: int) -> Symbols:
@@ -122,38 +121,23 @@ def list_rotations(sigma: Sequence[int]) -> set[int]:
     if n < 1:
         raise ValueError(f"rank {-n} is not negative")
     offsets = {off for off in range(len(sigma)) if is_word_list(rotate(sigma, off), n)}
-    assert len(offsets) == n, f"expected {n} rotations, found {len(offsets)}"
+    if len(offsets) != n:
+        raise ArithmeticError(f"expected {n} rotations, found {len(offsets)}")
     return offsets
 
 
-@dataclass(frozen=True)
-class Word:
-    """Identified word: a leaf 0 or a head i with i identified children."""
-
-    head: int
-    children: tuple["Word", ...] = ()
-
-    def __post_init__(self):
-        if self.head != len(self.children):
-            raise ValueError("head must equal the number of children")
-
-    def render(self) -> str:
-        if self.head == 0:
-            return "0"
-        return "(" + str(self.head) + "".join(c.render() for c in self.children) + ")"
-
-    def flatten(self) -> Symbols:
-        out = [self.head]
-        for c in self.children:
-            out.extend(c.flatten())
-        return tuple(out)
+def render(t: PlaneTree) -> str:
+    """Bracketed form of an identified word: 0, or (i w_1 ... w_i)."""
+    if not t.children:
+        return "0"
+    return "(" + str(len(t.children)) + "".join(render(c) for c in t.children) + ")"
 
 
 @dataclass
 class _Item:
     start: int
     symbol: int
-    word: Word | None  # None while unidentified
+    word: PlaneTree | None  # None while unidentified
 
     @property
     def identified(self) -> bool:
@@ -165,20 +149,20 @@ class Bracketing:
     """Result of running the identification algorithm."""
 
     symbols: Symbols
-    items: tuple[tuple[int, int, Word | None], ...]  # (start, symbol, word?)
+    items: tuple[tuple[int, int, PlaneTree | None], ...]  # (start, symbol, word?)
 
     @property
     def complete(self) -> bool:
         return all(w is not None for _, _, w in self.items)
 
     @property
-    def words(self) -> list[Word]:
+    def words(self) -> list[PlaneTree]:
         if not self.complete:
             raise ValueError("identification incomplete: unidentified symbols remain")
         return [w for _, _, w in self.items]
 
     def render_words(self) -> list[str]:
-        return [w.render() for w in self.words]
+        return [render(w) for w in self.words]
 
 
 def identify_words(sigma: Sequence[int], cyclic: bool = True) -> Bracketing:
@@ -193,7 +177,7 @@ def identify_words(sigma: Sequence[int], cyclic: bool = True) -> Bracketing:
     if n < 1:
         raise ValueError(f"rank {-n} is not negative")
     items = [
-        _Item(i, a, Word(0) if a == 0 else None) for i, a in enumerate(sigma)
+        _Item(i, a, NULL if a == 0 else None) for i, a in enumerate(sigma)
     ]
     moved = True
     while moved:
@@ -208,8 +192,7 @@ def identify_words(sigma: Sequence[int], cyclic: bool = True) -> Bracketing:
                 continue
             followers = [items[(idx + j) % len(items)] for j in range(1, need + 1)]
             if all(f.identified for f in followers):
-                grouped = Word(need, tuple(f.word for f in followers))
-                it.word = grouped
+                it.word = PlaneTree(tuple(f.word for f in followers))
                 drop = {id(f) for f in followers}
                 items = [x for x in items if id(x) not in drop]
                 moved = True
@@ -255,14 +238,8 @@ def enumerate_lists(n: int, c: Composition) -> list[Symbols]:
     return out
 
 
-@dataclass(frozen=True)
-class PlaneTree:
-    """Rooted ordered tree; unary nodes are allowed."""
-
-    children: tuple["PlaneTree", ...] = ()
-
-
 def word_to_tree(sigma: Sequence[int]) -> PlaneTree:
+    """The plane tree whose preorder arities are sigma."""
     sigma = tuple(sigma)
     if not is_word(sigma):
         raise ValueError(f"not a word: {format_string(sigma)}")
@@ -278,23 +255,3 @@ def word_to_tree(sigma: Sequence[int]) -> PlaneTree:
 
     tree, _ = build(0)
     return tree
-
-
-def tree_to_word(t: PlaneTree) -> Symbols:
-    out = [len(t.children)]
-    for c in t.children:
-        out.extend(tree_to_word(c))
-    return tuple(out)
-
-
-def tree_to_subdigon(t: PlaneTree) -> Subdigon:
-    """Arity-k node -> panel of k children; rejects unary nodes."""
-    if not t.children:
-        return NULL
-    if len(t.children) == 1:
-        raise ValueError("unary node has no subdigon counterpart")
-    return Subdigon(tuple(tree_to_subdigon(c) for c in t.children))
-
-
-def subdigon_to_tree(s: Subdigon) -> PlaneTree:
-    return PlaneTree(tuple(subdigon_to_tree(c) for c in s.children))

@@ -14,7 +14,7 @@ import enum
 import json
 from dataclasses import dataclass
 
-from .core import TypeVector, hyper_catalan, unit_type, vef
+from .core import TypeVector, hyper_catalan, unit_type
 
 
 class Measure(enum.Enum):
@@ -23,14 +23,18 @@ class Measure(enum.Enum):
     FACE = "face"
 
 
+def weight(k: int, measure: Measure) -> int:
+    """Level of one (k+1)-gon t_k: k-1 (vertex), k (edge) or 1 (face)."""
+    if measure is Measure.VERTEX:
+        return k - 1
+    if measure is Measure.EDGE:
+        return k
+    return 1
+
+
 def level(m: TypeVector, measure: Measure) -> int:
     """Shifted level of a monomial: V-2, E-1 or F depending on measure."""
-    s = vef(m)
-    if measure is Measure.VERTEX:
-        return s.V - 2
-    if measure is Measure.EDGE:
-        return s.E - 1
-    return s.F
+    return sum(weight(k, measure) * mk for k, mk in m.items())
 
 
 @dataclass(frozen=True)
@@ -60,16 +64,12 @@ class LayerSpec:
         return level(m, self.measure) <= self.d
 
     def max_gon(self) -> int:
-        """Largest gon index any admitted monomial can mention."""
-        if self.measure is Measure.VERTEX:
-            k = self.d + 1
-        elif self.measure is Measure.EDGE:
-            k = self.d
-        else:
-            k = self.gon_bound
-        if self.gon_bound is not None:
-            k = min(k, self.gon_bound)
-        return max(k, 1)
+        """Largest gon index any admitted monomial can mention, 1 if none."""
+        # unbounded specs are vertex or edge, where weight(k) >= k - 1 > d for k > d + 1
+        k = self.gon_bound if self.gon_bound is not None else self.d + 1
+        while k > 1 and weight(k, self.measure) > self.d:
+            k -= 1
+        return k
 
 
 def term_key(m: TypeVector, measure: Measure):
@@ -221,12 +221,7 @@ def enumerate_types(spec: LayerSpec) -> list[TypeVector]:
         if k > kmax:
             found.append(TypeVector(tuple(counts)))
             return
-        if spec.measure is Measure.VERTEX:
-            step = k - 1
-        elif spec.measure is Measure.EDGE:
-            step = k
-        else:
-            step = 1
+        step = weight(k, spec.measure)
         grow(k + 1, counts, lvl)
         mk = 1
         while lvl + mk * step <= spec.d:
@@ -243,18 +238,27 @@ def build_beta(spec: LayerSpec) -> LayeredPoly:
     return LayeredPoly({m: hyper_catalan(m) for m in enumerate_types(spec)})
 
 
-def _power_range(spec: LayerSpec) -> range:
-    # only n with level(t_n) <= d can contribute: t_n alone has
-    # vertex level n-1, edge level n, face level 1
-    if spec.measure is Measure.VERTEX:
-        hi = spec.d + 1
-    elif spec.measure is Measure.EDGE:
-        hi = spec.d
-    else:
-        hi = spec.gon_bound
-    if spec.gon_bound is not None:
-        hi = min(hi, spec.gon_bound)
-    return range(2, hi + 1)
+def layer_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
+    """{level: sum of C_m * prod_k values[k]^m_k over the types spec admits at that level}.
+
+    Exact for Fraction values; any term with a float value is a float.
+    """
+    sums: dict[int, object] = {}
+    for m in enumerate_types(spec):
+        term = hyper_catalan(m)
+        for k, mk in m.items():
+            term = term * values[k] ** mk
+        lvl = level(m, spec.measure)
+        sums[lvl] = sums.get(lvl, 0) + term
+    return sums
+
+
+def _source_terms(beta: LayeredPoly, spec: LayerSpec):
+    """(n, truncate(t_n * beta^n, spec)) for every gon n that spec admits."""
+    power = truncate(beta, spec)  # beta^1
+    for n in range(2, spec.max_gon() + 1):
+        power = mul_truncated(power, beta, spec)  # beta^n
+        yield n, mul_truncated(LayeredPoly.monomial(unit_type(n)), power, spec)
 
 
 def evaluate_geometric(beta: LayeredPoly, spec: LayerSpec) -> LayeredPoly:
@@ -263,10 +267,8 @@ def evaluate_geometric(beta: LayeredPoly, spec: LayerSpec) -> LayeredPoly:
     Zero whenever beta is the layered series truncation for spec.
     """
     acc = LayeredPoly.one() - truncate(beta, spec)
-    power = truncate(beta, spec)  # beta^1
-    for n in _power_range(spec):
-        power = mul_truncated(power, beta, spec)  # beta^n
-        acc = acc + mul_truncated(LayeredPoly.monomial(unit_type(n)), power, spec)
+    for _, source in _source_terms(beta, spec):
+        acc = acc + source
     return acc
 
 
@@ -326,16 +328,11 @@ def table_rows(spec: LayerSpec) -> list[tuple[str, LayeredPoly]]:
     """
     sym = {Measure.VERTEX: "v", Measure.EDGE: "e", Measure.FACE: "f"}[spec.measure]
     beta = build_beta(spec)
-    powers: dict[int, LayeredPoly] = {1: beta}
-    for n in _power_range(spec):
-        powers[n] = mul_truncated(powers[n - 1], beta, spec)
+    sources = list(_source_terms(beta, spec))
     rows: list[tuple[str, LayeredPoly]] = []
     total_all = beta - LayeredPoly.one()
     for lvl in range(spec.d + 1):
-        for n in _power_range(spec):
-            source = mul_truncated(
-                LayeredPoly.monomial(unit_type(n)), powers[n], spec
-            )
+        for n, source in sources:
             part = layer_slice(source, spec.measure, lvl)
             if part:
                 rows.append((f"[{sym}^{lvl}] t{n} b^{n}", part))

@@ -1,10 +1,13 @@
-"""Roofed subdivided polygons as recursive values.
+"""Plane trees, of which subdigons are the trees without unary nodes.
 
-A subdigon is either null (two vertices, one edge, no faces) or a
-central (k+1)-gon with k ordered subdigon children glued roof-to-side.
-This module enumerates subdigons exhaustively by type, serving as the
-brute-force oracle for the closed-form counts, and serializes them in
-the same digit form as the corresponding plane-tree words.
+A plane tree is a rooted ordered tree; the arity of a node is its
+number of children.  A subdigon is either null (two vertices, one edge,
+no faces; the leaf) or a central (k+1)-gon with k >= 2 ordered subdigon
+children glued roof-to-side, so it is the plane tree with no unary
+node.  The preorder arities of a tree form its Raney word.  This module
+enumerates subdigons exhaustively by type, serving as the brute-force
+oracle for the closed-form counts, and serializes them in the same
+digit form as their words.
 """
 
 from __future__ import annotations
@@ -18,53 +21,59 @@ from .core import TypeVector, VEF, unit_type
 from .series import LayeredPoly
 
 
-@dataclass(frozen=True)
-class Subdigon:
-    """Null when children is empty, otherwise a panel of arity >= 2."""
+@dataclass(frozen=True, slots=True)
+class PlaneTree:
+    """Rooted ordered tree: a leaf when children is empty."""
 
-    children: tuple["Subdigon", ...] = ()
-
-    def __post_init__(self):
-        if len(self.children) == 1:
-            raise ValueError("panel arity must be >= 2")
-
-    @property
-    def is_null(self) -> bool:
-        return not self.children
+    children: tuple[PlaneTree, ...] = ()
 
     def __repr__(self):
-        return f"Subdigon({serialize(self)!r})"
+        return f"PlaneTree({serialize(self)!r})"
 
 
-NULL = Subdigon()
+NULL = PlaneTree()
 
 
-def panel(k: int, children) -> Subdigon:
+def panel(k: int, children) -> PlaneTree:
     """Glue k ordered subdigons to a central (k+1)-gon."""
     children = tuple(children)
     if k < 2:
         raise ValueError(f"panel arity {k} < 2")
     if len(children) != k:
         raise ValueError(f"expected {k} children, got {len(children)}")
-    return Subdigon(children)
+    return PlaneTree(children)
 
 
-def unpanel(s: Subdigon) -> tuple[int, tuple[Subdigon, ...]]:
-    if s.is_null:
-        raise ValueError("cannot unpanel the null subdigon")
-    return len(s.children), s.children
+def check_subdigon(t: PlaneTree) -> PlaneTree:
+    """t itself when no node is unary, i.e. when t is a subdigon."""
+    if len(t.children) == 1:
+        raise ValueError("unary node has no subdigon counterpart")
+    for c in t.children:
+        check_subdigon(c)
+    return t
 
 
-def central_arity(s: Subdigon) -> int | None:
+def to_word(t: PlaneTree) -> tuple[int, ...]:
+    """Raney word of t: the arities of its nodes in preorder."""
+    out = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        out.append(len(node.children))
+        stack.extend(reversed(node.children))
+    return tuple(out)
+
+
+def central_arity(s: PlaneTree) -> int | None:
     """Arity of the root panel, None for the null subdigon."""
     return len(s.children) if s.children else None
 
 
-def type_of(s: Subdigon) -> TypeVector:
+def type_of(s: PlaneTree) -> TypeVector:
     """m_k = number of panels of arity k anywhere in s."""
     counts: dict[int, int] = {}
 
-    def walk(node: Subdigon):
+    def walk(node: PlaneTree):
         if node.children:
             k = len(node.children)
             counts[k] = counts.get(k, 0) + 1
@@ -75,13 +84,13 @@ def type_of(s: Subdigon) -> TypeVector:
     return TypeVector.of(counts)
 
 
-def vef_structural(s: Subdigon) -> VEF:
+def vef_structural(s: PlaneTree) -> VEF:
     """V/E/F by the gluing recursion, independent of the linear formulas.
 
     Each child shares its two roof vertices and one roof edge with the
     central polygon.
     """
-    if s.is_null:
+    if not s.children:
         return VEF(2, 1, 0)
     k = len(s.children)
     v, e, f = k + 1, k + 1, 1
@@ -117,7 +126,7 @@ def _splits(m: TypeVector, parts: int) -> tuple[tuple[TypeVector, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _enumerate(m: TypeVector) -> tuple[Subdigon, ...]:
+def _enumerate(m: TypeVector) -> tuple[PlaneTree, ...]:
     if not m:
         return (NULL,)
     out = []
@@ -126,14 +135,14 @@ def _enumerate(m: TypeVector) -> tuple[Subdigon, ...]:
         for split in _splits(remaining, r):
             child_lists = [_enumerate(part) for part in split]
             for children in itertools.product(*child_lists):
-                out.append(Subdigon(children))
+                out.append(PlaneTree(children))
     return tuple(out)
 
 
 DEFAULT_FACE_CAP = 8
 
 
-def enumerate_subdigons(m: TypeVector, face_cap: int = DEFAULT_FACE_CAP) -> list[Subdigon]:
+def enumerate_subdigons(m: TypeVector, face_cap: int = DEFAULT_FACE_CAP) -> list[PlaneTree]:
     """Every subdigon of type m exactly once, in deterministic order.
 
     Splits on the central polygon first; uniqueness of that
@@ -183,9 +192,9 @@ def psi_sum(subdigons) -> LayeredPoly:
     return LayeredPoly(acc)
 
 
-def serialize(s: Subdigon) -> str:
+def serialize(s: PlaneTree) -> str:
     """Digit form of the subdigon's plane-tree word; arities above 9 bracketed."""
-    if s.is_null:
+    if not s.children:
         return "0"
     k = len(s.children)
     head = str(k) if k <= 9 else f"[{k}]"
@@ -198,10 +207,10 @@ class ParseError(ValueError):
         self.position = position
 
 
-def parse(text: str) -> Subdigon:
+def parse(text: str) -> PlaneTree:
     pos = 0
 
-    def parse_one() -> Subdigon:
+    def parse_one() -> PlaneTree:
         nonlocal pos
         if pos >= len(text):
             raise ParseError("unexpected end of input", pos)
@@ -225,7 +234,7 @@ def parse(text: str) -> Subdigon:
             raise ParseError(f"unexpected character {ch!r}", pos)
         if k < 2:
             raise ParseError(f"panel arity {k} < 2", pos - 1)
-        return Subdigon(tuple(parse_one() for _ in range(k)))
+        return PlaneTree(tuple(parse_one() for _ in range(k)))
 
     out = parse_one()
     if pos != len(text):

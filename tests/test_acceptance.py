@@ -42,7 +42,7 @@ from hypercatalan.series import (
     mul_truncated,
     table_rows,
 )
-from hypercatalan.subdigon import central_arity, count_subdigons, enumerate_subdigons
+from hypercatalan.subdigon import central_arity, count_subdigons, enumerate_subdigons, to_word
 
 
 def tv(*counts):
@@ -234,7 +234,7 @@ def test_criterion_6_raney_lemma_and_identification():
     # triquad word, 0; the bracketing invariant (head i, then i identified
     # words) pins the closing parens
     assert words[3] == "(4(200)0(30(1(300(10)))0)0)"
-    assert bracketing.words[3].flatten() == (4, 2, 0, 0, 0, 3, 0, 1, 3, 0, 0, 1, 0, 0, 0)
+    assert to_word(bracketing.words[3]) == (4, 2, 0, 0, 0, 3, 0, 1, 3, 0, 0, 1, 0, 0, 0)
     report(6, "Raney lemma on 500 random strings; 4-word identification exact")
 
 

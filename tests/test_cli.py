@@ -35,8 +35,10 @@ class TestCoeff:
         assert "central 4-gon: 9" in out
 
     def test_bad_type_exits_nonzero(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["coeff", "--type", "2,x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: bad type vector")
 
 
 class TestVerify:
@@ -79,6 +81,19 @@ class TestTable:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("coeffs", ["1/0", "x", "1/5,"])
+    def test_bad_coeffs_exit_2(self, capsys, coeffs):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--coeffs", coeffs, "--d", "5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: bad coefficient")
+
+    def test_bad_level_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--coeffs", "1/5", "--d", "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: negative level bound")
+
     def test_all_zero_coefficients(self, capsys):
         code, out = run(capsys, "solve", "--coeffs", "0", "--d", "5")
         assert code == 0

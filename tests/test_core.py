@@ -1,5 +1,8 @@
+import ast
 import random
+from pathlib import Path
 
+import hypercatalan
 import pytest
 from hypothesis import given, strategies as st
 
@@ -157,3 +160,12 @@ def test_random_sweep_exactness():
             central_count(m, r)
         r = rng.randint(1, 5)
         assert power_coeff(m, r) == raney_count(r, Composition(0, m))
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips asserts, so no check that matters may rely on one
+    found = []
+    for path in sorted(Path(hypercatalan.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert found == []

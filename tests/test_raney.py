@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from hypercatalan.core import Composition, TypeVector, raney_count
 from hypercatalan.raney import (
-    PlaneTree,
     enumerate_lists,
     format_string,
     identify_words,
@@ -18,12 +17,17 @@ from hypercatalan.raney import (
     rank,
     rotate,
     split_words,
-    subdigon_to_tree,
-    tree_to_subdigon,
-    tree_to_word,
     word_to_tree,
 )
-from hypercatalan.subdigon import enumerate_subdigons, serialize, type_of
+from hypercatalan.subdigon import (
+    NULL,
+    PlaneTree,
+    check_subdigon,
+    enumerate_subdigons,
+    serialize,
+    to_word,
+    type_of,
+)
 
 
 PAPER_21_WORDS = """
@@ -103,6 +107,14 @@ class TestWordLists:
         assert split_words(parse_string("002010")) == [(0,), (0,), (2, 0, 1, 0)]
         assert split_words((2, 0)) is None
 
+    def test_rank_criterion_agrees_with_greedy_split(self):
+        for length in range(9):
+            for sigma in itertools.product(range(4), repeat=length):
+                words = split_words(sigma)
+                for n in range(1, 5):
+                    expected = words is not None and len(words) == n
+                    assert is_word_list(sigma, n) == expected, (sigma, n)
+
     def test_split_segments_are_words(self):
         rng = random.Random(3)
         for n in range(1, 5):
@@ -131,8 +143,13 @@ class TestRotations:
         rng = random.Random(42)
         for n in range(1, 6):
             for sigma in strings_of_rank(-n, rng=rng, count=100):
-                offsets = list_rotations(sigma)  # asserts |offsets| == n
+                offsets = list_rotations(sigma)  # raises unless |offsets| == n
                 assert len(offsets) == n
+
+    def test_lemma_violation_raises(self):
+        # a negative symbol breaks Raney's lemma: rank -3 but only 2 rotations
+        with pytest.raises(ArithmeticError):
+            list_rotations((-1, 0))
 
 
 class TestIdentifyWords:
@@ -149,7 +166,7 @@ class TestIdentifyWords:
         ]
         # every identified word flattens back onto the circular symbols
         big = br.words[-1]
-        assert big.flatten() == (4, 2, 0, 0, 0, 3, 0, 1, 3, 0, 0, 1, 0, 0, 0)
+        assert to_word(big) == (4, 2, 0, 0, 0, 3, 0, 1, 3, 0, 0, 1, 0, 0, 0)
 
     def test_whole_word_single_group(self):
         for text in ["0", "200", "202030100", "302000"]:
@@ -157,7 +174,7 @@ class TestIdentifyWords:
             assert is_word(sigma)
             br = identify_words(sigma, cyclic=False)
             assert len(br.words) == 1
-            assert br.words[0].flatten() == sigma
+            assert to_word(br.words[0]) == sigma
 
     def test_rejects_nonnegative_rank(self):
         with pytest.raises(ValueError):
@@ -170,7 +187,7 @@ class TestIdentifyWords:
                 for off in list_rotations(sigma):
                     rotated = rotate(sigma, off)
                     br = identify_words(rotated, cyclic=False)
-                    flat = [w.flatten() for w in br.words]
+                    flat = [to_word(w) for w in br.words]
                     assert flat == split_words(rotated)
 
     def test_randomized_move_order_same_words(self):
@@ -179,14 +196,14 @@ class TestIdentifyWords:
         for sigma in strings_of_rank(-3, rng=rng, count=30):
             left = identify_words(sigma, cyclic=True)
             right = _identify_reversed(sigma)
-            assert sorted(w.flatten() for w in left.words) == sorted(right)
+            assert sorted(to_word(w) for w in left.words) == sorted(right)
 
 
 def _identify_reversed(sigma):
     """Same grouping loop but scanning right-to-left; returns flattened words."""
-    from hypercatalan.raney import Word, _Item
+    from hypercatalan.raney import _Item
 
-    items = [_Item(i, a, Word(0) if a == 0 else None) for i, a in enumerate(sigma)]
+    items = [_Item(i, a, NULL if a == 0 else None) for i, a in enumerate(sigma)]
     moved = True
     while moved:
         moved = False
@@ -196,13 +213,13 @@ def _identify_reversed(sigma):
                 continue
             followers = [items[(idx + j) % len(items)] for j in range(1, it.symbol + 1)]
             if all(f.identified for f in followers):
-                it.word = Word(it.symbol, tuple(f.word for f in followers))
+                it.word = PlaneTree(tuple(f.word for f in followers))
                 drop = {id(f) for f in followers}
                 items = [x for x in items if id(x) not in drop]
                 moved = True
                 break
     assert all(x.identified for x in items)
-    return [x.word.flatten() for x in items]
+    return [to_word(x.word) for x in items]
 
 
 class TestEnumerateLists:
@@ -242,7 +259,7 @@ class TestTreeBijection:
     def test_triangle_word(self):
         t = word_to_tree((2, 0, 0))
         assert len(t.children) == 2
-        assert serialize(tree_to_subdigon(t)) == "200"
+        assert serialize(check_subdigon(t)) == "200"
 
     def test_rejects_non_word(self):
         with pytest.raises(ValueError):
@@ -252,24 +269,25 @@ class TestTreeBijection:
         for length in range(1, 10):
             for sigma in itertools.product(range(4), repeat=length):
                 if is_word(sigma):
-                    assert tree_to_word(word_to_tree(sigma)) == sigma
+                    assert to_word(word_to_tree(sigma)) == sigma
 
     def test_unary_nodes_round_trip(self):
         sigma = (1, 1, 0)
-        assert tree_to_word(word_to_tree(sigma)) == sigma
+        assert to_word(word_to_tree(sigma)) == sigma
         with pytest.raises(ValueError):
-            tree_to_subdigon(word_to_tree(sigma))
+            check_subdigon(word_to_tree(sigma))
 
     def test_words_biject_with_subdigons(self):
         m = TypeVector.from_counts([2, 1])
         words = enumerate_lists(1, Composition(0, m))
-        mapped = {serialize(tree_to_subdigon(word_to_tree(w))) for w in words}
+        mapped = {serialize(check_subdigon(word_to_tree(w))) for w in words}
         enumerated = {serialize(s) for s in enumerate_subdigons(m)}
         assert mapped == enumerated
+        assert {word_to_tree(w) for w in words} == set(enumerate_subdigons(m))
         for w in words:
-            s = tree_to_subdigon(word_to_tree(w))
+            s = check_subdigon(word_to_tree(w))
             assert type_of(s) == m
-            assert subdigon_to_tree(s) == word_to_tree(w)
+            assert to_word(s) == w
 
 
 def test_multinomial_sanity():

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from hypercatalan.core import TypeVector, hyper_catalan, power_coeff, unit_type
+from hypercatalan.catpow import catalan
+from hypercatalan.core import TypeVector, hyper_catalan, power_coeff, unit_type, vef
 from hypercatalan.series import (
     LayeredPoly,
     LayerSpec,
@@ -14,6 +16,7 @@ from hypercatalan.series import (
     evaluate_geometric,
     geode_quotient,
     layer_slice,
+    layer_sums,
     level,
     mul_truncated,
     table_rows,
@@ -54,7 +57,27 @@ class TestLevel:
                 assert level(a + b, meas) == level(a, meas) + level(b, meas)
 
 
+    def test_matches_vef_counts(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            m = TypeVector.of({k: rng.randint(0, 4) for k in (2, 3, 4, 7)})
+            s = vef(m)
+            assert level(m, Measure.VERTEX) == s.V - 2
+            assert level(m, Measure.EDGE) == s.E - 1
+            assert level(m, Measure.FACE) == s.F
+
+
 class TestLayerSpec:
+    def test_max_gon_is_largest_admitted_unit(self):
+        for meas in Measure:
+            for d in range(6):
+                for q in (None, 2, 3, 5, 9):
+                    if meas is Measure.FACE and q is None:
+                        continue
+                    spec = LayerSpec(meas, d, q)
+                    fits = [k for k in range(2, 12) if spec.admits(unit_type(k))]
+                    assert spec.max_gon() == max(fits, default=1), (meas, d, q)
+
     def test_face_requires_gon_bound(self):
         with pytest.raises(ValueError):
             LayerSpec(Measure.FACE, 3)
@@ -255,3 +278,12 @@ class TestSerialization:
                     acc = LayeredPoly.zero()
                 else:
                     acc = acc + p
+
+
+class TestLayerSums:
+    def test_catalan_layers(self):
+        t2 = Fraction(1, 5)
+        sums = layer_sums(LayerSpec(Measure.VERTEX, 30, 2), {2: t2})
+        assert sorted(sums) == list(range(31))
+        for n, part in sums.items():
+            assert part == catalan(n) * t2**n

@@ -7,16 +7,17 @@ from hypercatalan.series import LayeredPoly
 from hypercatalan.subdigon import (
     NULL,
     ParseError,
-    Subdigon,
+    PlaneTree,
     central_arity,
+    check_subdigon,
     count_subdigons,
     enumerate_subdigons,
     panel,
     parse,
     psi_sum,
     serialize,
+    to_word,
     type_of,
-    unpanel,
     vef_structural,
 )
 
@@ -42,11 +43,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             panel(3, [NULL, NULL])
 
-    def test_unpanel_inverse(self):
+    def test_check_subdigon(self):
         s = panel(3, [TRIANGLE, NULL, TRIANGLE])
-        assert unpanel(s) == (3, (TRIANGLE, NULL, TRIANGLE))
+        assert check_subdigon(s) is s
         with pytest.raises(ValueError):
-            unpanel(NULL)
+            check_subdigon(PlaneTree((NULL,)))
+        with pytest.raises(ValueError):
+            check_subdigon(panel(2, [PlaneTree((NULL,)), NULL]))
+
+    def test_to_word_is_preorder_arities(self):
+        assert to_word(NULL) == (0,)
+        assert to_word(panel(3, [NULL, TRIANGLE, NULL])) == (3, 0, 2, 0, 0, 0)
+        assert to_word(PlaneTree((PlaneTree((NULL,)),))) == (1, 1, 0)
 
     def test_central_arity(self):
         assert central_arity(NULL) is None
