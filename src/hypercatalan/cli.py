@@ -7,6 +7,7 @@ Exit codes: 0 success/verified, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -113,13 +114,19 @@ def cmd_solve(args) -> int:
     values = {k: coeffs[k - 2] for k in range(2, q + 1)}
     if args.float:
         values = {k: float(v) for k, v in values.items()}
+    # every line is formatted before any is printed, so an overflow prints none
+    lines = []
     alpha = 0
-    for lvl, part in sorted(series.layer_sums(spec, values).items()):
-        alpha = alpha + part
-        print(f"level {lvl:>3}: partial sum = {_show(alpha)}")
-    residual = 1 - alpha + sum(values[k] * alpha**k for k in values)
-    print(f"alpha = {_show(alpha)}")
-    print(f"residual = {_show(residual)}")
+    try:
+        for lvl, part in sorted(series.layer_sums(spec, values).items()):
+            alpha = alpha + part
+            lines.append(f"level {lvl:>3}: partial sum = {_show(alpha)}")
+        residual = 1 - alpha + sum(values[k] * alpha**k for k in values)
+        lines.append(f"alpha = {_show(alpha)}")
+        lines.append(f"residual = {_show(residual)}")
+    except OverflowError as exc:
+        _usage_error(f"out of float range at level bound {spec.d}: {exc}")
+    print("\n".join(lines))
     return 0
 
 
@@ -148,24 +155,40 @@ def cmd_subdigons(args) -> int:
 
 
 def cmd_raney(args) -> int:
+    if args.raney_cmd == "enumerate":
+        counts = {k: getattr(args, f"m{k}") for k in range(1, 10)}
+        if args.n < 1:
+            _usage_error(f"word count {args.n} < 1")
+        if any(v < 0 for v in counts.values()):
+            _usage_error("negative symbol count")
+        m1 = counts.pop(1)
+        c = Composition(m1, TypeVector.of({k: v for k, v in counts.items() if v}))
+        lists = raney.enumerate_lists(args.n, c)
+        for sigma in lists:
+            print(raney.format_string(sigma))
+        print(f"total {len(lists)} (closed form {raney_count(args.n, c)})")
+        return 0
+    try:
+        sigma = raney.parse_string(args.string)
+    except ValueError as exc:
+        _usage_error(str(exc))
+    rank = raney.rank(sigma)
     if args.raney_cmd == "rank":
-        print(raney.rank(raney.parse_string(args.string)))
+        print(rank)
         return 0
     if args.raney_cmd == "check":
-        sigma = raney.parse_string(args.string)
-        if args.n == 1:
-            ok = raney.is_word(sigma)
-        else:
-            ok = raney.is_word_list(sigma, args.n)
+        if args.n < 1:
+            _usage_error(f"word count {args.n} < 1")
+        ok = raney.is_word(sigma) if args.n == 1 else raney.is_word_list(sigma, args.n)
         print("yes" if ok else "no")
         return 0 if ok else 1
+    if rank >= 0:  # rotations and identify need a list of words
+        _usage_error(f"rank {rank} is not negative")
     if args.raney_cmd == "rotations":
-        sigma = raney.parse_string(args.string)
         for off in sorted(raney.list_rotations(sigma)):
             print(f"{off}: {raney.format_string(raney.rotate(sigma, off))}")
         return 0
     if args.raney_cmd == "identify":
-        sigma = raney.parse_string(args.string)
         bracketing = raney.identify_words(sigma, cyclic=args.cyclic)
         if not bracketing.complete:
             print("INCOMPLETE: unidentified symbols remain")
@@ -173,31 +196,34 @@ def cmd_raney(args) -> int:
         for word in bracketing.render_words():
             print(word)
         return 0
-    if args.raney_cmd == "enumerate":
-        counts = {k: getattr(args, f"m{k}") for k in range(2, 10)}
-        tail = TypeVector.of({k: v for k, v in counts.items() if v})
-        c = Composition(args.m1, tail)
-        lists = raney.enumerate_lists(args.n, c)
-        for sigma in lists:
-            print(raney.format_string(sigma))
-        print(f"total {len(lists)} (closed form {raney_count(args.n, c)})")
-        return 0
     raise SystemExit(2)
 
 
 def cmd_powers(args) -> int:
-    if args.identity is not None:
-        residual = catpow.verify_power_identity(args.identity, args.order)
-        if residual:
-            print(f"NONZERO residual: {residual}")
-            return 1
-        print("ZERO")
+    if args.identity is None:
+        if args.r is None or args.m is None:
+            _usage_error("powers needs --identity, or both --r and --m")
+        if args.r < 1:
+            _usage_error(f"power {args.r} < 1")
+        if args.m < 0:
+            _usage_error(f"negative index {args.m}")
+        print(catpow.catalan_power(args.r, args.m))
         return 0
-    print(catpow.catalan_power(args.r, args.m))
+    if args.identity < 1:
+        _usage_error(f"power {args.identity} < 1")
+    if args.order < 0:
+        _usage_error(f"negative order {args.order}")
+    residual = catpow.verify_power_identity(args.identity, args.order)
+    if residual:
+        print(f"NONZERO residual: {residual}")
+        return 1
+    print("ZERO")
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hypercatalan",
         description="Hyper-Catalan numbers, layered series zeros and Raney words",

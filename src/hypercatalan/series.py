@@ -6,6 +6,22 @@ F) are recomputed from each monomial's type vector, never stored.  A
 LayerSpec fixes a measure and a maximum level; truncated multiplication
 prunes partial products as soon as their level exceeds the bound, which
 is sound because all three measures are additive.
+
+The layering identity (evaluate_geometric, table_rows) runs on a packed
+kernel; TypeVector and LayeredPoly appear only at its boundary.
+
+- Packed keys: a monomial admitted at level bound d is the int
+  sum_k m_k * B^(k-2) with B = d+1 (Kronecker substitution), so a
+  monomial product is one int addition.  No digit carries: every gon
+  weighs at least 1, so a monomial of level <= d has every m_k <= d < B,
+  and so has every product of two monomials whose levels add up to <= d.
+- Level buckets: terms sit in one dict per level, and bucket pairs whose
+  levels add up to more than the bound are never visited.
+- Tight truncation: t_n * beta^n is cut at d, so beta^n is computed only
+  up to level d - weight(n).  The weights grow with n, so each power
+  needs only the buckets of the previous one up to its own bound.
+
+mul_truncated stays as the slow oracle the tests compare the kernel to.
 """
 
 from __future__ import annotations
@@ -253,12 +269,70 @@ def layer_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
     return sums
 
 
-def _source_terms(beta: LayeredPoly, spec: LayerSpec):
-    """(n, truncate(t_n * beta^n, spec)) for every gon n that spec admits."""
-    power = truncate(beta, spec)  # beta^1
+# A graded polynomial: level buckets 0..bound, bucket i mapping the
+# packed key of each monomial at level i to its coefficient.
+Graded = list[dict[int, int]]
+
+
+def _pack(m: TypeVector, base: int) -> int:
+    return sum(mk * base ** (k - 2) for k, mk in m.items())
+
+
+def _unpack(key: int, base: int) -> TypeVector:
+    entries = []
+    k = 2
+    while key:
+        key, mk = divmod(key, base)
+        if mk:
+            entries.append((k, mk))
+        k += 1
+    return TypeVector(tuple(entries))
+
+
+def _graded(p: LayeredPoly, spec: LayerSpec) -> Graded:
+    """truncate(p, spec), packed and bucketed by level."""
+    buckets: Graded = [{} for _ in range(spec.d + 1)]
+    for m, c in p.terms.items():
+        if spec.admits(m):
+            buckets[level(m, spec.measure)][_pack(m, spec.d + 1)] = c
+    return buckets
+
+
+def _poly(bucket: dict[int, int], spec: LayerSpec) -> LayeredPoly:
+    return LayeredPoly({_unpack(key, spec.d + 1): c for key, c in bucket.items() if c})
+
+
+def _mul_graded(a: Graded, b: Graded, bound: int) -> Graded:
+    """a*b truncated at level bound; a and b both have buckets up to bound."""
+    out: Graded = [{} for _ in range(bound + 1)]
+    for i in range(bound + 1):
+        terms_a = a[i].items()
+        if not terms_a:
+            continue
+        for j in range(bound + 1 - i):
+            terms_b = b[j].items()
+            o = out[i + j]
+            for ka, ca in terms_a:
+                for kb, cb in terms_b:
+                    k = ka + kb
+                    o[k] = o.get(k, 0) + ca * cb
+    return out
+
+
+def _graded_sources(beta: Graded, spec: LayerSpec):
+    """(n, t_n * beta^n as level buckets 0..d) for every gon n that spec admits.
+
+    beta is graded for spec.  beta^n is truncated at d - weight(n), the
+    level t_n leaves over, and its keys are shifted by the key of t_n.
+    """
+    power = beta
     for n in range(2, spec.max_gon() + 1):
-        power = mul_truncated(power, beta, spec)  # beta^n
-        yield n, mul_truncated(LayeredPoly.monomial(unit_type(n)), power, spec)
+        w = weight(n, spec.measure)
+        power = _mul_graded(power, beta, spec.d - w)
+        shift = (spec.d + 1) ** (n - 2)
+        yield n, [{} for _ in range(w)] + [
+            {key + shift: c for key, c in bucket.items()} for bucket in power
+        ]
 
 
 def evaluate_geometric(beta: LayeredPoly, spec: LayerSpec) -> LayeredPoly:
@@ -266,10 +340,14 @@ def evaluate_geometric(beta: LayeredPoly, spec: LayerSpec) -> LayeredPoly:
 
     Zero whenever beta is the layered series truncation for spec.
     """
-    acc = LayeredPoly.one() - truncate(beta, spec)
-    for _, source in _source_terms(beta, spec):
-        acc = acc + source
-    return acc
+    graded = _graded(beta, spec)
+    acc = {key: -c for bucket in graded for key, c in bucket.items()}
+    acc[0] = acc.get(0, 0) + 1
+    for _, source in _graded_sources(graded, spec):
+        for bucket in source:
+            for key, c in bucket.items():
+                acc[key] = acc.get(key, 0) + c
+    return _poly(acc, spec)
 
 
 def layer_slice(p: LayeredPoly, measure: Measure, n: int) -> LayeredPoly:
@@ -327,16 +405,16 @@ def table_rows(spec: LayerSpec) -> list[tuple[str, LayeredPoly]]:
     "[v^3] t2 b^2" style source rows, "[v^3] total" for totals.
     """
     sym = {Measure.VERTEX: "v", Measure.EDGE: "e", Measure.FACE: "f"}[spec.measure]
-    beta = build_beta(spec)
-    sources = list(_source_terms(beta, spec))
+    beta = _graded(build_beta(spec), spec)
+    sources = list(_graded_sources(beta, spec))
+    beta[0][0] = beta[0].get(0, 0) - 1  # the total rows are beta - 1
     rows: list[tuple[str, LayeredPoly]] = []
-    total_all = beta - LayeredPoly.one()
     for lvl in range(spec.d + 1):
         for n, source in sources:
-            part = layer_slice(source, spec.measure, lvl)
+            part = _poly(source[lvl], spec)
             if part:
                 rows.append((f"[{sym}^{lvl}] t{n} b^{n}", part))
-        rows.append((f"[{sym}^{lvl}] total", layer_slice(total_all, spec.measure, lvl)))
+        rows.append((f"[{sym}^{lvl}] total", _poly(beta[lvl], spec)))
     return rows
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hypercatalan.cli import main
+from hypercatalan.cli import build_parser, main
 from hypercatalan.subdigon import parse
 
 
@@ -196,3 +196,34 @@ class TestPowers:
     def test_coefficient(self, capsys):
         code, out = run(capsys, "powers", "--r", "2", "--m", "2")
         assert code == 0 and out.strip() == "5"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (["powers"], "error: powers needs --identity, or both --r and --m"),
+        (["raney", "rotations", "111"], "error: rank 0 is not negative"),
+        (["raney", "enumerate", "--n", "0"], "error: word count 0 < 1"),
+        (["solve", "--float", "--d", "700", "--coeffs", "1/10"],
+         "error: out of float range at level bound 700: int too large to convert to float"),
+        (["raney", "identify", "111"], "error: rank 0 is not negative"),
+        (["raney", "check", "0", "--n", "0"], "error: word count 0 < 1"),
+        (["raney", "enumerate", "--n", "1", "--m2", "-1"], "error: negative symbol count"),
+        (["raney", "rank", "1x"], "error: not a digit string: '1x'"),
+        (["powers", "--r", "0", "--m", "1"], "error: power 0 < 1"),
+        (["powers", "--r", "1", "--m", "-1"], "error: negative index -1"),
+        (["powers", "--identity", "0"], "error: power 0 < 1"),
+        (["powers", "--identity", "2", "--order", "-1"], "error: negative order -1"),
+    ], ids=["powers-without-arguments", "rotations-rank-0", "enumerate-n-0", "solve-float-overflow",
+            "identify-rank-0", "check-n-0", "enumerate-negative-count", "rank-bad-digits",
+            "powers-r-0", "powers-m-negative", "identity-0", "identity-negative-order"])
+    def test_exit_2_with_one_line_message(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()

@@ -29,6 +29,14 @@ def tv(*counts):
     return TypeVector.from_counts(counts)
 
 
+# every measure at small d, d = 0 included
+SWEEP_SPECS = (
+    [LayerSpec(Measure.VERTEX, d) for d in range(9)]
+    + [LayerSpec(Measure.EDGE, d) for d in range(11)]
+    + [LayerSpec(Measure.FACE, d, q) for q in range(2, 6) for d in range(6)]
+)
+
+
 def poly(*terms):
     """poly((coeff, [m2, m3, ...]), ...)"""
     return LayeredPoly({TypeVector.from_counts(m): c for c, m in terms})
@@ -208,17 +216,80 @@ class TestEvaluateGeometric:
         assert not evaluate_geometric(build_beta(spec), spec)
 
     def test_zero_over_sweep(self):
-        specs = [LayerSpec(Measure.VERTEX, d) for d in range(8)]
-        specs += [LayerSpec(Measure.EDGE, d) for d in range(10)]
-        specs += [LayerSpec(Measure.FACE, d, q)
-                  for d in range(6) for q in range(2, 6)]
-        for spec in specs:
+        for spec in SWEEP_SPECS:
             assert not evaluate_geometric(build_beta(spec), spec)
 
     def test_nonzero_on_wrong_input(self):
         spec = LayerSpec(Measure.VERTEX, 3)
         beta = build_beta(spec) + poly((1, [1]))
         assert evaluate_geometric(beta, spec)
+
+
+# The oracle chain: every product through mul_truncated at the full level d.
+
+
+def _oracle_sources(beta, spec):
+    power = truncate(beta, spec)
+    for n in range(2, spec.max_gon() + 1):
+        power = mul_truncated(power, beta, spec)
+        yield n, mul_truncated(LayeredPoly.monomial(unit_type(n)), power, spec)
+
+
+def _oracle_geometric(beta, spec):
+    acc = LayeredPoly.one() - truncate(beta, spec)
+    for _, source in _oracle_sources(beta, spec):
+        acc = acc + source
+    return acc
+
+
+def _oracle_table_rows(spec):
+    sym = spec.measure.value[0]
+    beta = build_beta(spec)
+    sources = list(_oracle_sources(beta, spec))
+    rows = []
+    for lvl in range(spec.d + 1):
+        for n, source in sources:
+            part = layer_slice(source, spec.measure, lvl)
+            if part:
+                rows.append((f"[{sym}^{lvl}] t{n} b^{n}", part))
+        rows.append((f"[{sym}^{lvl}] total",
+                     layer_slice(beta - LayeredPoly.one(), spec.measure, lvl)))
+    return rows
+
+
+def _spec_id(spec):
+    return f"{spec.measure.value}-d{spec.d}-q{spec.gon_bound}"
+
+
+class TestPackedKernel:
+    """evaluate_geometric and table_rows against the mul_truncated chain."""
+
+    @pytest.mark.parametrize("spec", [s for s in SWEEP_SPECS if s.d >= 1], ids=_spec_id)
+    def test_corrupted_beta_residual_matches_oracle(self, spec):
+        beta = build_beta(spec)
+        for lvl in sorted({1, spec.d}):
+            m = min(layer_slice(beta, spec.measure, lvl).terms, key=lambda t: t.entries,
+                    default=None)
+            if m is None:  # edge level 1 holds no monomial
+                continue
+            bad = beta + LayeredPoly.monomial(m)
+            residual = evaluate_geometric(bad, spec)
+            assert residual == _oracle_geometric(bad, spec)
+            assert layer_slice(residual, spec.measure, lvl) == LayeredPoly.monomial(m, -1)
+
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
+    def test_terms_outside_spec_are_dropped(self, spec):
+        rng = random.Random(spec.d * 31 + (spec.gon_bound or 0))
+        q = None if spec.gon_bound is None else spec.gon_bound + 1
+        wide = LayerSpec(spec.measure, spec.d + 2, q)
+        beta = LayeredPoly({m: rng.randint(-9, 9) for m in enumerate_types(wide)})
+        beta = beta + LayeredPoly.monomial(unit_type(spec.max_gon() + 1), 5)
+        assert any(not spec.admits(m) for m in beta.terms)
+        assert evaluate_geometric(beta, spec) == _oracle_geometric(beta, spec)
+
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
+    def test_table_rows_match_oracle(self, spec):
+        assert table_rows(spec) == _oracle_table_rows(spec)
 
 
 class TestPowers:
