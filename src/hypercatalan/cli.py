@@ -53,6 +53,8 @@ def _spec(measure: str, d: int, q: int | None) -> LayerSpec:
 
 def cmd_coeff(args) -> int:
     m = _parse_type(args.type)
+    if args.power is not None and args.power < 1:
+        _usage_error(f"power {args.power} < 1")
     s = vef(m)
     print(f"type {m}")
     print(f"C = {hyper_catalan(m)}")
@@ -179,7 +181,7 @@ def cmd_raney(args) -> int:
     if args.raney_cmd == "check":
         if args.n < 1:
             _usage_error(f"word count {args.n} < 1")
-        ok = raney.is_word(sigma) if args.n == 1 else raney.is_word_list(sigma, args.n)
+        ok = raney.is_word_list(sigma, args.n)
         print("yes" if ok else "no")
         return 0 if ok else 1
     if rank >= 0:  # rotations and identify need a list of words

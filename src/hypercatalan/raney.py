@@ -4,18 +4,19 @@ A string is a finite sequence of naturals; its rank is the sum of
 (symbol - 1).  A word is a single 0 or a symbol n > 0 followed by n
 words.  Every string of rank -n has exactly n cyclic rotations that
 split into n words; the identification algorithm finds those words in
-place by repeatedly grouping a symbol i with the i identified words
-following it.  An identified word is a plane tree whose preorder
-arities are its symbols (``subdigon.to_word``).
+place by grouping a symbol i with the i identified words following it
+(``subdigon.group_trees``).  An identified word is a plane tree whose
+preorder arities are its symbols (``subdigon.to_word``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .core import Composition
-from .subdigon import NULL, PlaneTree
+from .subdigon import PlaneTree, group_trees, to_word
 
 Symbols = tuple[int, ...]
 
@@ -26,8 +27,11 @@ def parse_string(text: str) -> Symbols:
     if not text:
         return ()
     if any(ch in text for ch in ", \t"):
-        parts = text.replace(",", " ").split()
-        return tuple(int(p) for p in parts)
+        symbols = tuple(int(p) for p in text.replace(",", " ").split())
+        negative = [a for a in symbols if a < 0]
+        if negative:
+            raise ValueError(f"negative symbol {negative[0]}")
+        return symbols
     if not text.isdigit():
         raise ValueError(f"not a digit string: {text!r}")
     return tuple(int(ch) for ch in text)
@@ -44,36 +48,10 @@ def rank(sigma: Sequence[int]) -> int:
     return sum(a - 1 for a in sigma)
 
 
-def _consume_word(sigma: Sequence[int], i: int) -> int | None:
-    """Index just past the word starting at i, or None."""
-    if i >= len(sigma):
-        return None
-    head = sigma[i]
-    if head == 0:
-        return i + 1
-    j = i + 1
-    for _ in range(head):
-        j = _consume_word(sigma, j)
-        if j is None:
-            return None
-    return j
-
-
 def is_word(sigma: Sequence[int]) -> bool:
-    """Recursive grammar: a single 0, or n > 0 followed by n words."""
-    return _consume_word(sigma, 0) == len(sigma) and len(sigma) > 0
-
-
-def is_word_prefix_criterion(sigma: Sequence[int]) -> bool:
-    """Rank -1 with no proper prefix of negative rank."""
-    if not sigma:
-        return False
-    cum = 0
-    for a in sigma[:-1]:
-        cum += a - 1
-        if cum < 0:
-            return False
-    return cum + sigma[-1] - 1 == -1
+    """Grammar: the symbols group into exactly one tree, as ``from_word`` needs."""
+    items = group_trees(sigma)
+    return len(items) == 1 and items[0][1] is not None
 
 
 def split_words(sigma: Sequence[int]) -> list[Symbols] | None:
@@ -128,20 +106,19 @@ def list_rotations(sigma: Sequence[int]) -> set[int]:
 
 def render(t: PlaneTree) -> str:
     """Bracketed form of an identified word: 0, or (i w_1 ... w_i)."""
-    if not t.children:
-        return "0"
-    return "(" + str(len(t.children)) + "".join(render(c) for c in t.children) + ")"
-
-
-@dataclass
-class _Item:
-    start: int
-    symbol: int
-    word: PlaneTree | None  # None while unidentified
-
-    @property
-    def identified(self) -> bool:
-        return self.word is not None
+    out, due = [], []  # due: children still due inside each open bracket
+    for k in to_word(t):
+        out.append(f"({k}" if k else "0")
+        if k:
+            due.append(k)
+            continue
+        while due:  # a leaf may finish its parent, which may finish its own
+            due[-1] -= 1
+            if due[-1]:
+                break
+            due.pop()
+            out.append(")")
+    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -166,39 +143,24 @@ class Bracketing:
 
 
 def identify_words(sigma: Sequence[int], cyclic: bool = True) -> Bracketing:
-    """Group every symbol i > 0 with the i identified words after it.
+    """Group every symbol i >= 0 with the i identified words after it.
 
-    Repeats until no move exists.  On a cyclic string of rank -n this
-    always terminates with exactly n identified words; the rank
-    invariant sum (k-1) m_k is preserved by every move.
+    Moves commute, so any order of moves ends in the same bracketing.
+    Linear: one pass of ``subdigon.group_trees``.  Cyclic: the rotation
+    starting at the first minimum of the prefix rank is a list of n
+    words (cycle lemma), so one pass over it identifies n words, whose
+    starts are mapped back onto sigma.
     """
     sigma = tuple(sigma)
     n = -rank(sigma)
     if n < 1:
         raise ValueError(f"rank {-n} is not negative")
-    items = [
-        _Item(i, a, NULL if a == 0 else None) for i, a in enumerate(sigma)
-    ]
-    moved = True
-    while moved:
-        moved = False
-        for idx in range(len(items)):
-            it = items[idx]
-            if it.identified:
-                continue
-            need = it.symbol
-            limit = len(items) - 1 if cyclic else len(items) - 1 - idx
-            if need > limit:
-                continue
-            followers = [items[(idx + j) % len(items)] for j in range(1, need + 1)]
-            if all(f.identified for f in followers):
-                it.word = PlaneTree(tuple(f.word for f in followers))
-                drop = {id(f) for f in followers}
-                items = [x for x in items if id(x) not in drop]
-                moved = True
-                break
-    items.sort(key=lambda x: x.start)
-    return Bracketing(sigma, tuple((x.start, x.symbol, x.word) for x in items))
+    offset = 0
+    if cyclic:
+        prefix = list(accumulate((a - 1 for a in sigma[:-1]), initial=0))
+        offset = prefix.index(min(prefix))
+    items = sorted(((i + offset) % len(sigma), t) for i, t in group_trees(rotate(sigma, offset)))
+    return Bracketing(sigma, tuple((i, sigma[i], t) for i, t in items))
 
 
 def enumerate_lists(n: int, c: Composition) -> list[Symbols]:
@@ -236,22 +198,3 @@ def enumerate_lists(n: int, c: Composition) -> list[Symbols]:
 
     extend(0)
     return out
-
-
-def word_to_tree(sigma: Sequence[int]) -> PlaneTree:
-    """The plane tree whose preorder arities are sigma."""
-    sigma = tuple(sigma)
-    if not is_word(sigma):
-        raise ValueError(f"not a word: {format_string(sigma)}")
-
-    def build(i: int) -> tuple[PlaneTree, int]:
-        head = sigma[i]
-        kids = []
-        j = i + 1
-        for _ in range(head):
-            kid, j = build(j)
-            kids.append(kid)
-        return PlaneTree(tuple(kids)), j
-
-    tree, _ = build(0)
-    return tree

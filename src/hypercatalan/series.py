@@ -88,11 +88,6 @@ class LayerSpec:
         return k
 
 
-def term_key(m: TypeVector, measure: Measure):
-    """Deterministic term order: graded by level, then lex on entries."""
-    return (level(m, measure), m.entries)
-
-
 class NonzeroRemainder(ArithmeticError):
     """Raised when an expected-exact polynomial division leaves a remainder."""
 
@@ -151,9 +146,6 @@ class LayeredPoly:
     def __neg__(self) -> "LayeredPoly":
         return LayeredPoly({m: -c for m, c in self.terms.items()})
 
-    def scale(self, c: int) -> "LayeredPoly":
-        return LayeredPoly({m: c * v for m, v in self.terms.items()})
-
     def __mul__(self, other: "LayeredPoly") -> "LayeredPoly":
         out: dict[TypeVector, int] = {}
         for m1, c1 in self.terms.items():
@@ -161,9 +153,6 @@ class LayeredPoly:
                 m = m1 + m2
                 out[m] = out.get(m, 0) + c1 * c2
         return LayeredPoly(out)
-
-    def sorted_terms(self, measure: Measure) -> list[tuple[TypeVector, int]]:
-        return sorted(self.terms.items(), key=lambda t: term_key(t[0], measure))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -229,13 +218,13 @@ def mul_truncated(p: LayeredPoly, q: LayeredPoly, spec: LayerSpec) -> LayeredPol
 def enumerate_types(spec: LayerSpec) -> list[TypeVector]:
     """All type vectors admitted by spec, graded by level then lex."""
     kmax = spec.max_gon()
-    found: list[TypeVector] = []
+    found: list[tuple[int, tuple[tuple[int, int], ...]]] = []
 
     def grow(k: int, counts: list[tuple[int, int]], lvl: int):
         if lvl > spec.d:
             return
         if k > kmax:
-            found.append(TypeVector(tuple(counts)))
+            found.append((lvl, tuple(counts)))
             return
         step = weight(k, spec.measure)
         grow(k + 1, counts, lvl)
@@ -245,8 +234,8 @@ def enumerate_types(spec: LayerSpec) -> list[TypeVector]:
             mk += 1
 
     grow(2, [], 0)
-    found.sort(key=lambda m: term_key(m, spec.measure))
-    return found
+    found.sort()
+    return [TypeVector(entries) for _, entries in found]
 
 
 def build_beta(spec: LayerSpec) -> LayeredPoly:

@@ -4,16 +4,18 @@ A plane tree is a rooted ordered tree; the arity of a node is its
 number of children.  A subdigon is either null (two vertices, one edge,
 no faces; the leaf) or a central (k+1)-gon with k >= 2 ordered subdigon
 children glued roof-to-side, so it is the plane tree with no unary
-node.  The preorder arities of a tree form its Raney word.  This module
-enumerates subdigons exhaustively by type, serving as the brute-force
-oracle for the closed-form counts, and serializes them in the same
-digit form as their words.
+node.  The preorder arities of a tree form its Raney word (``to_word``);
+``group_trees`` is the one iterative pass that reads words back into
+trees.  This module enumerates subdigons exhaustively by type, serving
+as the brute-force oracle for the closed-form counts, and serializes
+them in the same digit form as their words.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,10 +48,8 @@ def panel(k: int, children) -> PlaneTree:
 
 def check_subdigon(t: PlaneTree) -> PlaneTree:
     """t itself when no node is unary, i.e. when t is a subdigon."""
-    if len(t.children) == 1:
+    if 1 in to_word(t):
         raise ValueError("unary node has no subdigon counterpart")
-    for c in t.children:
-        check_subdigon(c)
     return t
 
 
@@ -64,6 +64,39 @@ def to_word(t: PlaneTree) -> tuple[int, ...]:
     return tuple(out)
 
 
+def group_trees(word) -> list[tuple[int, PlaneTree | None]]:
+    """Group each symbol k >= 0 with the k trees right after it, right to left.
+
+    Returns (index, tree or None) for every item left, leftmost first;
+    None marks a symbol that found fewer than k trees after it (or k < 0).
+    """
+    starts: list[int] = []  # the items so far, rightmost first
+    trees: list[PlaneTree | None] = []
+    run = 0  # trees at the end of the lists
+    for i in range(len(word) - 1, -1, -1):
+        k = word[i]
+        if 0 <= k <= run:
+            cut = len(trees) - k
+            tree = PlaneTree(tuple(trees[cut:][::-1])) if k else NULL
+            del trees[cut:], starts[cut:]
+            run += 1 - k
+        else:
+            tree, run = None, 0
+        trees.append(tree)
+        starts.append(i)
+    return list(zip(reversed(starts), reversed(trees)))
+
+
+def from_word(word) -> PlaneTree:
+    """The plane tree whose preorder arities are word; inverse of to_word."""
+    items = group_trees(word)
+    if not items or items[0][1] is None:
+        raise ParseError("unexpected end of input", len(word))
+    if len(items) > 1:
+        raise ParseError("trailing input", items[1][0])
+    return items[0][1]
+
+
 def central_arity(s: PlaneTree) -> int | None:
     """Arity of the root panel, None for the null subdigon."""
     return len(s.children) if s.children else None
@@ -71,17 +104,7 @@ def central_arity(s: PlaneTree) -> int | None:
 
 def type_of(s: PlaneTree) -> TypeVector:
     """m_k = number of panels of arity k anywhere in s."""
-    counts: dict[int, int] = {}
-
-    def walk(node: PlaneTree):
-        if node.children:
-            k = len(node.children)
-            counts[k] = counts.get(k, 0) + 1
-            for c in node.children:
-                walk(c)
-
-    walk(s)
-    return TypeVector.of(counts)
+    return TypeVector.of(Counter(k for k in to_word(s) if k))
 
 
 def vef_structural(s: PlaneTree) -> VEF:
@@ -207,39 +230,41 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _token(text: str, pos: int) -> tuple[int, int]:
+    """(arity, end) of the token at pos: a decimal digit or a bracketed number."""
+    ch, end = text[pos], pos + 1
+    if ch == "[":
+        close = text.find("]", pos)
+        if close < 0:
+            raise ParseError("unterminated bracket", pos)
+        digits = text[pos + 1 : close]
+        if not digits.isdecimal():
+            raise ParseError(f"bad arity {digits!r}", pos)
+        k, end = int(digits), close + 1
+    elif ch.isdecimal():
+        k = int(ch)
+    else:
+        raise ParseError(f"unexpected character {ch!r}", pos)
+    if k < 2 and ch != "0":
+        raise ParseError(f"panel arity {k} < 2", end - 1)
+    return k, end
+
+
 def parse(text: str) -> PlaneTree:
+    """Inverse of serialize: the tokens left to right, then ``from_word``."""
+    starts: list[int] = []
+    word: list[int] = []
     pos = 0
-
-    def parse_one() -> PlaneTree:
-        nonlocal pos
-        if pos >= len(text):
-            raise ParseError("unexpected end of input", pos)
-        ch = text[pos]
-        if ch == "0":
-            pos += 1
-            return NULL
-        if ch == "[":
-            close = text.find("]", pos)
-            if close < 0:
-                raise ParseError("unterminated bracket", pos)
-            digits = text[pos + 1 : close]
-            if not digits.isdigit():
-                raise ParseError(f"bad arity {digits!r}", pos)
-            k = int(digits)
-            pos = close + 1
-        elif ch.isdigit():
-            k = int(ch)
-            pos += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", pos)
-        if k < 2:
-            raise ParseError(f"panel arity {k} < 2", pos - 1)
-        return PlaneTree(tuple(parse_one() for _ in range(k)))
-
-    out = parse_one()
-    if pos != len(text):
-        raise ParseError("trailing input", pos)
-    return out
+    while pos < len(text):
+        starts.append(pos)
+        k, pos = _token(text, pos)
+        word.append(k)
+    try:
+        return from_word(word)
+    except ParseError as exc:
+        if exc.position < len(word):
+            raise ParseError("trailing input", starts[exc.position]) from None
+        raise ParseError("unexpected end of input", len(text)) from None
 
 
 def to_json(subdigons) -> str:

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypercatalan.cli import build_parser, main
 from hypercatalan.subdigon import parse
@@ -213,9 +216,15 @@ class TestUsageErrors:
         (["powers", "--r", "1", "--m", "-1"], "error: negative index -1"),
         (["powers", "--identity", "0"], "error: power 0 < 1"),
         (["powers", "--identity", "2", "--order", "-1"], "error: negative order -1"),
+        (["raney", "check", "2,-1,0"], "error: negative symbol -1"),
+        (["raney", "identify", "0,-1,0"], "error: negative symbol -1"),
+        (["raney", "rotations", "0,-1,0"], "error: negative symbol -1"),
+        (["coeff", "--type", "1", "--power", "0"], "error: power 0 < 1"),
     ], ids=["powers-without-arguments", "rotations-rank-0", "enumerate-n-0", "solve-float-overflow",
             "identify-rank-0", "check-n-0", "enumerate-negative-count", "rank-bad-digits",
-            "powers-r-0", "powers-m-negative", "identity-0", "identity-negative-order"])
+            "powers-r-0", "powers-m-negative", "identity-0", "identity-negative-order",
+            "check-negative-symbol", "identify-negative-symbol", "rotations-negative-symbol",
+            "coeff-power-0"])
     def test_exit_2_with_one_line_message(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -223,6 +232,40 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.err == message + "\n"
         assert captured.out == ""
+
+
+class TestDeepWords:
+    def test_check_long_unary_chain(self, capsys):
+        code, out = run(capsys, "raney", "check", "1" * 1500 + "0")
+        assert code == 0 and out == "yes\n"
+
+    def test_identify_deep_word(self, capsys):
+        code, out = run(capsys, "raney", "identify", "2" * 1200 + "0" * 1201)
+        assert code == 0
+        assert out == "(2" * 1200 + "0" + "0)" * 1200 + "\n"
+
+
+# strings of at most 30 characters: free text, and comma lists that may hold negative symbols
+RANEY_TEXT = st.one_of(
+    st.text(alphabet="0123456789, -", max_size=30),
+    st.lists(st.integers(min_value=-2, max_value=4), max_size=10).map(
+        lambda symbols: ",".join(map(str, symbols))
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(["rank", "check", "rotations", "identify"]), text=RANEY_TEXT)
+def test_raney_fuzz_exit_codes(command, text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["raney", command, text])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "error: " in err.getvalue().splitlines()[-1]
 
 
 def test_parser_is_built_once():

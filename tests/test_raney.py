@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,19 +12,18 @@ from hypercatalan.raney import (
     identify_words,
     is_word,
     is_word_list,
-    is_word_prefix_criterion,
     list_rotations,
     parse_string,
     rank,
     rotate,
     split_words,
-    word_to_tree,
 )
 from hypercatalan.subdigon import (
     NULL,
     PlaneTree,
     check_subdigon,
     enumerate_subdigons,
+    from_word,
     serialize,
     to_word,
     type_of,
@@ -82,18 +82,25 @@ class TestWordRecognition:
         assert not is_word((2, 0))
 
     def test_prefix_criterion_examples(self):
-        assert is_word_prefix_criterion((0,))
-        assert not is_word_prefix_criterion(parse_string("020"))
+        assert is_word_list((0,), 1)
+        assert not is_word_list(parse_string("020"), 1)
 
     def test_recognizers_agree_exhaustively(self):
+        # grammar (grouping into one tree) against the rank criterion for n = 1
         for length in range(1, 11):
             for sigma in itertools.product(range(4), repeat=length):
-                assert is_word(sigma) == is_word_prefix_criterion(sigma), sigma
+                assert is_word(sigma) == is_word_list(sigma, 1), sigma
 
     @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=20))
     def test_recognizers_agree_random(self, symbols):
         sigma = tuple(symbols)
-        assert is_word(sigma) == is_word_prefix_criterion(sigma)
+        assert is_word(sigma) == is_word_list(sigma, 1)
+
+    def test_deep_word_does_not_recurse(self):
+        sigma = (1,) * 5000 + (0,)
+        assert is_word(sigma)
+        assert not is_word(sigma + (0,))
+        assert to_word(from_word(sigma)) == sigma
 
 
 class TestWordLists:
@@ -190,6 +197,22 @@ class TestIdentifyWords:
                     flat = [to_word(w) for w in br.words]
                     assert flat == split_words(rotated)
 
+    def test_word_starts_are_the_rotations(self):
+        # the n identified words tile the circle; each start begins a list of n words
+        rng = random.Random(11)
+        for n in range(1, 5):
+            for sigma in strings_of_rank(-n, rng=rng, count=60):
+                br = identify_words(sigma, cyclic=True)
+                assert br.complete
+                assert {start for start, _, _ in br.items} == list_rotations(sigma)
+
+    def test_deep_string_does_not_recurse(self):
+        sigma = (2,) * 1200 + (0,) * 1201
+        for cyclic in (False, True):
+            br = identify_words(sigma, cyclic=cyclic)
+            assert [to_word(w) for w in br.words] == [sigma]
+        assert identify_words(rotate(sigma, 7)).items[0][0] == len(sigma) - 7
+
     def test_randomized_move_order_same_words(self):
         # grouping is order independent: compare against right-to-left scan
         rng = random.Random(9)
@@ -199,10 +222,19 @@ class TestIdentifyWords:
             assert sorted(to_word(w) for w in left.words) == sorted(right)
 
 
-def _identify_reversed(sigma):
-    """Same grouping loop but scanning right-to-left; returns flattened words."""
-    from hypercatalan.raney import _Item
+@dataclass
+class _Item:
+    start: int
+    symbol: int
+    word: PlaneTree | None  # None while unidentified
 
+    @property
+    def identified(self) -> bool:
+        return self.word is not None
+
+
+def _identify_reversed(sigma):
+    """Restart-after-every-move grouping around the circle, scanning right-to-left."""
     items = [_Item(i, a, NULL if a == 0 else None) for i, a in enumerate(sigma)]
     moved = True
     while moved:
@@ -254,40 +286,64 @@ class TestEnumerateLists:
 
 class TestTreeBijection:
     def test_leaf(self):
-        assert word_to_tree((0,)) == PlaneTree()
+        assert from_word((0,)) == PlaneTree()
 
     def test_triangle_word(self):
-        t = word_to_tree((2, 0, 0))
+        t = from_word((2, 0, 0))
         assert len(t.children) == 2
         assert serialize(check_subdigon(t)) == "200"
 
     def test_rejects_non_word(self):
         with pytest.raises(ValueError):
-            word_to_tree((2, 0))
+            from_word((2, 0))
 
     def test_round_trip_short_words(self):
         for length in range(1, 10):
             for sigma in itertools.product(range(4), repeat=length):
                 if is_word(sigma):
-                    assert to_word(word_to_tree(sigma)) == sigma
+                    assert to_word(from_word(sigma)) == sigma
 
     def test_unary_nodes_round_trip(self):
         sigma = (1, 1, 0)
-        assert to_word(word_to_tree(sigma)) == sigma
+        assert to_word(from_word(sigma)) == sigma
         with pytest.raises(ValueError):
-            check_subdigon(word_to_tree(sigma))
+            check_subdigon(from_word(sigma))
+
+    def test_unary_trees_round_trip(self):
+        for nodes in range(1, 9):
+            for t in _plane_trees(nodes):
+                assert from_word(to_word(t)) == t
 
     def test_words_biject_with_subdigons(self):
         m = TypeVector.from_counts([2, 1])
         words = enumerate_lists(1, Composition(0, m))
-        mapped = {serialize(check_subdigon(word_to_tree(w))) for w in words}
+        mapped = {serialize(check_subdigon(from_word(w))) for w in words}
         enumerated = {serialize(s) for s in enumerate_subdigons(m)}
         assert mapped == enumerated
-        assert {word_to_tree(w) for w in words} == set(enumerate_subdigons(m))
+        assert {from_word(w) for w in words} == set(enumerate_subdigons(m))
         for w in words:
-            s = check_subdigon(word_to_tree(w))
+            s = check_subdigon(from_word(w))
             assert type_of(s) == m
             assert to_word(s) == w
+
+
+def _plane_trees(nodes):
+    """Every plane tree with the given number of nodes, unary nodes included."""
+    if nodes == 1:
+        return [NULL]
+    return [PlaneTree(kids) for kids in _forests(nodes - 1)]
+
+
+def _forests(nodes):
+    """Every ordered forest of plane trees with the given total number of nodes."""
+    if nodes == 0:
+        return [()]
+    return [
+        (first,) + rest
+        for size in range(1, nodes + 1)
+        for first in _plane_trees(size)
+        for rest in _forests(nodes - size)
+    ]
 
 
 def test_multinomial_sanity():

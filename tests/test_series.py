@@ -167,6 +167,12 @@ class TestEnumerateTypes:
             TypeVector(), tv(1), tv(0, 1)
         ]
 
+    def test_graded_then_lex_order(self):
+        specs = [LayerSpec(Measure.VERTEX, 9), LayerSpec(Measure.EDGE, 10), LayerSpec(Measure.FACE, 4, 5)]
+        for spec in specs:
+            types = enumerate_types(spec)
+            assert types == sorted(types, key=lambda m: (level(m, spec.measure), m.entries))
+
     def test_exact_membership(self):
         spec = LayerSpec(Measure.EDGE, 6)
         got = set(enumerate_types(spec))

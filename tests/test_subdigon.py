@@ -12,6 +12,8 @@ from hypercatalan.subdigon import (
     check_subdigon,
     count_subdigons,
     enumerate_subdigons,
+    from_word,
+    group_trees,
     panel,
     parse,
     psi_sum,
@@ -147,6 +149,30 @@ class TestPsiProjection:
         assert psi_sum(enumerate_subdigons(m)) == LayeredPoly({m: 495})
 
 
+class TestWordToTree:
+    def test_group_trees_items(self):
+        assert group_trees(()) == []
+        assert group_trees((0, 0)) == [(0, NULL), (1, NULL)]
+        assert group_trees((2, 0)) == [(0, None), (1, NULL)]
+        assert group_trees((0, 3, 0, -1)) == [(0, NULL), (1, None), (2, NULL), (3, None)]
+        assert group_trees((1, 2, 0, 0)) == [(0, PlaneTree((TRIANGLE,)))]
+
+    def test_round_trip_every_subdigon_up_to_5_faces(self):
+        for m in all_small_types(5, 4):
+            for s in enumerate_subdigons(m):
+                assert from_word(to_word(s)) == s
+
+    def test_from_word_errors(self):
+        with pytest.raises(ParseError) as exc:
+            from_word((2, 0))
+        assert str(exc.value) == "unexpected end of input at position 2"
+        with pytest.raises(ParseError) as exc:
+            from_word((2, 0, 0, 0, 3))
+        assert str(exc.value) == "trailing input at position 3"
+        with pytest.raises(ParseError):
+            from_word(())
+
+
 class TestSerialization:
     def test_basic_forms(self):
         assert serialize(NULL) == "0"
@@ -161,6 +187,33 @@ class TestSerialization:
         s = panel(12, [NULL] * 12)
         assert serialize(s) == "[12]" + "0" * 12
         assert parse(serialize(s)) == s
+
+    def test_parse_errors_of_each_kind(self):
+        for text, message in [
+            ("", "unexpected end of input at position 0"),
+            ("2[3]000", "unexpected end of input at position 7"),
+            ("2x00", "unexpected character 'x' at position 1"),
+            ("2[300", "unterminated bracket at position 1"),
+            ("2[]00", "bad arity '' at position 1"),
+            ("2[-2]00", "bad arity '-2' at position 1"),
+            ("[1]0", "panel arity 1 < 2 at position 2"),
+            ("2[0]00", "panel arity 0 < 2 at position 3"),
+            ("2010", "panel arity 1 < 2 at position 2"),
+            # every token is read before the words, so a bad one is named even after a word
+            ("200x", "unexpected character 'x' at position 3"),
+            ("200[1]", "panel arity 1 < 2 at position 5"),
+            ("200200", "trailing input at position 3"),
+            # decimal digits that int() rejects are bad characters, not crashes
+            ("\u00b200", "unexpected character '\u00b2' at position 0"),
+            ("[\u00b2]", "bad arity '\u00b2' at position 0"),
+        ]:
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert str(exc.value) == message, text
+
+    def test_deep_text_does_not_recurse(self):
+        text = "2" * 3000 + "0" * 3001
+        assert to_word(parse(text)) == tuple(int(ch) for ch in text)
 
     def test_parse_errors_carry_position(self):
         with pytest.raises(ParseError) as exc:
