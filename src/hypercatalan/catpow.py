@@ -32,10 +32,6 @@ class UniPoly:
     def one(cls) -> "UniPoly":
         return cls((1,))
 
-    @classmethod
-    def x_power(cls, k: int, c: int = 1) -> "UniPoly":
-        return cls((0,) * k + (c,))
-
     @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial."""
@@ -65,13 +61,17 @@ class UniPoly:
         return UniPoly(-c for c in self.coeffs)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if not self or not other:
-            return UniPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+        return self.truncated_mul(other, len(self.coeffs) + len(other.coeffs))
+
+    def truncated_mul(self, other: "UniPoly", order: int) -> "UniPoly":
+        """(self * other).truncated(order), forming no term of degree above order."""
+        n = max(order + 1, 0)  # the number of coefficients kept
+        a, b = self.coeffs[:n], other.coeffs[:n]
+        out = [0] * min(len(a) + len(b) - 1, n)
+        for i, x in enumerate(a):
+            if x:
+                row = b[: len(out) - i]
+                out[i : i + len(row)] = [o + x * y for o, y in zip(out[i : i + len(row)], row)]
         return UniPoly(out)
 
     def shift(self, k: int) -> "UniPoly":
@@ -130,7 +130,7 @@ def p_poly(r: int) -> UniPoly:
     prev, cur = UniPoly.zero(), UniPoly.one()
     if r == 0:
         return prev
-    t = UniPoly.x_power(1)
+    t = UniPoly((0, 1))
     for _ in range(r - 1):
         prev, cur = cur, cur - t * prev
     return cur
@@ -148,21 +148,19 @@ def q_poly(r: int) -> UniPoly:
 def verify_power_identity(r: int, d: int) -> UniPoly:
     """Residual of t^{r-1} T^r = P_r T + Q_r, truncated at order d.
 
-    Both sides are computed with T truncated at order d + r; the
-    contract is the zero polynomial.
+    T is truncated at order d, and T^r at d - r + 1, the order that the
+    shift by t^{r-1} moves to d; the contract is the zero polynomial.
     """
     if r < 1:
         raise ValueError(f"power {r} < 1")
     if d < 0:
         raise ValueError(f"negative order {d}")
-    order = d + r
-    T = catalan_series(order)
+    T = catalan_series(d)
     lhs = UniPoly.one()
     for _ in range(r):
-        lhs = (lhs * T).truncated(order)
-    lhs = lhs.shift(r - 1)
-    rhs = p_poly(r) * T + q_poly(r)
-    return (lhs - rhs).truncated(d)
+        lhs = lhs.truncated_mul(T, d - r + 1)
+    rhs = p_poly(r).truncated_mul(T, d) + q_poly(r)
+    return (lhs.shift(r - 1) - rhs).truncated(d)
 
 
 def power_recurrence_check(r: int, m: int) -> bool:

@@ -168,33 +168,37 @@ def enumerate_lists(n: int, c: Composition) -> list[Symbols]:
 
     Lexicographic order; prefixes whose rank already reaches -n are
     pruned, which is exactly the failing half of the rank criterion.
+    An explicit stack, so long lists do not recurse; once the last
+    nonzero symbol is placed, the zeros left complete the list.
     """
     if n < 1:
         raise ValueError(f"word count {n} < 1")
     total = c.length(n)
-    avail = {0: c.zeros(n), 1: c.m1}
-    for k, mk in c.tail.items():
-        avail[k] = mk
+    avail = {0: c.zeros(n), 1: c.m1, **dict(c.tail.items())}
     symbols = sorted(k for k, v in avail.items() if v > 0)
+    if avail[0] == total:  # n zeros: n one-symbol words
+        return [(0,) * total]
     out: list[Symbols] = []
     prefix: list[int] = []
-
-    def extend(cum: int):
-        pos = len(prefix)
-        if pos == total:
-            out.append(tuple(prefix))
-            return
-        for a in symbols:
-            if avail[a] == 0:
-                continue
-            new = cum + a - 1
-            if new <= -n and pos + 1 < total:
-                continue  # proper prefix already at rank -n
-            avail[a] -= 1
-            prefix.append(a)
-            extend(new)
-            prefix.pop()
-            avail[a] += 1
-
-    extend(0)
+    cum = 0
+    stack = [iter(symbols)]  # per open position, the symbols still to try there
+    while stack:
+        for a in stack[-1]:
+            if avail[a] and cum + a - 1 > -n:
+                break
+        else:
+            stack.pop()
+            if prefix:  # back to the previous position
+                a = prefix.pop()
+                avail[a] += 1
+                cum -= a - 1
+            continue
+        if a and len(prefix) + avail[0] + 1 == total:
+            # zeros keep every proper prefix above -n
+            out.append((*prefix, a, *(0,) * avail[0]))
+            continue
+        avail[a] -= 1
+        prefix.append(a)
+        cum += a - 1
+        stack.append(iter(symbols))
     return out

@@ -29,8 +29,10 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+from math import perm, prod
 
-from .core import TypeVector, hyper_catalan, unit_type
+from .core import TypeVector, unit_type
 
 
 class Measure(enum.Enum):
@@ -215,47 +217,72 @@ def mul_truncated(p: LayeredPoly, q: LayeredPoly, spec: LayerSpec) -> LayeredPol
     return LayeredPoly(out)
 
 
+def _walk(spec: LayerSpec) -> list[tuple[int, tuple[tuple[int, int], ...], int]]:
+    """(level, entries, C_m) for every type spec admits, graded by level then lex.
+
+    A depth-first walk in lex order, bucketed by level, carrying V, E and the
+    level.  Adding one (k+1)-gon at count m_k updates C = (E-1)!/((V-1)! m!)
+    exactly: C * E(E+1)...(E+k-1) / ((m_k+1) * V(V+1)...(V+k-2)).
+    """
+    steps = [(k, weight(k, spec.measure)) for k in range(2, spec.max_gon() + 1)]
+    # the weights never decrease with k, so the steps that fit in a room are a prefix
+    fit = [sum(w <= room for _, w in steps) for room in range(spec.d + 1)]
+    buckets: list[list] = [[] for _ in range(spec.d + 1)]
+    stack = [(0, 0, 2, 1, 1, ())]  # (next step, level, V, E, C, entries)
+    while stack:
+        i, lvl, v, e, c, entries = stack.pop()
+        buckets[lvl].append((lvl, entries, c))
+        children = []
+        for j, (k, w) in enumerate(steps[i : fit[spec.d - lvl]], i + 1):
+            lv, vk, ek, ck = lvl, v, e, c
+            for mk in range(1, (spec.d - lvl) // w + 1):
+                ck = ck * perm(ek + k - 1, k) // (mk * perm(vk + k - 2, k - 1))
+                vk, ek, lv = vk + k - 1, ek + k, lv + w
+                children.append((j, lv, vk, ek, ck, entries + ((k, mk),)))
+        stack.extend(reversed(children))  # popped in lex order
+    return [t for bucket in buckets for t in bucket]
+
+
 def enumerate_types(spec: LayerSpec) -> list[TypeVector]:
     """All type vectors admitted by spec, graded by level then lex."""
-    kmax = spec.max_gon()
-    found: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-
-    def grow(k: int, counts: list[tuple[int, int]], lvl: int):
-        if lvl > spec.d:
-            return
-        if k > kmax:
-            found.append((lvl, tuple(counts)))
-            return
-        step = weight(k, spec.measure)
-        grow(k + 1, counts, lvl)
-        mk = 1
-        while lvl + mk * step <= spec.d:
-            grow(k + 1, counts + [(k, mk)], lvl + mk * step)
-            mk += 1
-
-    grow(2, [], 0)
-    found.sort()
-    return [TypeVector(entries) for _, entries in found]
+    return [TypeVector(entries) for _, entries, _ in _walk(spec)]
 
 
 def build_beta(spec: LayerSpec) -> LayeredPoly:
     """The layered truncation of the series zero: sum of C_m * t^m."""
-    return LayeredPoly({m: hyper_catalan(m) for m in enumerate_types(spec)})
+    return LayeredPoly({TypeVector(entries): c for _, entries, c in _walk(spec)})
 
 
 def layer_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
     """{level: sum of C_m * prod_k values[k]^m_k over the types spec admits at that level}.
 
-    Exact for Fraction values; any term with a float value is a float.
+    Exact for int and Fraction values t_k = p_k/q_k: level l sums the integers
+    C_m * prod_k p_k^m_k * q_k^(l//w_k - m_k) over D_l = prod_k q_k^(l//w_k),
+    w_k = weight(k), and is an int unless a term at it has a Fraction value.
+    Any other value, such as a float, is multiplied in term by term.
     """
-    sums: dict[int, object] = {}
-    for m in enumerate_types(spec):
-        term = hyper_catalan(m)
-        for k, mk in m.items():
-            term = term * values[k] ** mk
-        lvl = level(m, spec.measure)
-        sums[lvl] = sums.get(lvl, 0) + term
-    return sums
+    if not all(isinstance(v, (int, Fraction)) for v in values.values()):
+        sums: dict[int, object] = {}
+        for lvl, entries, c in _walk(spec):
+            for k, mk in entries:
+                c = c * values[k] ** mk
+            sums[lvl] = sums.get(lvl, 0) + c
+        return sums
+    ks = [(k, weight(k, spec.measure)) for k in range(2, spec.max_gon() + 1)]
+    nums = {k: [values[k].numerator ** i for i in range(spec.d // w + 1)] for k, w in ks}
+    dens = {k: [values[k].denominator ** i for i in range(spec.d // w + 1)] for k, w in ks}
+    fracs = {k for k, _ in ks if isinstance(values[k], Fraction)}
+    parts: dict[int, tuple[int, bool]] = {}  # level: (numerator over D_l, a Fraction term?)
+    for lvl, entries, c in _walk(spec):
+        counts = dict(entries)
+        for k, w in ks:
+            mk = counts.get(k, 0)
+            c *= nums[k][mk] * dens[k][lvl // w - mk]
+        num, frac = parts.get(lvl, (0, False))
+        parts[lvl] = num + c, frac or not fracs.isdisjoint(counts)
+    den = {lvl: prod(dens[k][lvl // w] for k, w in ks) for lvl in parts}  # D_l
+    return {lvl: Fraction(num, den[lvl]) if frac else num // den[lvl]
+            for lvl, (num, frac) in parts.items()}
 
 
 # A graded polynomial: level buckets 0..bound, bucket i mapping the

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hypercatalan.catpow import (
@@ -73,6 +75,38 @@ class TestCatalanPower:
             for m in range(11):
                 mv = TypeVector.of({2: m} if m else {})
                 assert catalan_power(r, m) == power_coeff(mv, r)
+
+
+def _product(p, q):
+    """The full product, coefficient by coefficient."""
+    out = [0] * (len(p.coeffs) + len(q.coeffs))
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return UniPoly(out)
+
+
+class TestTruncatedProducts:
+    def test_truncated_mul_matches_full_product(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            p = UniPoly(rng.randint(-9, 9) for _ in range(rng.randint(0, 9)))
+            q = UniPoly(rng.randint(-9, 9) for _ in range(rng.randint(0, 9)))
+            full = _product(p, q)
+            assert p * q == full
+            for order in range(-2, 20):
+                want = full.truncated(order) if order >= 0 else UniPoly()
+                assert p.truncated_mul(q, order) == want, (p, q, order)
+
+    def test_residual_matches_untruncated_chain(self):
+        # T at order 60, its powers by full products, truncated only at the end
+        T = catalan_series(60)
+        power = UniPoly.one()
+        for r in range(1, 31):
+            power = _product(power, T)
+            residual = power.shift(r - 1) - (_product(p_poly(r), T) + q_poly(r))
+            for d in range(61):
+                assert verify_power_identity(r, d) == residual.truncated(d), (r, d)
 
 
 class TestReductionPolys:

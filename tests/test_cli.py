@@ -141,6 +141,34 @@ def _read_value(out, key):
     raise AssertionError(f"{key} not found in output")
 
 
+SOLVE_1_5 = {
+    ("--d", "0"): "level   0: partial sum = 1\nalpha = 1\nresidual = 1/5 ~ 0.2\n",
+    ("--d", "3"): (
+        "level   0: partial sum = 1\n"
+        "level   1: partial sum = 6/5 ~ 1.2\n"
+        "level   2: partial sum = 32/25 ~ 1.28\n"
+        "level   3: partial sum = 33/25 ~ 1.32\n"
+        "alpha = 33/25 ~ 1.32\n"
+        "residual = 89/3125 ~ 0.02848\n"
+    ),
+    ("--d", "0", "--float"): "level   0: partial sum = 1\nalpha = 1\nresidual = 0.2\n",
+    ("--d", "3", "--float"): (
+        "level   0: partial sum = 1\n"
+        "level   1: partial sum = 1.2\n"
+        "level   2: partial sum = 1.28\n"
+        "level   3: partial sum = 1.32\n"
+        "alpha = 1.32\n"
+        "residual = 0.02848\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", SOLVE_1_5, ids=" ".join)
+def test_solve_stdout_is_pinned(capsys, args):
+    # level 0 is the int 1 in both modes, never "1 ~ 1"
+    assert run(capsys, "solve", "--coeffs", "1/5", *args) == (0, SOLVE_1_5[args])
+
+
 class TestSubdigons:
     def test_count_with_split(self, capsys):
         code, out = run(capsys, "subdigons", "--type", "2,1")
@@ -243,6 +271,12 @@ class TestDeepWords:
         code, out = run(capsys, "raney", "identify", "2" * 1200 + "0" * 1201)
         assert code == 0
         assert out == "(2" * 1200 + "0" + "0)" * 1200 + "\n"
+
+
+    def test_enumerate_long_list(self, capsys):
+        code, out = run(capsys, "raney", "enumerate", "--n", "1", "--m1", "1200")
+        assert code == 0
+        assert out.splitlines() == ["1" * 1200 + "0", "total 1 (closed form 1)"]
 
 
 # strings of at most 30 characters: free text, and comma lists that may hold negative symbols

@@ -276,6 +276,19 @@ class TestEnumerateLists:
                             continue
                         assert len(enumerate_lists(n, c)) == raney_count(n, c)
 
+    def test_matches_brute_force_in_order(self):
+        for n in range(1, 4):
+            for m1 in range(3):
+                for m2 in range(3):
+                    for m3 in range(2):
+                        c = Composition(m1, TypeVector.of({2: m2, 3: m3}))
+                        if c.length(n) > 8:
+                            continue
+                        symbols = [0] * c.zeros(n) + [1] * m1 + [2] * m2 + [3] * m3
+                        lists = set(itertools.permutations(symbols))
+                        want = sorted(s for s in lists if is_word_list(s, n))
+                        assert enumerate_lists(n, c) == want, (n, c)
+
     def test_no_two_words_are_rotations(self):
         words = enumerate_lists(1, Composition(0, TypeVector.from_counts([2, 1])))
         for a in words:

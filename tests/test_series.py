@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -364,3 +366,75 @@ class TestLayerSums:
         assert sorted(sums) == list(range(31))
         for n, part in sums.items():
             assert part == catalan(n) * t2**n
+
+
+# The oracle for the coefficient walk: every multiset of gons, filtered by
+# spec.admits and sorted by (level, entries), with the factorial closed form.
+
+
+def _oracle_types(spec):
+    ks = range(2, (spec.gon_bound or spec.d + 1) + 1)
+    most = spec.d // level(unit_type(2), spec.measure)  # t2 is the lightest gon
+    gons = (c for n in range(most + 1) for c in itertools.combinations_with_replacement(ks, n))
+    types = [TypeVector.of(Counter(c)) for c in gons]
+    return sorted((m for m in types if spec.admits(m)),
+                  key=lambda m: (level(m, spec.measure), m.entries))
+
+
+def _oracle_layer_sums(types, spec, values):
+    sums = {}
+    for m in types:
+        term = hyper_catalan(m)
+        for k, mk in m.items():
+            term = term * values[k] ** mk
+        lvl = level(m, spec.measure)
+        sums[lvl] = sums.get(lvl, 0) + term
+    return sums
+
+
+def _values(rng, kind, q):
+    """t_2..t_q of one kind: Fractions (zero and negative ones too), ints or floats."""
+    if kind == "fraction":
+        draw = lambda: Fraction(rng.randint(-7, 7), rng.randint(1, 12))
+    elif kind == "int":
+        draw = lambda: rng.randint(-3, 3)
+    else:
+        draw = lambda: rng.uniform(-0.3, 0.3)
+    return {k: draw() for k in range(2, q + 1)}
+
+
+BOUNDED_MEASURES = [(meas, q) for meas in Measure for q in range(2, 7)]
+
+
+class TestCoefficientWalk:
+    """enumerate_types, build_beta and layer_sums against the oracle."""
+
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
+    def test_build_beta_matches_closed_form(self, spec):
+        types = _oracle_types(spec)
+        assert enumerate_types(spec) == types
+        assert build_beta(spec).terms == {m: hyper_catalan(m) for m in types}
+
+    @pytest.mark.parametrize("meas,q", BOUNDED_MEASURES, ids=lambda x: str(getattr(x, "value", x)))
+    def test_layer_sums_match_oracle(self, meas, q):
+        rng = random.Random(q * 7 + len(meas.value))
+        for d in range(13):
+            spec = LayerSpec(meas, d, q)
+            types = _oracle_types(spec)
+            assert build_beta(spec).terms == {m: hyper_catalan(m) for m in types}
+            for kind in ("fraction", "int", "float"):
+                values = _values(rng, kind, q)
+                if kind == "fraction":
+                    values[2 + d % (q - 1)] = Fraction(0)
+                got, want = layer_sums(spec, values), _oracle_layer_sums(types, spec, values)
+                assert got == want, (d, kind, values)
+                assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+    def test_mixed_int_and_fraction_value_types(self):
+        # level 1 holds only t2, an int; every higher level holds a Fraction term
+        spec = LayerSpec(Measure.VERTEX, 6, 3)
+        values = {2: 2, 3: Fraction(-1, 3)}
+        got, want = layer_sums(spec, values), _oracle_layer_sums(_oracle_types(spec), spec, values)
+        assert got == want
+        assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+        assert type(got[1]) is int and type(got[2]) is Fraction
