@@ -147,12 +147,14 @@ def cmd_subdigons(args) -> int:
         )
         print(f"{total}" + (f" split {split}" if split else ""))
         return 0
-    subs = subdigon.enumerate_subdigons(m, face_cap=args.max_faces)
+    try:
+        words = subdigon.enumerate_subdigons(m, face_cap=args.max_faces)
+    except ValueError as exc:
+        _usage_error(str(exc))
     if args.format == "json":
-        print(subdigon.to_json(subs))
+        sys.stdout.write(subdigon.to_json(words) + "\n")
     else:
-        for s in subs:
-            print(subdigon.serialize(s))
+        sys.stdout.write("".join(w + "\n" for w in words))
     return 0
 
 
@@ -166,9 +168,8 @@ def cmd_raney(args) -> int:
         m1 = counts.pop(1)
         c = Composition(m1, TypeVector.of({k: v for k, v in counts.items() if v}))
         lists = raney.enumerate_lists(args.n, c)
-        for sigma in lists:
-            print(raney.format_string(sigma))
-        print(f"total {len(lists)} (closed form {raney_count(args.n, c)})")
+        total = f"total {len(lists)} (closed form {raney_count(args.n, c)})"
+        sys.stdout.write("\n".join([*lists, total]) + "\n")
         return 0
     try:
         sigma = raney.parse_string(args.string)
@@ -248,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = sub.add_parser("solve", help="numeric root from the layered series")
-    p.add_argument("--coeffs", default="", help="comma list of t2,t3,... values")
+    p.add_argument("--coeffs", default="", help="comma list of t2,t3,... values; "
+                   "write --coeffs=-1/3,1/5 when t2 is negative")
     p.add_argument("--measure", choices=["vertex", "edge", "face"], default="vertex")
     p.add_argument("--d", type=int, required=True, help="max level")
     p.add_argument("--float", action="store_true", help="float instead of exact rationals")

@@ -54,23 +54,6 @@ def is_word(sigma: Sequence[int]) -> bool:
     return len(items) == 1 and items[0][1] is not None
 
 
-def split_words(sigma: Sequence[int]) -> list[Symbols] | None:
-    """Greedy split into words at each first rank minus-one prefix."""
-    out: list[Symbols] = []
-    start = 0
-    cum = 0
-    target = -1
-    for i, a in enumerate(sigma):
-        cum += a - 1
-        if cum == target:
-            out.append(tuple(sigma[start : i + 1]))
-            start = i + 1
-            target -= 1
-    if start != len(sigma):
-        return None
-    return out
-
-
 def is_word_list(sigma: Sequence[int], n: int) -> bool:
     """True iff sigma is a concatenation of exactly n words.
 
@@ -94,11 +77,23 @@ def rotate(sigma: Sequence[int], offset: int) -> Symbols:
 
 
 def list_rotations(sigma: Sequence[int]) -> set[int]:
-    """Offsets whose rotation is a list of n words, n = -rank(sigma)."""
+    """Offsets whose rotation is a list of n words, n = -rank(sigma).
+
+    Cycle lemma, in one pass over the prefix ranks P(0..len-1): offset i
+    qualifies iff P(i) is below every earlier P (a new minimum) and
+    P(i) - n is below every later one, i.e. P(i) < min(P) + n.
+    """
     n = -rank(sigma)
     if n < 1:
         raise ValueError(f"rank {-n} is not negative")
-    offsets = {off for off in range(len(sigma)) if is_word_list(rotate(sigma, off), n)}
+    prefix = list(accumulate((a - 1 for a in sigma[:-1]), initial=0))
+    bound = min(prefix) + n
+    offsets, low = set(), 1
+    for i, p in enumerate(prefix):
+        if p < low:
+            low = p
+            if p < bound:
+                offsets.add(i)
     if len(offsets) != n:
         raise ArithmeticError(f"expected {n} rotations, found {len(offsets)}")
     return offsets
@@ -163,42 +158,32 @@ def identify_words(sigma: Sequence[int], cyclic: bool = True) -> Bracketing:
     return Bracketing(sigma, tuple((i, sigma[i], t) for i, t in items))
 
 
-def enumerate_lists(n: int, c: Composition) -> list[Symbols]:
-    """All multiset permutations of the composition that are n-word lists.
+def enumerate_lists(n: int, c: Composition) -> list[str]:
+    """Every multiset permutation of the composition that is an n-word list.
 
-    Lexicographic order; prefixes whose rank already reaches -n are
-    pruned, which is exactly the failing half of the rank criterion.
-    An explicit stack, so long lists do not recurse; once the last
-    nonzero symbol is placed, the zeros left complete the list.
+    Lexicographic order, each list in ``format_string`` form.  Suffix form
+    of the rank criterion: a string of rank -n is a list of n words iff
+    every nonempty suffix has negative rank.  So the lists are built
+    bottom-up, one length at a time, from the valid suffixes over each
+    sub-multiset of negative rank: every symbol a it holds, in ascending
+    order, put before the suffixes over the rest.  Only the previous
+    length's table is kept, keyed by the count of each symbol.
     """
     if n < 1:
         raise ValueError(f"word count {n} < 1")
-    total = c.length(n)
     avail = {0: c.zeros(n), 1: c.m1, **dict(c.tail.items())}
     symbols = sorted(k for k, v in avail.items() if v > 0)
-    if avail[0] == total:  # n zeros: n one-symbol words
-        return [(0,) * total]
-    out: list[Symbols] = []
-    prefix: list[int] = []
-    cum = 0
-    stack = [iter(symbols)]  # per open position, the symbols still to try there
-    while stack:
-        for a in stack[-1]:
-            if avail[a] and cum + a - 1 > -n:
-                break
-        else:
-            stack.pop()
-            if prefix:  # back to the previous position
-                a = prefix.pop()
-                avail[a] += 1
-                cum -= a - 1
-            continue
-        if a and len(prefix) + avail[0] + 1 == total:
-            # zeros keep every proper prefix above -n
-            out.append((*prefix, a, *(0,) * avail[0]))
-            continue
-        avail[a] -= 1
-        prefix.append(a)
-        cum += a - 1
-        stack.append(iter(symbols))
-    return out
+    full = tuple(avail[a] for a in symbols)
+    sep = "" if symbols[-1] <= 9 else ","  # every symbol is written after its separator
+    layer = {(0,) * len(symbols): (0, [""])}  # counts -> (rank, suffixes)
+    for _ in range(sum(full)):
+        below, layer = layer, {}
+        for i, a in enumerate(symbols):
+            head = f"{sep}{a}"
+            for key, (r, tails) in below.items():
+                if key[i] < full[i] and r + a - 1 < 0:
+                    grown = key[:i] + (key[i] + 1,) + key[i + 1 :]
+                    entry = layer.setdefault(grown, (r + a - 1, []))
+                    entry[1].extend([head + t for t in tails])
+    lists = layer[full][1]
+    return [t[1:] for t in lists] if sep else lists

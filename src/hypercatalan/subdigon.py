@@ -6,9 +6,10 @@ no faces; the leaf) or a central (k+1)-gon with k >= 2 ordered subdigon
 children glued roof-to-side, so it is the plane tree with no unary
 node.  The preorder arities of a tree form its Raney word (``to_word``);
 ``group_trees`` is the one iterative pass that reads words back into
-trees.  This module enumerates subdigons exhaustively by type, serving
-as the brute-force oracle for the closed-form counts, and serializes
-them in the same digit form as their words.
+trees.  This module enumerates subdigons exhaustively by type, as
+words in the digit form of ``serialize`` (built once per type and
+memoized on plain count tuples), and counts them by the same recursion;
+both serve as brute-force oracles for the closed-form counts.
 """
 
 from __future__ import annotations
@@ -18,16 +19,28 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 
-from .core import TypeVector, VEF, unit_type
-from .series import LayeredPoly
+from .core import TypeVector
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PlaneTree:
-    """Rooted ordered tree: a leaf when children is empty."""
+    """Rooted ordered tree: a leaf when children is empty.
+
+    The word determines the tree, so equality and hashing go through
+    ``to_word``, and no operation recurses into deep trees.
+    """
 
     children: tuple[PlaneTree, ...] = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, PlaneTree):
+            return NotImplemented
+        return to_word(self) == to_word(other)
+
+    def __hash__(self):
+        return hash(to_word(self))
 
     def __repr__(self):
         return f"PlaneTree({serialize(self)!r})"
@@ -44,13 +57,6 @@ def panel(k: int, children) -> PlaneTree:
     if len(children) != k:
         raise ValueError(f"expected {k} children, got {len(children)}")
     return PlaneTree(children)
-
-
-def check_subdigon(t: PlaneTree) -> PlaneTree:
-    """t itself when no node is unary, i.e. when t is a subdigon."""
-    if 1 in to_word(t):
-        raise ValueError("unary node has no subdigon counterpart")
-    return t
 
 
 def to_word(t: PlaneTree) -> tuple[int, ...]:
@@ -97,131 +103,120 @@ def from_word(word) -> PlaneTree:
     return items[0][1]
 
 
-def central_arity(s: PlaneTree) -> int | None:
-    """Arity of the root panel, None for the null subdigon."""
-    return len(s.children) if s.children else None
-
-
 def type_of(s: PlaneTree) -> TypeVector:
     """m_k = number of panels of arity k anywhere in s."""
     return TypeVector.of(Counter(k for k in to_word(s) if k))
 
 
-def vef_structural(s: PlaneTree) -> VEF:
-    """V/E/F by the gluing recursion, independent of the linear formulas.
-
-    Each child shares its two roof vertices and one roof edge with the
-    central polygon.
-    """
-    if not s.children:
-        return VEF(2, 1, 0)
-    k = len(s.children)
-    v, e, f = k + 1, k + 1, 1
-    for c in s.children:
-        sub = vef_structural(c)
-        v += sub.V - 2
-        e += sub.E - 1
-        f += sub.F
-    return VEF(v, e, f)
+Counts = tuple[int, ...]  # (m2, m3, ...) with no trailing zero: the memo key of a type
 
 
-def _sub_vectors(m: TypeVector) -> list[TypeVector]:
-    """All type vectors s with 0 <= s_k <= m_k entrywise."""
-    ks = [k for k, _ in m.items()]
-    ranges = [range(mk + 1) for _, mk in m.items()]
+def _key(counts: Counts) -> Counts:
+    """counts with its trailing zeros stripped."""
+    end = len(counts)
+    while end and not counts[end - 1]:
+        end -= 1
+    return counts[:end]
+
+
+def _halves(m: Counts) -> list[tuple[Counts, Counts]]:
+    """Every (s, m - s) with 0 <= s_k <= m_k entrywise, s in lexicographic order."""
     return [
-        TypeVector.of(zip(ks, picks)) for picks in itertools.product(*ranges)
+        (_key(s), _key(tuple(map(sub, m, s))))
+        for s in itertools.product(*(range(mk + 1) for mk in m))
     ]
 
 
 @lru_cache(maxsize=None)
-def _splits(m: TypeVector, parts: int) -> tuple[tuple[TypeVector, ...], ...]:
-    """All ordered tuples of `parts` type vectors summing to m."""
+def _splits(m: Counts, parts: int) -> tuple[tuple[Counts, ...], ...]:
+    """All ordered tuples of `parts` count tuples summing to m."""
     if parts == 0:
         return ((),) if not m else ()
     if parts == 1:
         return ((m,),)
     out = []
-    for first in _sub_vectors(m):
-        for rest in _splits(m - first, parts - 1):
+    for first, left in _halves(m):
+        for rest in _splits(left, parts - 1):
             out.append((first,) + rest)
     return tuple(out)
 
 
+def _unit_minus(m: Counts, r: int) -> Counts:
+    """m less one (r+1)-gon."""
+    return _key(m[: r - 2] + (m[r - 2] - 1,) + m[r - 1 :])
+
+
 @lru_cache(maxsize=None)
-def _enumerate(m: TypeVector) -> tuple[PlaneTree, ...]:
+def _enumerate(m: Counts) -> tuple[str, ...]:
+    """The words of every subdigon of type m, central polygon first.
+
+    A word is the root arity (``_digits``) followed by the words of its
+    children, so each type's words are built once and every parent
+    concatenates them.
+    """
     if not m:
-        return (NULL,)
+        return ("0",)
     out = []
-    for r, mr in m.items():
-        remaining = m - unit_type(r)
-        for split in _splits(remaining, r):
-            child_lists = [_enumerate(part) for part in split]
-            for children in itertools.product(*child_lists):
-                out.append(PlaneTree(children))
+    for r, mr in enumerate(m, start=2):
+        if not mr:
+            continue
+        head = _digits(r)
+        for split in _splits(_unit_minus(m, r), r):
+            children = itertools.product(*map(_enumerate, split))
+            out += [head + "".join(words) for words in children]
     return tuple(out)
 
 
 DEFAULT_FACE_CAP = 8
 
 
-def enumerate_subdigons(m: TypeVector, face_cap: int = DEFAULT_FACE_CAP) -> list[PlaneTree]:
-    """Every subdigon of type m exactly once, in deterministic order.
+def enumerate_subdigons(m: TypeVector, face_cap: int = DEFAULT_FACE_CAP) -> list[str]:
+    """The word (``serialize`` form) of every subdigon of type m exactly once.
 
-    Splits on the central polygon first; uniqueness of that
-    decomposition rules out double counting.
+    Deterministic order: split on the central polygon first; uniqueness
+    of that decomposition rules out double counting.  ``parse`` turns a
+    word back into its tree.
     """
     if m.faces() > face_cap:
         raise ValueError(f"face count {m.faces()} exceeds cap {face_cap}")
-    return list(_enumerate(m))
+    return list(_enumerate(tuple(m.to_counts())))
 
 
 @lru_cache(maxsize=None)
-def _count(m: TypeVector) -> int:
+def _count(m: Counts) -> int:
     if not m:
         return 1
-    total = 0
-    for r, _ in m.items():
-        total += _count_tuple(m - unit_type(r), r)
-    return total
+    return sum(_count_tuple(_unit_minus(m, r), r) for r, mr in enumerate(m, start=2) if mr)
 
 
 @lru_cache(maxsize=None)
-def _count_tuple(m: TypeVector, parts: int) -> int:
+def _count_tuple(m: Counts, parts: int) -> int:
     """Ordered tuples of `parts` subdigons with types summing to m."""
     if parts == 0:
         return 0 if m else 1
     if parts == 1:
         return _count(m)
     total = 0
-    for first in _sub_vectors(m):
+    for first, left in _halves(m):
         c = _count(first)
         if c:
-            total += c * _count_tuple(m - first, parts - 1)
+            total += c * _count_tuple(left, parts - 1)
     return total
 
 
 def count_subdigons(m: TypeVector) -> int:
     """|enumerate_subdigons(m)| via the same recursion, memoized, no materialization."""
-    return _count(m)
+    return _count(tuple(m.to_counts()))
 
 
-def psi_sum(subdigons) -> LayeredPoly:
-    """Sum of accounting monomials t^type over a multiset of subdigons."""
-    acc: dict[TypeVector, int] = {}
-    for s in subdigons:
-        m = type_of(s)
-        acc[m] = acc.get(m, 0) + 1
-    return LayeredPoly(acc)
+def _digits(k: int) -> str:
+    """One arity in serialized form: its digit, bracketed above 9."""
+    return str(k) if k <= 9 else f"[{k}]"
 
 
 def serialize(s: PlaneTree) -> str:
     """Digit form of the subdigon's plane-tree word; arities above 9 bracketed."""
-    if not s.children:
-        return "0"
-    k = len(s.children)
-    head = str(k) if k <= 9 else f"[{k}]"
-    return head + "".join(serialize(c) for c in s.children)
+    return "".join(map(_digits, to_word(s)))
 
 
 class ParseError(ValueError):
@@ -267,5 +262,6 @@ def parse(text: str) -> PlaneTree:
         raise ParseError("unexpected end of input", len(text)) from None
 
 
-def to_json(subdigons) -> str:
-    return json.dumps([serialize(s) for s in subdigons])
+def to_json(words) -> str:
+    """JSON list of subdigon words, as ``enumerate_subdigons`` returns them."""
+    return json.dumps(list(words))

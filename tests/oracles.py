@@ -1,0 +1,192 @@
+"""Slow reference implementations that the tests compare the program with.
+
+Each one is the plain form of a fast path in ``hypercatalan``: subdigons
+as ``PlaneTree`` objects enumerated and counted through ``TypeVector``
+arithmetic, Raney lists by depth-first search over prefixes, rotations
+by testing every offset, and the structural helpers that only tests use.
+"""
+
+from __future__ import annotations
+
+import itertools
+from functools import lru_cache
+from typing import Sequence
+
+from hypercatalan.core import VEF, Composition, TypeVector, unit_type
+from hypercatalan.raney import is_word_list, rank, rotate
+from hypercatalan.series import LayeredPoly
+from hypercatalan.subdigon import NULL, PlaneTree, to_word, type_of
+
+Symbols = tuple[int, ...]
+
+
+# -- subdigons ----------------------------------------------------------------
+
+
+def check_subdigon(t: PlaneTree) -> PlaneTree:
+    """t itself when no node is unary, i.e. when t is a subdigon."""
+    if 1 in to_word(t):
+        raise ValueError("unary node has no subdigon counterpart")
+    return t
+
+
+def central_arity(s: PlaneTree) -> int | None:
+    """Arity of the root panel, None for the null subdigon."""
+    return len(s.children) if s.children else None
+
+
+def vef_structural(s: PlaneTree) -> VEF:
+    """V/E/F by the gluing recursion, independent of the linear formulas.
+
+    Each child shares its two roof vertices and one roof edge with the
+    central polygon.
+    """
+    if not s.children:
+        return VEF(2, 1, 0)
+    k = len(s.children)
+    v, e, f = k + 1, k + 1, 1
+    for c in s.children:
+        sub = vef_structural(c)
+        v += sub.V - 2
+        e += sub.E - 1
+        f += sub.F
+    return VEF(v, e, f)
+
+
+def psi_sum(subdigons) -> LayeredPoly:
+    """Sum of accounting monomials t^type over a multiset of subdigons."""
+    acc: dict[TypeVector, int] = {}
+    for s in subdigons:
+        m = type_of(s)
+        acc[m] = acc.get(m, 0) + 1
+    return LayeredPoly(acc)
+
+
+def _sub_vectors(m: TypeVector) -> list[TypeVector]:
+    """All type vectors s with 0 <= s_k <= m_k entrywise."""
+    ks = [k for k, _ in m.items()]
+    ranges = [range(mk + 1) for _, mk in m.items()]
+    return [TypeVector.of(zip(ks, picks)) for picks in itertools.product(*ranges)]
+
+
+@lru_cache(maxsize=None)
+def _splits(m: TypeVector, parts: int) -> tuple[tuple[TypeVector, ...], ...]:
+    """All ordered tuples of `parts` type vectors summing to m."""
+    if parts == 0:
+        return ((),) if not m else ()
+    if parts == 1:
+        return ((m,),)
+    out = []
+    for first in _sub_vectors(m):
+        for rest in _splits(m - first, parts - 1):
+            out.append((first,) + rest)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def enumerate_trees(m: TypeVector) -> tuple[PlaneTree, ...]:
+    """Every subdigon of type m as a tree, central polygon first."""
+    if not m:
+        return (NULL,)
+    out = []
+    for r, _ in m.items():
+        for split in _splits(m - unit_type(r), r):
+            child_lists = [enumerate_trees(part) for part in split]
+            for children in itertools.product(*child_lists):
+                out.append(PlaneTree(children))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def count_trees(m: TypeVector) -> int:
+    """Subdigons of type m by the central-polygon recursion on type vectors."""
+    if not m:
+        return 1
+    total = 0
+    for r, _ in m.items():
+        total += _count_tuple(m - unit_type(r), r)
+    return total
+
+
+@lru_cache(maxsize=None)
+def _count_tuple(m: TypeVector, parts: int) -> int:
+    """Ordered tuples of `parts` subdigons with types summing to m."""
+    if parts == 0:
+        return 0 if m else 1
+    if parts == 1:
+        return count_trees(m)
+    total = 0
+    for first in _sub_vectors(m):
+        c = count_trees(first)
+        if c:
+            total += c * _count_tuple(m - first, parts - 1)
+    return total
+
+
+# -- Raney strings --------------------------------------------------------------
+
+
+def split_words(sigma: Sequence[int]) -> list[Symbols] | None:
+    """Greedy split into words at each first rank minus-one prefix."""
+    out: list[Symbols] = []
+    start = 0
+    cum = 0
+    target = -1
+    for i, a in enumerate(sigma):
+        cum += a - 1
+        if cum == target:
+            out.append(tuple(sigma[start : i + 1]))
+            start = i + 1
+            target -= 1
+    if start != len(sigma):
+        return None
+    return out
+
+
+def list_rotations_scan(sigma: Sequence[int]) -> set[int]:
+    """Offsets whose rotation is a list of n words, each rotation tested in full."""
+    n = -rank(sigma)
+    if n < 1:
+        raise ValueError(f"rank {-n} is not negative")
+    offsets = {off for off in range(len(sigma)) if is_word_list(rotate(sigma, off), n)}
+    if len(offsets) != n:
+        raise ArithmeticError(f"expected {n} rotations, found {len(offsets)}")
+    return offsets
+
+
+def enumerate_lists_dfs(n: int, c: Composition) -> list[Symbols]:
+    """The n-word lists of the composition by depth-first search, lexicographic.
+
+    Prefixes whose rank already reaches -n are pruned; once the last
+    nonzero symbol is placed, the zeros left complete the list.
+    """
+    if n < 1:
+        raise ValueError(f"word count {n} < 1")
+    total = c.length(n)
+    avail = {0: c.zeros(n), 1: c.m1, **dict(c.tail.items())}
+    symbols = sorted(k for k, v in avail.items() if v > 0)
+    if avail[0] == total:  # n zeros: n one-symbol words
+        return [(0,) * total]
+    out: list[Symbols] = []
+    prefix: list[int] = []
+    cum = 0
+    stack = [iter(symbols)]  # per open position, the symbols still to try there
+    while stack:
+        for a in stack[-1]:
+            if avail[a] and cum + a - 1 > -n:
+                break
+        else:
+            stack.pop()
+            if prefix:  # back to the previous position
+                a = prefix.pop()
+                avail[a] += 1
+                cum -= a - 1
+            continue
+        if a and len(prefix) + avail[0] + 1 == total:
+            out.append((*prefix, a, *(0,) * avail[0]))
+            continue
+        avail[a] -= 1
+        prefix.append(a)
+        cum += a - 1
+        stack.append(iter(symbols))
+    return out

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,6 +170,35 @@ def test_solve_stdout_is_pinned(capsys, args):
     assert run(capsys, "solve", "--coeffs", "1/5", *args) == (0, SOLVE_1_5[args])
 
 
+class TestNegativeCoefficients:
+    def test_equals_form_is_read(self, capsys):
+        alpha = 1 + Fraction(-1, 3) + (2 * Fraction(1, 9) + Fraction(1, 5)) + (
+            5 * Fraction(-1, 27) + 5 * Fraction(-1, 3) * Fraction(1, 5))
+        residual = 1 - alpha + Fraction(-1, 3) * alpha**2 + Fraction(1, 5) * alpha**3
+        assert (alpha, residual) == (Fraction(77, 135), Fraction(4407758, 12301875))
+        assert run(capsys, "solve", "--coeffs=-1/3,1/5", "--d", "3") == (0, (
+            "level   0: partial sum = 1\n"
+            "level   1: partial sum = 2/3 ~ 0.666666666667\n"
+            "level   2: partial sum = 49/45 ~ 1.08888888889\n"
+            "level   3: partial sum = 77/135 ~ 0.57037037037\n"
+            "alpha = 77/135 ~ 0.57037037037\n"
+            "residual = 4407758/12301875 ~ 0.358299690088\n"
+        ))
+
+    def test_spaced_form_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--coeffs", "-1/3,1/5", "--d", "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith("argument --coeffs: expected one argument")
+
+    def test_help_names_the_equals_form(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        assert "--coeffs=-1/3,1/5" in " ".join(capsys.readouterr().out.split())
+
+
 class TestSubdigons:
     def test_count_with_split(self, capsys):
         code, out = run(capsys, "subdigons", "--type", "2,1")
@@ -185,6 +215,16 @@ class TestSubdigons:
         assert len(words) == 2
         for w in words:
             parse(w)
+
+    def test_list_and_json_print_the_same_words(self, capsys):
+        _, listed = run(capsys, "subdigons", "--type", "2,1", "--format", "list")
+        _, dumped = run(capsys, "subdigons", "--type", "2,1", "--format", "json")
+        assert listed.splitlines() == json.loads(dumped)
+        assert dumped == json.dumps(listed.splitlines()) + "\n"
+
+    def test_arity_above_9_is_bracketed(self, capsys):
+        code, out = run(capsys, "subdigons", "--type", "0,0,0,0,0,0,0,0,0,0,1", "--format", "list")
+        assert (code, out) == (0, "[12]000000000000\n")
 
 
 class TestRaney:
@@ -248,11 +288,16 @@ class TestUsageErrors:
         (["raney", "identify", "0,-1,0"], "error: negative symbol -1"),
         (["raney", "rotations", "0,-1,0"], "error: negative symbol -1"),
         (["coeff", "--type", "1", "--power", "0"], "error: power 0 < 1"),
+        (["subdigons", "--type", "9", "--format", "list"], "error: face count 9 exceeds cap 8"),
+        (["subdigons", "--type", "9", "--format", "json"], "error: face count 9 exceeds cap 8"),
+        (["subdigons", "--type", "1,1,1", "--format", "list", "--max-faces", "2"],
+         "error: face count 3 exceeds cap 2"),
     ], ids=["powers-without-arguments", "rotations-rank-0", "enumerate-n-0", "solve-float-overflow",
             "identify-rank-0", "check-n-0", "enumerate-negative-count", "rank-bad-digits",
             "powers-r-0", "powers-m-negative", "identity-0", "identity-negative-order",
             "check-negative-symbol", "identify-negative-symbol", "rotations-negative-symbol",
-            "coeff-power-0"])
+            "coeff-power-0", "subdigons-list-over-cap", "subdigons-json-over-cap",
+            "subdigons-max-faces"])
     def test_exit_2_with_one_line_message(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -300,6 +345,28 @@ def test_raney_fuzz_exit_codes(command, text):
     assert code in (0, 1, 2)
     if code == 2:
         assert "error: " in err.getvalue().splitlines()[-1]
+
+
+# type vectors of at most 4 entries of at most 3; a cap below the face count is a usage error
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(min_value=0, max_value=3), max_size=4),
+       fmt=st.sampled_from(["count", "list", "json"]),
+       cap=st.integers(min_value=-2, max_value=6))
+def test_subdigons_fuzz_exit_codes(counts, fmt, cap):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["subdigons", "--type", ",".join(map(str, counts)),
+            "--format", fmt, "--max-faces", str(cap)]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue() == f"error: face count {sum(counts)} exceeds cap {cap}\n"
+    else:
+        assert fmt == "count" or sum(counts) <= cap
 
 
 def test_parser_is_built_once():

@@ -16,18 +16,18 @@ from hypercatalan.raney import (
     parse_string,
     rank,
     rotate,
-    split_words,
 )
 from hypercatalan.subdigon import (
     NULL,
     PlaneTree,
-    check_subdigon,
     enumerate_subdigons,
     from_word,
+    parse,
     serialize,
     to_word,
     type_of,
 )
+from oracles import check_subdigon, enumerate_lists_dfs, list_rotations_scan, split_words
 
 
 PAPER_21_WORDS = """
@@ -257,14 +257,14 @@ def _identify_reversed(sigma):
 class TestEnumerateLists:
     def test_paper_21_words(self):
         got = enumerate_lists(1, Composition(0, TypeVector.from_counts([2, 1])))
-        assert [format_string(s) for s in got] == PAPER_21_WORDS
+        assert got == PAPER_21_WORDS
 
     def test_paper_15_lists(self):
         got = enumerate_lists(3, Composition(1, TypeVector.from_counts([1])))
-        assert [format_string(s) for s in got] == PAPER_15_LISTS
+        assert got == PAPER_15_LISTS
 
     def test_singleton(self):
-        assert enumerate_lists(1, Composition()) == [(0,)]
+        assert enumerate_lists(1, Composition()) == ["0"]
 
     def test_counts_match_closed_form(self):
         for n in range(1, 4):
@@ -287,14 +287,75 @@ class TestEnumerateLists:
                         symbols = [0] * c.zeros(n) + [1] * m1 + [2] * m2 + [3] * m3
                         lists = set(itertools.permutations(symbols))
                         want = sorted(s for s in lists if is_word_list(s, n))
-                        assert enumerate_lists(n, c) == want, (n, c)
+                        assert enumerate_lists(n, c) == [format_string(s) for s in want], (n, c)
 
     def test_no_two_words_are_rotations(self):
-        words = enumerate_lists(1, Composition(0, TypeVector.from_counts([2, 1])))
+        lists = enumerate_lists(1, Composition(0, TypeVector.from_counts([2, 1])))
+        words = [parse_string(w) for w in lists]
         for a in words:
             for b in words:
                 if a != b:
                     assert all(rotate(a, off) != b for off in range(len(a)))
+
+
+def _outcome(fn, *args):
+    """fn's result, or its exception type and message."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _oracle_compositions():
+    """n <= 3, m1 <= 3, <= 6 faces over arities 2-4, at most 5,000 lists."""
+    for n in range(1, 4):
+        for m1 in range(4):
+            for counts in itertools.product(range(7), repeat=3):
+                c = Composition(m1, TypeVector.from_counts(counts))
+                if sum(counts) <= 6 and raney_count(n, c) <= 5000:
+                    yield n, c
+
+
+class TestAgainstOracles:
+    def test_lists_equal_the_search_oracle_in_order(self):
+        for n, c in _oracle_compositions():
+            want = [format_string(s) for s in enumerate_lists_dfs(n, c)]
+            assert enumerate_lists(n, c) == want, (n, c)
+
+    def test_symbols_of_10_and_above_use_the_comma_form(self):
+        for tail in ({10: 1}, {12: 1}, {2: 1, 10: 1}, {3: 1, 11: 1}):
+            for n in (1, 2):
+                for m1 in (0, 1, 2):
+                    c = Composition(m1, TypeVector.of(tail))
+                    want = [format_string(s) for s in enumerate_lists_dfs(n, c)]
+                    got = enumerate_lists(n, c)
+                    assert got == want, (n, c)
+                    assert all("," in w for w in got)
+        ten = Composition(0, TypeVector.of({10: 1}))
+        assert enumerate_lists(1, ten) == ["10," + "0," * 9 + "0"]
+
+    def test_long_single_list(self):
+        c = Composition(1200)
+        assert enumerate_lists(1, c) == [format_string(s) for s in enumerate_lists_dfs(1, c)]
+        assert enumerate_lists(1, c) == ["1" * 1200 + "0"]
+
+    def test_rotations_equal_the_scan_every_short_string(self):
+        # symbols from -1 on, so a broken cycle lemma must raise as the scan does
+        for length in range(1, 7):
+            for sigma in itertools.product(range(-1, 5), repeat=length):
+                if rank(sigma) < 0:
+                    want = _outcome(list_rotations_scan, sigma)
+                    assert _outcome(list_rotations, sigma) == want, sigma
+
+    def test_rotations_equal_the_scan_random(self):
+        # shuffled strings of rank -n with symbols up to 12, up to 60 long
+        rng = random.Random(17)
+        for n in range(1, 8):
+            for _ in range(60):
+                heads = [rng.randint(1, 12) for _ in range(rng.randint(0, 8))]
+                sigma = heads + [0] * (n + sum(a - 1 for a in heads))
+                rng.shuffle(sigma)
+                assert list_rotations(sigma) == list_rotations_scan(sigma), sigma
 
 
 class TestTreeBijection:
@@ -329,11 +390,11 @@ class TestTreeBijection:
 
     def test_words_biject_with_subdigons(self):
         m = TypeVector.from_counts([2, 1])
-        words = enumerate_lists(1, Composition(0, m))
+        words = [parse_string(w) for w in enumerate_lists(1, Composition(0, m))]
         mapped = {serialize(check_subdigon(from_word(w))) for w in words}
-        enumerated = {serialize(s) for s in enumerate_subdigons(m)}
+        enumerated = set(enumerate_subdigons(m))
         assert mapped == enumerated
-        assert {from_word(w) for w in words} == set(enumerate_subdigons(m))
+        assert {from_word(w) for w in words} == {parse(s) for s in enumerate_subdigons(m)}
         for w in words:
             s = check_subdigon(from_word(w))
             assert type_of(s) == m

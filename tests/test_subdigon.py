@@ -8,18 +8,22 @@ from hypercatalan.subdigon import (
     NULL,
     ParseError,
     PlaneTree,
-    central_arity,
-    check_subdigon,
     count_subdigons,
     enumerate_subdigons,
     from_word,
     group_trees,
     panel,
     parse,
-    psi_sum,
     serialize,
     to_word,
     type_of,
+)
+from oracles import (
+    central_arity,
+    check_subdigon,
+    count_trees,
+    enumerate_trees,
+    psi_sum,
     vef_structural,
 )
 
@@ -86,13 +90,14 @@ class TestVEFStructural:
 
     def test_agrees_with_closed_form_exhaustively(self):
         for m in all_small_types(max_faces=5, max_gon=4):
-            for s in enumerate_subdigons(m):
+            for s in map(parse, enumerate_subdigons(m)):
                 assert vef_structural(s) == vef(type_of(s))
 
 
 class TestEnumeration:
     def test_null_type(self):
-        assert enumerate_subdigons(TypeVector()) == [NULL]
+        assert enumerate_subdigons(TypeVector()) == ["0"]
+        assert parse("0") == NULL
 
     def test_paper_counts(self):
         assert len(enumerate_subdigons(tv(2, 1))) == 21
@@ -100,7 +105,7 @@ class TestEnumeration:
 
     def test_no_duplicates_and_right_types(self):
         for m in [tv(2, 1), tv(3), tv(1, 1, 1)]:
-            subs = enumerate_subdigons(m)
+            subs = [parse(w) for w in enumerate_subdigons(m)]
             assert len(set(subs)) == len(subs)
             assert all(type_of(s) == m for s in subs)
 
@@ -131,22 +136,23 @@ class TestCounting:
 class TestCentralClassification:
     def test_paper_split(self):
         split = {}
-        for s in enumerate_subdigons(tv(2, 1)):
+        for s in map(parse, enumerate_subdigons(tv(2, 1))):
             split[central_arity(s)] = split.get(central_arity(s), 0) + 1
         assert split == {2: 12, 3: 9}
 
     def test_matches_central_count(self):
         for m in all_small_types(max_faces=5, max_gon=5):
-            subs = enumerate_subdigons(m)
+            words = enumerate_subdigons(m)
             for r in range(2, 6):
-                got = sum(1 for s in subs if central_arity(s) == r)
+                # the head digit of a word is the arity of its central polygon
+                got = sum(1 for w in words if w[0] == str(r))
                 assert got == central_count(m, r)
 
 
 class TestPsiProjection:
     def test_monomial_sum(self):
         m = tv(2, 1, 1)
-        assert psi_sum(enumerate_subdigons(m)) == LayeredPoly({m: 495})
+        assert psi_sum(map(parse, enumerate_subdigons(m))) == LayeredPoly({m: 495})
 
 
 class TestWordToTree:
@@ -159,7 +165,7 @@ class TestWordToTree:
 
     def test_round_trip_every_subdigon_up_to_5_faces(self):
         for m in all_small_types(5, 4):
-            for s in enumerate_subdigons(m):
+            for s in map(parse, enumerate_subdigons(m)):
                 assert from_word(to_word(s)) == s
 
     def test_from_word_errors(self):
@@ -180,13 +186,17 @@ class TestSerialization:
         assert serialize(panel(3, [NULL, TRIANGLE, NULL])) == "302000"
 
     def test_round_trip_all_495(self):
-        for s in enumerate_subdigons(tv(2, 1, 1)):
+        for w in enumerate_subdigons(tv(2, 1, 1)):
+            s = parse(w)
+            assert serialize(s) == w
             assert parse(serialize(s)) == s
 
     def test_large_arity_bracketed(self):
-        s = panel(12, [NULL] * 12)
-        assert serialize(s) == "[12]" + "0" * 12
-        assert parse(serialize(s)) == s
+        for k in (10, 12):
+            s = panel(k, [NULL] * k)
+            assert serialize(s) == f"[{k}]" + "0" * k
+            assert parse(serialize(s)) == s
+        assert serialize(panel(9, [NULL] * 9)) == "9" + "0" * 9
 
     def test_parse_errors_of_each_kind(self):
         for text, message in [
@@ -225,3 +235,43 @@ class TestSerialization:
             parse("x")
         with pytest.raises(ParseError):
             parse("100")
+
+
+class TestDeepTrees:
+    def test_unary_chain_of_5000_nodes(self):
+        chain = from_word((1,) * 4999 + (0,))
+        same = from_word((1,) * 4999 + (0,))
+        longer = from_word((1,) * 5000 + (0,))
+        assert chain == same and hash(chain) == hash(same)
+        assert chain != longer
+        assert len({chain, same, longer}) == 2
+        assert repr(chain) == "PlaneTree('" + "1" * 4999 + "0')"
+        assert serialize(chain) == "1" * 4999 + "0"
+
+    def test_equality_is_by_word(self):
+        assert panel(2, [TRIANGLE, NULL]) != panel(2, [NULL, TRIANGLE])
+        assert panel(2, [TRIANGLE, NULL]) == from_word((2, 2, 0, 0, 0))
+        assert NULL != (0,) and NULL == PlaneTree(())
+
+
+def _words_of_trees(m):
+    return [serialize(s) for s in enumerate_trees(m)]
+
+
+# types with an arity of 10 or more, whose words bracket that arity
+WIDE_TYPES = [
+    tv(*counts)
+    for counts in ([0] * 8 + [1], [1] + [0] * 8 + [1], [0] * 9 + [1], [1, 1] + [0] * 9 + [1])
+]
+
+
+class TestAgainstOracles:
+    def test_words_equal_the_tree_oracle_in_order(self):
+        # every type of <= 6 faces over arities 2-7 with at most 5,000 subdigons
+        small = [m for m in all_small_types(max_faces=6, max_gon=7) if hyper_catalan(m) <= 5000]
+        for m in small + WIDE_TYPES:
+            assert enumerate_subdigons(m) == _words_of_trees(m), m
+
+    def test_counts_equal_the_type_vector_oracle(self):
+        for m in [*all_small_types(max_faces=6, max_gon=7), *WIDE_TYPES]:
+            assert count_subdigons(m) == count_trees(m), m
