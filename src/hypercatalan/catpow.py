@@ -161,10 +161,3 @@ def verify_power_identity(r: int, d: int) -> UniPoly:
         lhs = lhs.truncated_mul(T, d - r + 1)
     rhs = p_poly(r).truncated_mul(T, d) + q_poly(r)
     return (lhs.shift(r - 1) - rhs).truncated(d)
-
-
-def power_recurrence_check(r: int, m: int) -> bool:
-    """C^(r)_m = C^(r-1)_{m+1} - C^(r-2)_{m+1}, via the closed form."""
-    if r < 3:
-        raise ValueError(f"recurrence needs power >= 3, got {r}")
-    return catalan_power(r, m) == catalan_power(r - 1, m + 1) - catalan_power(r - 2, m + 1)

@@ -85,8 +85,7 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _spec(args.measure, args.d, args.q)
-    beta = series.build_beta(spec)
-    residual = series.evaluate_geometric(beta, spec)
+    residual = series.evaluate_geometric(None, spec)
     if not residual:
         print("ZERO")
         return 0
@@ -114,12 +113,12 @@ def cmd_solve(args) -> int:
         return 0
     spec = _spec(args.measure, args.d, q)
     values = {k: coeffs[k - 2] for k in range(2, q + 1)}
-    if args.float:
-        values = {k: float(v) for k, v in values.items()}
     # every line is formatted before any is printed, so an overflow prints none
     lines = []
     alpha = 0
     try:
+        if args.float:
+            values = {k: float(v) for k, v in values.items()}
         for lvl, part in sorted(series.layer_sums(spec, values).items()):
             alpha = alpha + part
             lines.append(f"level {lvl:>3}: partial sum = {_show(alpha)}")

@@ -7,8 +7,11 @@ LayerSpec fixes a measure and a maximum level; truncated multiplication
 prunes partial products as soon as their level exceeds the bound, which
 is sound because all three measures are additive.
 
-The layering identity (evaluate_geometric, table_rows) runs on a packed
-kernel; TypeVector and LayeredPoly appear only at its boundary.
+The coefficient walk (_walk) and the layering identity (evaluate_geometric,
+table_rows) run on packed keys: the walk emits beta as level buckets of
+packed keys, and the kernel multiplies them.  TypeVector appears only in
+enumerate_types, build_beta and the residual or table rows they return;
+a caller-supplied beta is packed by _graded.
 
 - Packed keys: a monomial admitted at level bound d is the int
   sum_k m_k * B^(k-2) with B = d+1 (Kronecker substitution), so a
@@ -217,40 +220,48 @@ def mul_truncated(p: LayeredPoly, q: LayeredPoly, spec: LayerSpec) -> LayeredPol
     return LayeredPoly(out)
 
 
-def _walk(spec: LayerSpec) -> list[tuple[int, tuple[tuple[int, int], ...], int]]:
-    """(level, entries, C_m) for every type spec admits, graded by level then lex.
+# A graded polynomial: level buckets 0..bound, bucket i mapping the
+# packed key of each monomial at level i to its coefficient.
+Graded = list[dict[int, int]]
 
-    A depth-first walk in lex order, bucketed by level, carrying V, E and the
-    level.  Adding one (k+1)-gon at count m_k updates C = (E-1)!/((V-1)! m!)
-    exactly: C * E(E+1)...(E+k-1) / ((m_k+1) * V(V+1)...(V+k-2)).
+
+def _walk(spec: LayerSpec) -> Graded:
+    """beta for spec graded: {packed key: C_m} per level, each level in lex order.
+
+    A depth-first walk in lex order, bucketed by level, carrying V, E, the
+    level and the packed key.  Adding one (k+1)-gon at count m_k updates
+    C = (E-1)!/((V-1)! m!) exactly:
+    C * E(E+1)...(E+k-1) / ((m_k+1) * V(V+1)...(V+k-2)).
     """
-    steps = [(k, weight(k, spec.measure)) for k in range(2, spec.max_gon() + 1)]
+    base = spec.d + 1
+    steps = [(k, weight(k, spec.measure), base ** (k - 2)) for k in range(2, spec.max_gon() + 1)]
     # the weights never decrease with k, so the steps that fit in a room are a prefix
-    fit = [sum(w <= room for _, w in steps) for room in range(spec.d + 1)]
-    buckets: list[list] = [[] for _ in range(spec.d + 1)]
-    stack = [(0, 0, 2, 1, 1, ())]  # (next step, level, V, E, C, entries)
+    fit = [sum(w <= room for _, w, _ in steps) for room in range(spec.d + 1)]
+    buckets: Graded = [{} for _ in range(spec.d + 1)]
+    stack = [(0, 0, 2, 1, 1, 0)]  # (next step, level, V, E, C, key)
     while stack:
-        i, lvl, v, e, c, entries = stack.pop()
-        buckets[lvl].append((lvl, entries, c))
+        i, lvl, v, e, c, key = stack.pop()
+        buckets[lvl][key] = c
         children = []
-        for j, (k, w) in enumerate(steps[i : fit[spec.d - lvl]], i + 1):
-            lv, vk, ek, ck = lvl, v, e, c
+        for j, (k, w, unit) in enumerate(steps[i : fit[spec.d - lvl]], i + 1):
+            lv, vk, ek, ck, kk = lvl, v, e, c, key
             for mk in range(1, (spec.d - lvl) // w + 1):
                 ck = ck * perm(ek + k - 1, k) // (mk * perm(vk + k - 2, k - 1))
-                vk, ek, lv = vk + k - 1, ek + k, lv + w
-                children.append((j, lv, vk, ek, ck, entries + ((k, mk),)))
+                vk, ek, lv, kk = vk + k - 1, ek + k, lv + w, kk + unit
+                children.append((j, lv, vk, ek, ck, kk))
         stack.extend(reversed(children))  # popped in lex order
-    return [t for bucket in buckets for t in bucket]
+    return buckets
 
 
 def enumerate_types(spec: LayerSpec) -> list[TypeVector]:
     """All type vectors admitted by spec, graded by level then lex."""
-    return [TypeVector(entries) for _, entries, _ in _walk(spec)]
+    return [_unpack(key, spec.d + 1) for bucket in _walk(spec) for key in bucket]
 
 
 def build_beta(spec: LayerSpec) -> LayeredPoly:
     """The layered truncation of the series zero: sum of C_m * t^m."""
-    return LayeredPoly({TypeVector(entries): c for _, entries, c in _walk(spec)})
+    return LayeredPoly({_unpack(key, spec.d + 1): c for bucket in _walk(spec)
+                        for key, c in bucket.items()})
 
 
 def layer_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
@@ -261,33 +272,42 @@ def layer_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
     w_k = weight(k), and is an int unless a term at it has a Fraction value.
     Any other value, such as a float, is multiplied in term by term.
     """
-    if not all(isinstance(v, (int, Fraction)) for v in values.values()):
-        sums: dict[int, object] = {}
-        for lvl, entries, c in _walk(spec):
-            for k, mk in entries:
-                c = c * values[k] ** mk
-            sums[lvl] = sums.get(lvl, 0) + c
-        return sums
+    base = spec.d + 1
     ks = [(k, weight(k, spec.measure)) for k in range(2, spec.max_gon() + 1)]
+    sums: dict[int, object] = {}
+    if not all(isinstance(v, (int, Fraction)) for v in values.values()):
+        # pows[k][mk] = values[k] ** mk, extended on first use: the first term
+        # that overflows raises, whichever of its factors overflows first
+        pows = {k: [1] for k, _ in ks}
+        for lvl, bucket in enumerate(_walk(spec)):
+            for key, c in bucket.items():
+                k = 2
+                while key:
+                    key, mk = divmod(key, base)
+                    if mk:
+                        p = pows[k]
+                        while len(p) <= mk:
+                            p.append(values[k] ** len(p))
+                        c = c * p[mk]
+                    k += 1
+                sums[lvl] = sums.get(lvl, 0) + c
+        return sums
     nums = {k: [values[k].numerator ** i for i in range(spec.d // w + 1)] for k, w in ks}
     dens = {k: [values[k].denominator ** i for i in range(spec.d // w + 1)] for k, w in ks}
-    fracs = {k for k, _ in ks if isinstance(values[k], Fraction)}
-    parts: dict[int, tuple[int, bool]] = {}  # level: (numerator over D_l, a Fraction term?)
-    for lvl, entries, c in _walk(spec):
-        counts = dict(entries)
-        for k, w in ks:
-            mk = counts.get(k, 0)
-            c *= nums[k][mk] * dens[k][lvl // w - mk]
-        num, frac = parts.get(lvl, (0, False))
-        parts[lvl] = num + c, frac or not fracs.isdisjoint(counts)
-    den = {lvl: prod(dens[k][lvl // w] for k, w in ks) for lvl in parts}  # D_l
-    return {lvl: Fraction(num, den[lvl]) if frac else num // den[lvl]
-            for lvl, (num, frac) in parts.items()}
-
-
-# A graded polynomial: level buckets 0..bound, bucket i mapping the
-# packed key of each monomial at level i to its coefficient.
-Graded = list[dict[int, int]]
+    for lvl, bucket in enumerate(_walk(spec)):
+        if not bucket:
+            continue
+        row = [(nums[k], dens[k], lvl // w, isinstance(values[k], Fraction)) for k, w in ks]
+        num, frac = 0, False  # numerator over D_l, a Fraction term?
+        for key, c in bucket.items():
+            for n, dn, top, f in row:
+                key, mk = divmod(key, base)
+                c *= n[mk] * dn[top - mk]
+                frac = frac or (f and mk > 0)
+            num += c
+        den = prod(dn[top] for _, dn, top, _ in row)  # D_l
+        sums[lvl] = Fraction(num, den) if frac else num // den
+    return sums
 
 
 def _pack(m: TypeVector, base: int) -> int:
@@ -351,12 +371,12 @@ def _graded_sources(beta: Graded, spec: LayerSpec):
         ]
 
 
-def evaluate_geometric(beta: LayeredPoly, spec: LayerSpec) -> LayeredPoly:
-    """truncate(1 - beta + sum_n t_n * beta^n, spec).
+def evaluate_geometric(beta: LayeredPoly | None, spec: LayerSpec) -> LayeredPoly:
+    """truncate(1 - beta + sum_n t_n * beta^n, spec); beta None is the walked series.
 
     Zero whenever beta is the layered series truncation for spec.
     """
-    graded = _graded(beta, spec)
+    graded = _walk(spec) if beta is None else _graded(beta, spec)
     acc = {key: -c for bucket in graded for key, c in bucket.items()}
     acc[0] = acc.get(0, 0) + 1
     for _, source in _graded_sources(graded, spec):
@@ -406,8 +426,7 @@ def geode_quotient(d: int, q: int) -> LayeredPoly:
     if q < 2:
         raise ValueError(f"gon bound {q} < 2")
     spec = LayerSpec(Measure.FACE, d, q)
-    beta = build_beta(spec)
-    sliced = layer_slice(beta - LayeredPoly.one(), Measure.FACE, d)
+    sliced = _poly(_walk(spec)[d], spec)  # d >= 1, so the constant term is not in it
     divisor = LayeredPoly({unit_type(k): 1 for k in range(2, q + 1)})
     return divide_exact(sliced, divisor)
 
@@ -421,7 +440,7 @@ def table_rows(spec: LayerSpec) -> list[tuple[str, LayeredPoly]]:
     "[v^3] t2 b^2" style source rows, "[v^3] total" for totals.
     """
     sym = {Measure.VERTEX: "v", Measure.EDGE: "e", Measure.FACE: "f"}[spec.measure]
-    beta = _graded(build_beta(spec), spec)
+    beta = _walk(spec)
     sources = list(_graded_sources(beta, spec))
     beta[0][0] = beta[0].get(0, 0) - 1  # the total rows are beta - 1
     rows: list[tuple[str, LayeredPoly]] = []

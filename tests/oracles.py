@@ -3,7 +3,8 @@
 Each one is the plain form of a fast path in ``hypercatalan``: subdigons
 as ``PlaneTree`` objects enumerated and counted through ``TypeVector``
 arithmetic, Raney lists by depth-first search over prefixes, rotations
-by testing every offset, and the structural helpers that only tests use.
+by testing every offset, the structural helpers that only tests use, and
+the recurrence of the Catalan power coefficients by their closed form.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import itertools
 from functools import lru_cache
 from typing import Sequence
 
+from hypercatalan.catpow import catalan_power
 from hypercatalan.core import VEF, Composition, TypeVector, unit_type
 from hypercatalan.raney import is_word_list, rank, rotate
 from hypercatalan.series import LayeredPoly
@@ -190,3 +192,13 @@ def enumerate_lists_dfs(n: int, c: Composition) -> list[Symbols]:
         cum += a - 1
         stack.append(iter(symbols))
     return out
+
+
+# -- Catalan powers -------------------------------------------------------------
+
+
+def power_recurrence_check(r: int, m: int) -> bool:
+    """C^(r)_m = C^(r-1)_{m+1} - C^(r-2)_{m+1}, via the closed form."""
+    if r < 3:
+        raise ValueError(f"recurrence needs power >= 3, got {r}")
+    return catalan_power(r, m) == catalan_power(r - 1, m + 1) - catalan_power(r - 2, m + 1)

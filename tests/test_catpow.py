@@ -8,11 +8,11 @@ from hypercatalan.catpow import (
     catalan_power,
     catalan_series,
     p_poly,
-    power_recurrence_check,
     q_poly,
     verify_power_identity,
 )
 from hypercatalan.core import TypeVector, hyper_catalan, power_coeff
+from oracles import power_recurrence_check
 
 
 class TestUniPoly:

@@ -292,12 +292,20 @@ class TestUsageErrors:
         (["subdigons", "--type", "9", "--format", "json"], "error: face count 9 exceeds cap 8"),
         (["subdigons", "--type", "1,1,1", "--format", "list", "--max-faces", "2"],
          "error: face count 3 exceeds cap 2"),
+        (["solve", "--float", "--d", "2", "--coeffs=1e400"],
+         "error: out of float range at level bound 2: integer division result too large for a float"),
+        # C_m outgrows a float (level ~515) before 3.0 ** m2 does (level ~646)
+        (["solve", "--float", "--d", "700", "--coeffs=3"],
+         "error: out of float range at level bound 700: int too large to convert to float"),
+        (["solve", "--float", "--d", "2", "--coeffs=1e300"],
+         "error: out of float range at level bound 2: (34, 'Numerical result out of range')"),
     ], ids=["powers-without-arguments", "rotations-rank-0", "enumerate-n-0", "solve-float-overflow",
             "identify-rank-0", "check-n-0", "enumerate-negative-count", "rank-bad-digits",
             "powers-r-0", "powers-m-negative", "identity-0", "identity-negative-order",
             "check-negative-symbol", "identify-negative-symbol", "rotations-negative-symbol",
             "coeff-power-0", "subdigons-list-over-cap", "subdigons-json-over-cap",
-            "subdigons-max-faces"])
+            "subdigons-max-faces", "solve-float-coefficient-overflow", "solve-float-term-overflow",
+            "solve-float-power-overflow"])
     def test_exit_2_with_one_line_message(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -324,6 +332,24 @@ class TestDeepWords:
         assert out.splitlines() == ["1" * 1200 + "0", "total 1 (closed form 1)"]
 
 
+def _main_captured(argv):
+    """(exit code, stdout, stderr) of main(argv), a SystemExit read as its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_documented_exit(code, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert "error: " in err.splitlines()[-1]
+
+
 # strings of at most 30 characters: free text, and comma lists that may hold negative symbols
 RANEY_TEXT = st.one_of(
     st.text(alphabet="0123456789, -", max_size=30),
@@ -336,15 +362,8 @@ RANEY_TEXT = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(command=st.sampled_from(["rank", "check", "rotations", "identify"]), text=RANEY_TEXT)
 def test_raney_fuzz_exit_codes(command, text):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(["raney", command, text])
-        except SystemExit as exc:
-            code = exc.code
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert "error: " in err.getvalue().splitlines()[-1]
+    code, _, err = _main_captured(["raney", command, text])
+    _assert_documented_exit(code, err)
 
 
 # type vectors of at most 4 entries of at most 3; a cap below the face count is a usage error
@@ -353,20 +372,92 @@ def test_raney_fuzz_exit_codes(command, text):
        fmt=st.sampled_from(["count", "list", "json"]),
        cap=st.integers(min_value=-2, max_value=6))
 def test_subdigons_fuzz_exit_codes(counts, fmt, cap):
-    out, err = io.StringIO(), io.StringIO()
     argv = ["subdigons", "--type", ",".join(map(str, counts)),
             "--format", fmt, "--max-faces", str(cap)]
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    code, out, err = _main_captured(argv)
     assert code in (0, 1, 2)
     if code == 2:
-        assert out.getvalue() == ""
-        assert err.getvalue() == f"error: face count {sum(counts)} exceeds cap {cap}\n"
+        assert out == ""
+        assert err == f"error: face count {sum(counts)} exceeds cap {cap}\n"
     else:
         assert fmt == "count" or sum(counts) <= cap
+
+
+# Bounded sizes, so that no case can run away: levels d <= 8, gon bounds q <= 6,
+# at most 6 counts or coefficients, powers and orders <= 30.  None of these
+# commands has a failing verdict on any input, so exit 1 is never right.
+LEVELS = st.integers(min_value=-2, max_value=8)
+SMALL = st.integers(min_value=-2, max_value=30)
+GOOD_COEFF = st.one_of(
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 12)),
+    st.builds(str, st.integers(-9, 9)),
+    st.sampled_from(["0.25", "-0.1", "1e-3"]),
+)
+# three good coefficients in four, so that whole lists of them are common
+COEFF_TEXT = st.one_of(
+    GOOD_COEFF, GOOD_COEFF, GOOD_COEFF,
+    st.one_of(st.sampled_from(["1e400", "1e300", "1/0", "", "x", "-"]),
+              st.text(alphabet="0123456789/-.", max_size=6)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["verify", "table"]),
+       measure=st.sampled_from(["vertex", "edge", "face"]), d=LEVELS,
+       q=st.one_of(st.none(), st.integers(min_value=-1, max_value=6)),
+       fmt=st.sampled_from([None, "text", "csv", "json"]))
+def test_layering_fuzz_exit_codes(command, measure, d, q, fmt):
+    argv = [command, "--measure", measure, "--d", str(d)]
+    argv += [] if q is None else ["--q", str(q)]
+    argv += [] if fmt is None or command == "verify" else ["--format", fmt]
+    code, out, err = _main_captured(argv)
+    _assert_documented_exit(code, err)
+    assert code != 1
+    if code == 2:
+        assert out == ""
+    elif command == "verify":
+        assert out == "ZERO\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.lists(COEFF_TEXT, max_size=6), equals_form=st.booleans(),
+       measure=st.sampled_from(["vertex", "edge", "face"]), d=LEVELS, as_float=st.booleans())
+def test_solve_fuzz_exit_codes(coeffs, equals_form, measure, d, as_float):
+    text = ",".join(coeffs)
+    argv = ["solve", f"--coeffs={text}"] if equals_form else ["solve", "--coeffs", text]
+    argv += ["--measure", measure, "--d", str(d)] + (["--float"] if as_float else [])
+    code, out, err = _main_captured(argv)
+    _assert_documented_exit(code, err)
+    assert code != 1
+    if code == 0:
+        assert out.splitlines()[-1].startswith("residual = ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts=st.lists(st.integers(min_value=-1, max_value=6), max_size=6),
+       central=st.booleans(), power=st.one_of(st.none(), st.integers(min_value=-2, max_value=6)))
+def test_coeff_fuzz_exit_codes(counts, central, power):
+    argv = ["coeff", "--type", ",".join(map(str, counts))]
+    argv += (["--central"] if central else []) + ([] if power is None else ["--power", str(power)])
+    code, out, err = _main_captured(argv)
+    _assert_documented_exit(code, err)
+    assert code != 1
+    if code == 2:
+        assert out == ""
+
+
+@settings(max_examples=150, deadline=None)
+@given(identity=st.one_of(st.none(), SMALL), r=st.one_of(st.none(), SMALL),
+       m=st.one_of(st.none(), SMALL), order=st.one_of(st.none(), SMALL))
+def test_powers_fuzz_exit_codes(identity, r, m, order):
+    argv = ["powers"]
+    for flag, value in (("--identity", identity), ("--r", r), ("--m", m), ("--order", order)):
+        argv += [] if value is None else [flag, str(value)]
+    code, out, err = _main_captured(argv)
+    _assert_documented_exit(code, err)
+    assert code != 1
+    if code == 2:
+        assert out == ""
 
 
 def test_parser_is_built_once():

@@ -1,10 +1,9 @@
-import itertools
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from hypercatalan import series
 from hypercatalan.catpow import catalan
 from hypercatalan.core import TypeVector, hyper_catalan, power_coeff, unit_type, vef
 from hypercatalan.series import (
@@ -12,6 +11,9 @@ from hypercatalan.series import (
     LayerSpec,
     Measure,
     NonzeroRemainder,
+    _graded,
+    _unpack,
+    _walk,
     build_beta,
     divide_exact,
     enumerate_types,
@@ -373,10 +375,19 @@ class TestLayerSums:
 
 
 def _oracle_types(spec):
-    ks = range(2, (spec.gon_bound or spec.d + 1) + 1)
-    most = spec.d // level(unit_type(2), spec.measure)  # t2 is the lightest gon
-    gons = (c for n in range(most + 1) for c in itertools.combinations_with_replacement(ks, n))
-    types = [TypeVector.of(Counter(c)) for c in gons]
+    top = spec.gon_bound or spec.d + 1
+
+    def grow(k, room):
+        # the multisets of gons k..top whose level fits in room, as entries
+        if k > top:
+            yield ()
+            return
+        w = level(unit_type(k), spec.measure)
+        for mk in range(room // w + 1):
+            for rest in grow(k + 1, room - mk * w):
+                yield ((k, mk),) + rest if mk else rest
+
+    types = [TypeVector(entries) for entries in grow(2, spec.d)]
     return sorted((m for m in types if spec.admits(m)),
                   key=lambda m: (level(m, spec.measure), m.entries))
 
@@ -438,3 +449,44 @@ class TestCoefficientWalk:
         assert got == want
         assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
         assert type(got[1]) is int and type(got[2]) is Fraction
+
+
+# every measure up to d = 12, face layering with q = 2..6 up to d = 6
+WALK_SPECS = (
+    [LayerSpec(Measure.VERTEX, d) for d in range(13)]
+    + [LayerSpec(Measure.EDGE, d) for d in range(13)]
+    + [LayerSpec(Measure.FACE, d, q) for q in range(2, 7) for d in range(7)]
+)
+
+
+def _oracle_graded(spec):
+    """The oracle beta, every admitted multiset with its closed form, packed by _graded."""
+    return _graded(LayeredPoly({m: hyper_catalan(m) for m in _oracle_types(spec)}), spec)
+
+
+class TestPackedWalk:
+    """The walk's packed level buckets against the packed oracle beta."""
+
+    @pytest.mark.parametrize("spec", WALK_SPECS, ids=_spec_id)
+    def test_buckets_match_oracle(self, spec):
+        walked = _walk(spec)
+        assert walked == _oracle_graded(spec)
+        for bucket in walked:
+            entries = [_unpack(key, spec.d + 1).entries for key in bucket]
+            assert entries == sorted(entries)  # lex within each level
+
+    @pytest.mark.parametrize("spec", WALK_SPECS, ids=_spec_id)
+    def test_walked_residual_matches_build_beta(self, spec):
+        residual = evaluate_geometric(None, spec)
+        assert residual == evaluate_geometric(build_beta(spec), spec)
+        assert not residual
+
+    @pytest.mark.parametrize("spec", [s for s in WALK_SPECS if s.max_gon() >= 2], ids=_spec_id)
+    def test_wrong_key_unit_is_caught(self, spec, monkeypatch):
+        # the unit (d+1)^(k-1) in place of (d+1)^(k-2) multiplies every key by d+1
+        wrong = [{key * (spec.d + 1): c for key, c in bucket.items()} for bucket in _walk(spec)]
+        assert wrong != _oracle_graded(spec)
+        rows = table_rows(spec)
+        monkeypatch.setattr(series, "_walk", lambda s: [dict(b) for b in wrong])
+        assert evaluate_geometric(None, spec)
+        assert table_rows(spec) != rows
