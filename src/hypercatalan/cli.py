@@ -7,6 +7,7 @@ Exit codes: 0 success/verified, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -29,6 +30,16 @@ from .series import LayerSpec, Measure
 def _usage_error(message: str) -> NoReturn:
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(2)
+
+
+@contextlib.contextmanager
+def _digit_limit():
+    """Turn Python's int-to-str limit, hit while formatting output, into a usage error."""
+    try:
+        yield
+    except ValueError:
+        _usage_error(f"result has more than {sys.get_int_max_str_digits()} digits, "
+                     "Python's int-to-str limit (PYTHONINTMAXSTRDIGITS=0 lifts it)")
 
 
 def _parse_type(text: str) -> TypeVector:
@@ -55,15 +66,15 @@ def cmd_coeff(args) -> int:
     m = _parse_type(args.type)
     if args.power is not None and args.power < 1:
         _usage_error(f"power {args.power} < 1")
-    s = vef(m)
-    print(f"type {m}")
-    print(f"C = {hyper_catalan(m)}")
-    print(f"V = {s.V}, E = {s.E}, F = {s.F}")
-    if args.central:
-        for r, _ in m.items():
-            print(f"central {r + 1}-gon: {central_count(m, r)}")
-    if args.power is not None:
-        print(f"C^({args.power}) = {power_coeff(m, args.power)}")
+    s, c = vef(m), hyper_catalan(m)
+    central = [(r, central_count(m, r)) for r, _ in m.items()] if args.central else []
+    power = None if args.power is None else power_coeff(m, args.power)
+    with _digit_limit():
+        lines = [f"type {m}", f"C = {c}", f"V = {s.V}, E = {s.E}, F = {s.F}"]
+        lines += [f"central {r + 1}-gon: {n}" for r, n in central]
+        if power is not None:
+            lines.append(f"C^({args.power}) = {power}")
+    print("\n".join(lines))
     return 0
 
 
@@ -114,17 +125,18 @@ def cmd_solve(args) -> int:
     spec = _spec(args.measure, args.d, q)
     values = {k: coeffs[k - 2] for k in range(2, q + 1)}
     # every line is formatted before any is printed, so an overflow prints none
-    lines = []
+    partials = []
     alpha = 0
     try:
         if args.float:
             values = {k: float(v) for k, v in values.items()}
         for lvl, part in sorted(series.layer_sums(spec, values).items()):
             alpha = alpha + part
-            lines.append(f"level {lvl:>3}: partial sum = {_show(alpha)}")
+            partials.append((lvl, alpha))
         residual = 1 - alpha + sum(values[k] * alpha**k for k in values)
-        lines.append(f"alpha = {_show(alpha)}")
-        lines.append(f"residual = {_show(residual)}")
+        with _digit_limit():
+            lines = [f"level {lvl:>3}: partial sum = {_show(a)}" for lvl, a in partials]
+            lines += [f"alpha = {_show(alpha)}", f"residual = {_show(residual)}"]
     except OverflowError as exc:
         _usage_error(f"out of float range at level bound {spec.d}: {exc}")
     print("\n".join(lines))
@@ -209,7 +221,10 @@ def cmd_powers(args) -> int:
             _usage_error(f"power {args.r} < 1")
         if args.m < 0:
             _usage_error(f"negative index {args.m}")
-        print(catpow.catalan_power(args.r, args.m))
+        value = catpow.catalan_power(args.r, args.m)
+        with _digit_limit():
+            text = str(value)
+        print(text)
         return 0
     if args.identity < 1:
         _usage_error(f"power {args.identity} < 1")

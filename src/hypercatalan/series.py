@@ -25,6 +25,15 @@ a caller-supplied beta is packed by _graded.
   needs only the buckets of the previous one up to its own bound.
 
 mul_truncated stays as the slow oracle the tests compare the kernel to.
+
+Exact level sums (layer_sums) need no walk.  Group the types by F = sum_k m_k
+and s = sum_k (k-1) m_k: V - 1 = s + 1 and E - 1 = F + s, so C_m =
+binom(F+s, F)/(s+1) * F!/m!, and by the multinomial theorem the sum of
+F!/m! * t^m over one (F, s) is [mu^s] (sum_k t_k mu^(k-1))^F.  With
+t_k = a_k/Q over one denominator, R(mu) = sum_k a_k mu^(k-2) and the excess
+e = s - F, the cell (F, e) adds binom(F+s, F) * [mu^e] R^F // (s+1) over
+Q^F (exact: it is sum C_m * prod_k a_k^m_k).  Its level is s (vertex), F + s
+(edge) or F (face), weight(2)*F + (weight(3) - weight(2))*e in each case.
 """
 
 from __future__ import annotations
@@ -33,8 +42,11 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import perm, prod
+from itertools import accumulate
+from math import lcm, perm
+from operator import mul
 
+from .catpow import UniPoly
 from .core import TypeVector, unit_type
 
 
@@ -267,46 +279,61 @@ def build_beta(spec: LayerSpec) -> LayeredPoly:
 def layer_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
     """{level: sum of C_m * prod_k values[k]^m_k over the types spec admits at that level}.
 
-    Exact for int and Fraction values t_k = p_k/q_k: level l sums the integers
-    C_m * prod_k p_k^m_k * q_k^(l//w_k - m_k) over D_l = prod_k q_k^(l//w_k),
-    w_k = weight(k), and is an int unless a term at it has a Fraction value.
-    Any other value, such as a float, is multiplied in term by term.
+    A level is present iff spec admits a type at it; it is an int unless a type
+    at it uses a Fraction value, so level 0 is the int 1.  Int and Fraction
+    values take no walk: the cells (F, e) of the module docstring add up to one
+    numerator per level l over Q^(l // weight(2)), l // weight(2) being the most
+    faces at level l.  Other values, such as floats, are multiplied in term by
+    term along the walk.
     """
-    base = spec.d + 1
-    ks = [(k, weight(k, spec.measure)) for k in range(2, spec.max_gon() + 1)]
+    d, ks = spec.d, [(k, weight(k, spec.measure)) for k in range(2, spec.max_gon() + 1)]
     sums: dict[int, object] = {}
-    if not all(isinstance(v, (int, Fraction)) for v in values.values()):
-        # pows[k][mk] = values[k] ** mk, extended on first use: the first term
-        # that overflows raises, whichever of its factors overflows first
-        pows = {k: [1] for k, _ in ks}
-        for lvl, bucket in enumerate(_walk(spec)):
-            for key, c in bucket.items():
-                k = 2
-                while key:
-                    key, mk = divmod(key, base)
-                    if mk:
-                        p = pows[k]
-                        while len(p) <= mk:
-                            p.append(values[k] ** len(p))
-                        c = c * p[mk]
-                    k += 1
-                sums[lvl] = sums.get(lvl, 0) + c
+    if all(isinstance(v, (int, Fraction)) for v in values.values()):
+        # reach[l]: spec admits a type at level l (an unbounded knapsack over the weights)
+        reach = [True] + [False] * d
+        for _, w in ks:
+            for lvl in range(w, d + 1):
+                reach[lvl] = reach[lvl] or reach[lvl - w]
+        fracs = [w for k, w in ks if isinstance(values[k], Fraction)]
+        q = lcm(*(values[k].denominator for k, _ in ks))
+        r = UniPoly(values[k].numerator * (q // values[k].denominator) for k, _ in ks)
+        # the cell (F, e) sits at level w2*F + step*e; R^F is cut at the largest e that fits
+        w2, step = weight(2, spec.measure), weight(3, spec.measure) - weight(2, spec.measure)
+        qpow = list(accumulate([q] * (d // w2), mul, initial=1))  # up to Q^(most faces)
+        nums = [1] + [0] * d
+        power, central = UniPoly.one(), 1  # R^F and binom(2F, F)
+        for f in range(1, d // w2 + 1):
+            power = power.truncated_mul(r, (d - w2 * f) // step if step else f * (len(ks) - 1))
+            central = central * (4 * f - 2) // f
+            b = central  # binom(F + s, F) with s = F + e
+            for e, c in enumerate(power.coeffs):
+                if e:
+                    b = b * (2 * f + e) // (f + e)
+                if c:
+                    lvl = w2 * f + step * e
+                    nums[lvl] += b * c // (f + e + 1) * qpow[lvl // w2 - f]
+        for lvl in range(d + 1):
+            if reach[lvl]:
+                num, den = nums[lvl], qpow[lvl // w2]
+                frac = any(w <= lvl and reach[lvl - w] for w in fracs)
+                sums[lvl] = Fraction(num, den) if frac else num // den
         return sums
-    nums = {k: [values[k].numerator ** i for i in range(spec.d // w + 1)] for k, w in ks}
-    dens = {k: [values[k].denominator ** i for i in range(spec.d // w + 1)] for k, w in ks}
+    # pows[k][mk] = values[k] ** mk, extended on first use: the first term
+    # that overflows raises, whichever of its factors overflows first
+    base = d + 1
+    pows = {k: [1] for k, _ in ks}
     for lvl, bucket in enumerate(_walk(spec)):
-        if not bucket:
-            continue
-        row = [(nums[k], dens[k], lvl // w, isinstance(values[k], Fraction)) for k, w in ks]
-        num, frac = 0, False  # numerator over D_l, a Fraction term?
         for key, c in bucket.items():
-            for n, dn, top, f in row:
+            k = 2
+            while key:
                 key, mk = divmod(key, base)
-                c *= n[mk] * dn[top - mk]
-                frac = frac or (f and mk > 0)
-            num += c
-        den = prod(dn[top] for _, dn, top, _ in row)  # D_l
-        sums[lvl] = Fraction(num, den) if frac else num // den
+                if mk:
+                    p = pows[k]
+                    while len(p) <= mk:
+                        p.append(values[k] ** len(p))
+                    c = c * p[mk]
+                k += 1
+            sums[lvl] = sums.get(lvl, 0) + c
     return sums
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -269,6 +270,13 @@ class TestPowers:
         assert code == 0 and out.strip() == "5"
 
 
+# Python 3.11 (and 3.10.7 on) refuse to print an int of more than 4300 digits
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="no int-to-str digit limit")
+DIGIT_LIMIT_ERROR = ("error: result has more than 4300 digits, Python's int-to-str limit "
+                     "(PYTHONINTMAXSTRDIGITS=0 lifts it)")
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv,message", [
         (["powers"], "error: powers needs --identity, or both --r and --m"),
@@ -299,13 +307,19 @@ class TestUsageErrors:
          "error: out of float range at level bound 700: int too large to convert to float"),
         (["solve", "--float", "--d", "2", "--coeffs=1e300"],
          "error: out of float range at level bound 2: (34, 'Numerical result out of range')"),
+        *[pytest.param(argv, DIGIT_LIMIT_ERROR, marks=NEEDS_DIGIT_LIMIT) for argv in (
+            ["coeff", "--type", "8000"],
+            ["powers", "--r", "1", "--m", "8000"],
+            ["solve", "--coeffs=1/7", "--d", "6000"],
+        )],
     ], ids=["powers-without-arguments", "rotations-rank-0", "enumerate-n-0", "solve-float-overflow",
             "identify-rank-0", "check-n-0", "enumerate-negative-count", "rank-bad-digits",
             "powers-r-0", "powers-m-negative", "identity-0", "identity-negative-order",
             "check-negative-symbol", "identify-negative-symbol", "rotations-negative-symbol",
             "coeff-power-0", "subdigons-list-over-cap", "subdigons-json-over-cap",
             "subdigons-max-faces", "solve-float-coefficient-overflow", "solve-float-term-overflow",
-            "solve-float-power-overflow"])
+            "solve-float-power-overflow", "coeff-digit-limit", "powers-digit-limit",
+            "solve-digit-limit"])
     def test_exit_2_with_one_line_message(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)

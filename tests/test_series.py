@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -404,11 +405,13 @@ def _oracle_layer_sums(types, spec, values):
 
 
 def _values(rng, kind, q):
-    """t_2..t_q of one kind: Fractions (zero and negative ones too), ints or floats."""
+    """t_2..t_q of one kind: Fractions (zero and negative ones too), ints, both mixed, or floats."""
     if kind == "fraction":
         draw = lambda: Fraction(rng.randint(-7, 7), rng.randint(1, 12))
     elif kind == "int":
         draw = lambda: rng.randint(-3, 3)
+    elif kind == "mixed":
+        draw = lambda: _values(rng, rng.choice(["fraction", "int"]), 2)[2]
     else:
         draw = lambda: rng.uniform(-0.3, 0.3)
     return {k: draw() for k in range(2, q + 1)}
@@ -449,6 +452,60 @@ class TestCoefficientWalk:
         assert got == want
         assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
         assert type(got[1]) is int and type(got[2]) is Fraction
+
+
+# the exact route's differential sweep: every level bound up to these, q = 2..6
+EXACT_LEVEL_BOUND = {Measure.VERTEX: 30, Measure.EDGE: 36, Measure.FACE: 10}
+
+
+class TestExactLevelSums:
+    """Exact layer_sums, summed by (F, e) cells with no walk, against the per-term oracle."""
+
+    @pytest.mark.parametrize("meas,q", BOUNDED_MEASURES, ids=lambda x: str(getattr(x, "value", x)))
+    def test_matches_oracle(self, meas, q):
+        rng = random.Random(q * 11 + len(meas.value))
+        top = EXACT_LEVEL_BOUND[meas]
+        all_types = _oracle_types(LayerSpec(meas, top, q))
+        for d in range(top + 1):
+            spec = LayerSpec(meas, d, q)
+            types = [m for m in all_types if level(m, meas) <= d]
+            for kind in ("fraction", "int", "mixed"):
+                values = _values(rng, kind, q)
+                if kind == "fraction":
+                    values[2 + d % (q - 1)] = Fraction(0)
+                got, want = layer_sums(spec, values), _oracle_layer_sums(types, spec, values)
+                assert list(got.items()) == list(want.items()), (d, kind, values)
+                assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+    @pytest.mark.parametrize("meas", [Measure.VERTEX, Measure.EDGE], ids=lambda m: m.value)
+    def test_unbounded_gons_match_oracle(self, meas):
+        rng = random.Random(len(meas.value))
+        for d in range(15):
+            spec = LayerSpec(meas, d)
+            values = _values(rng, "mixed", spec.max_gon())
+            got, want = layer_sums(spec, values), _oracle_layer_sums(_oracle_types(spec), spec, values)
+            assert list(got.items()) == list(want.items()), (d, values)
+            assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+    def test_exact_values_never_walk(self, monkeypatch):
+        def walk(spec):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(series, "_walk", walk)
+        for spec in (LayerSpec(Measure.VERTEX, 9, 4), LayerSpec(Measure.EDGE, 9),
+                     LayerSpec(Measure.FACE, 5, 3)):
+            assert layer_sums(spec, {k: Fraction(1, k + 5) for k in range(2, 11)})[0] == 1
+            assert layer_sums(spec, {k: k - 3 for k in range(2, 11)})[0] == 1
+            with pytest.raises(AssertionError, match="walked"):
+                layer_sums(spec, {k: 1 / (k + 5) for k in range(2, 11)})
+
+    def test_vertex_60_seven_gons_under_a_second(self):
+        # walking every admitted type took 3.4 s (2-core Xeon VM, Python 3.11)
+        spec = LayerSpec(Measure.VERTEX, 60, 8)
+        start = time.perf_counter()
+        sums = layer_sums(spec, {k: Fraction(1, 10 + 3 * k) for k in range(2, 9)})
+        assert time.perf_counter() - start < 1.0
+        assert sorted(sums) == list(range(61))
 
 
 # every measure up to d = 12, face layering with q = 2..6 up to d = 6
