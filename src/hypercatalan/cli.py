@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: coeff, table, verify, solve, subdigons, raney, powers.
-Exit codes: 0 success/verified, 1 verification failure, 2 usage error.
+Exit codes: 0 success/verified, 1 verification failure or stdout closed early, 2 usage error.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
+import os
 import sys
 from fractions import Fraction
 from typing import NoReturn
@@ -24,7 +24,7 @@ from .core import (
     raney_count,
     vef,
 )
-from .series import LayerSpec, Measure
+from .series import LayeredPoly, LayerSpec, Measure
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -80,17 +80,7 @@ def cmd_coeff(args) -> int:
 
 def cmd_table(args) -> int:
     spec = _spec(args.measure, args.d, args.q)
-    if args.format == "csv":
-        sys.stdout.write(series.table_csv(spec))
-    elif args.format == "json":
-        rows = [
-            {"row": label, "terms": json.loads(poly.to_json())}
-            for label, poly in series.table_rows(spec)
-        ]
-        print(json.dumps(rows))
-    else:
-        for label, poly in series.table_rows(spec):
-            print(f"{label:>16}  {poly}")
+    sys.stdout.write(series.render_table(spec, series.table_rows(spec), args.format))
     return 0
 
 
@@ -100,10 +90,10 @@ def cmd_verify(args) -> int:
     if not residual:
         print("ZERO")
         return 0
-    for lvl in range(spec.d + 1):
-        part = series.layer_slice(residual, spec.measure, lvl)
-        if part:
-            print(f"NONZERO at level {lvl}: {part}")
+    lvl = min(series.level(m, spec.measure) for m in residual.terms)
+    part = series.layer_slice(residual, spec.measure, lvl)
+    first = LayeredPoly.monomial(*part.ordered()[0])
+    print(f"NONZERO at level {lvl}: {len(part)} nonzero terms, first {first}")
     return 1
 
 
@@ -305,7 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early (`| head`): devnull keeps the exit flush quiet (signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -9,9 +9,10 @@ is sound because all three measures are additive.
 
 The coefficient walk (_walk) and the layering identity (evaluate_geometric,
 table_rows) run on packed keys: the walk emits beta as level buckets of
-packed keys, and the kernel multiplies them.  TypeVector appears only in
-enumerate_types, build_beta and the residual or table rows they return;
-a caller-supplied beta is packed by _graded.
+packed keys, and the kernel multiplies them.  table_rows returns those
+buckets and render_table prints them, decoding each key once.  TypeVector
+appears only in enumerate_types, build_beta and the residual
+evaluate_geometric returns; a caller-supplied beta is packed by _graded.
 
 - Packed keys: a monomial admitted at level bound d is the int
   sum_k m_k * B^(k-2) with B = d+1 (Kronecker substitution), so a
@@ -154,14 +155,11 @@ class LayeredPoly:
             out[m] = out.get(m, 0) + c
         return LayeredPoly(out)
 
-    def __sub__(self, other: "LayeredPoly") -> "LayeredPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return LayeredPoly(out)
-
     def __neg__(self) -> "LayeredPoly":
         return LayeredPoly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other: "LayeredPoly") -> "LayeredPoly":
+        return self + -other
 
     def __mul__(self, other: "LayeredPoly") -> "LayeredPoly":
         out: dict[TypeVector, int] = {}
@@ -171,38 +169,26 @@ class LayeredPoly:
                 out[m] = out.get(m, 0) + c1 * c2
         return LayeredPoly(out)
 
+    def ordered(self) -> list[tuple[TypeVector, int]]:
+        """The terms in print order: by face count, then by entries."""
+        return sorted(self.terms.items(), key=lambda t: (t[0].faces(), t[0].entries))
+
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in sorted(self.terms.items(), key=lambda t: (t[0].faces(), t[0].entries)):
-            mono = "".join(
-                f"t{k}" + (f"^{mk}" if mk > 1 else "") for k, mk in m.items()
-            )
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append("-" + mono)
-            else:
-                parts.append(f"{c}{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _poly_text((_mono_text(m.items()), c) for m, c in self.ordered())
 
-    def to_json(self) -> str:
-        rows = [
-            {"type": m.to_counts(), "coeff": str(c)}
-            for m, c in sorted(self.terms.items(), key=lambda t: (t[0].faces(), t[0].entries))
-        ]
-        return json.dumps(rows)
 
-    @classmethod
-    def from_json(cls, text: str) -> "LayeredPoly":
-        out: dict[TypeVector, int] = {}
-        for row in json.loads(text):
-            m = TypeVector.from_counts(row["type"])
-            out[m] = out.get(m, 0) + int(row["coeff"])
-        return cls(out)
+def _mono_text(entries) -> str:
+    """'t2^3t4' for the (k, m_k) pairs ((2, 3), (4, 1))."""
+    return "".join(f"t{k}^{mk}" if mk > 1 else f"t{k}" for k, mk in entries)
+
+
+def _poly_text(terms) -> str:
+    """'42t2^5 - t4' from (monomial text, coefficient) pairs in print order; '0' if none."""
+    text = " + ".join(
+        mono if c == 1 and mono else "-" + mono if c == -1 and mono else f"{c}{mono}"
+        for mono, c in terms
+    )
+    return text.replace("+ -", "- ") if text else "0"
 
 
 def truncate(p: LayeredPoly, spec: LayerSpec) -> LayeredPoly:
@@ -341,15 +327,17 @@ def _pack(m: TypeVector, base: int) -> int:
     return sum(mk * base ** (k - 2) for k, mk in m.items())
 
 
-def _unpack(key: int, base: int) -> TypeVector:
-    entries = []
-    k = 2
+def _counts(key: int, base: int) -> list[int]:
+    """The exponents [m2, m3, ...] of a packed key, with no trailing zero."""
+    counts = []
     while key:
         key, mk = divmod(key, base)
-        if mk:
-            entries.append((k, mk))
-        k += 1
-    return TypeVector(tuple(entries))
+        counts.append(mk)
+    return counts
+
+
+def _unpack(key: int, base: int) -> TypeVector:
+    return TypeVector(tuple((k, mk) for k, mk in enumerate(_counts(key, base), 2) if mk))
 
 
 def _graded(p: LayeredPoly, spec: LayerSpec) -> Graded:
@@ -450,38 +438,50 @@ def geode_quotient(d: int, q: int) -> LayeredPoly:
     """Face-layer-d slice of beta - 1 divided exactly by t_2 + ... + t_q."""
     if d < 1:
         raise ValueError(f"face level {d} < 1")
-    if q < 2:
-        raise ValueError(f"gon bound {q} < 2")
-    spec = LayerSpec(Measure.FACE, d, q)
+    spec = LayerSpec(Measure.FACE, d, q)  # rejects q < 2
     sliced = _poly(_walk(spec)[d], spec)  # d >= 1, so the constant term is not in it
     divisor = LayeredPoly({unit_type(k): 1 for k in range(2, q + 1)})
     return divide_exact(sliced, divisor)
 
 
-def table_rows(spec: LayerSpec) -> list[tuple[str, LayeredPoly]]:
-    """Per-level, per-source-term decomposition of the layering identity.
+def table_rows(spec: LayerSpec) -> list[tuple[str, dict[int, int]]]:
+    """Per-level, per-source-term decomposition of the layering identity, packed.
 
-    For each level up to d, one row per contributing source term
-    t_n*beta^n (slice at that level) plus the total row, the slice of
-    beta - 1.  Row label convention matches the layer tables:
-    "[v^3] t2 b^2" style source rows, "[v^3] total" for totals.
+    For each level up to d, the level bucket of each contributing source term
+    t_n*beta^n, labelled "[v^3] t2 b^2", then that of beta - 1, "[v^3] total".
     """
-    sym = {Measure.VERTEX: "v", Measure.EDGE: "e", Measure.FACE: "f"}[spec.measure]
+    sym = spec.measure.value[0]
     beta = _walk(spec)
     sources = list(_graded_sources(beta, spec))
     beta[0][0] = beta[0].get(0, 0) - 1  # the total rows are beta - 1
-    rows: list[tuple[str, LayeredPoly]] = []
+    rows = []
     for lvl in range(spec.d + 1):
-        for n, source in sources:
-            part = _poly(source[lvl], spec)
-            if part:
-                rows.append((f"[{sym}^{lvl}] t{n} b^{n}", part))
-        rows.append((f"[{sym}^{lvl}] total", _poly(beta[lvl], spec)))
+        rows += [(f"[{sym}^{lvl}] t{n} b^{n}", src[lvl]) for n, src in sources if src[lvl]]
+        rows.append((f"[{sym}^{lvl}] total", beta[lvl]))
     return rows
 
 
-def table_csv(spec: LayerSpec) -> str:
-    lines = ["row,polynomial"]
-    for label, poly in table_rows(spec):
-        lines.append(f'{label},"{poly}"')
+def render_table(spec: LayerSpec, rows: list[tuple[str, dict[int, int]]], fmt: str) -> str:
+    """The rows of table_rows as text, csv or json; zero coefficients are skipped.
+
+    Each key is decoded once per call, and all keys are sorted once into
+    LayeredPoly's print order (face count, then entries) that every row reuses.
+    """
+    counts = {key: _counts(key, spec.d + 1) for key in set().union(*(b for _, b in rows))}
+    entries = {key: tuple((k, m) for k, m in enumerate(c, 2) if m) for key, c in counts.items()}
+    order = sorted(counts, key=lambda key: (sum(counts[key]), entries[key]))
+    rank = dict(zip(order, range(len(order))))
+    show = counts if fmt == "json" else {key: _mono_text(e) for key, e in entries.items()}
+
+    def terms(bucket):
+        ranked = sorted(bucket, key=rank.__getitem__)
+        return [(show[key], bucket[key]) for key in ranked if bucket[key]]
+
+    if fmt == "json":
+        table = [{"row": label, "terms": [{"type": m, "coeff": str(c)} for m, c in terms(b)]}
+                 for label, b in rows]
+        return json.dumps(table) + "\n"
+    line = '{},"{}"'.format if fmt == "csv" else "{:>16}  {}".format
+    lines = ["row,polynomial"] if fmt == "csv" else []
+    lines += [line(label, _poly_text(terms(b))) for label, b in rows]
     return "\n".join(lines) + "\n"

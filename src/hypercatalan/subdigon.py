@@ -186,6 +186,9 @@ def enumerate_subdigons(m: TypeVector, face_cap: int = DEFAULT_FACE_CAP) -> list
 def _count(m: Counts) -> int:
     if not m:
         return 1
+    # memoize every smaller sub-type first, by face count: no call recurses deeper than an arity
+    for s in sorted(itertools.product(*(range(mk + 1) for mk in m)), key=sum)[:-1]:
+        _count(_key(s))
     return sum(_count_tuple(_unit_minus(m, r), r) for r, mr in enumerate(m, start=2) if mr)
 
 

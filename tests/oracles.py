@@ -3,13 +3,15 @@
 Each one is the plain form of a fast path in ``hypercatalan``: subdigons
 as ``PlaneTree`` objects enumerated and counted through ``TypeVector``
 arithmetic, Raney lists by depth-first search over prefixes, rotations
-by testing every offset, the structural helpers that only tests use, and
-the recurrence of the Catalan power coefficients by their closed form.
+by testing every offset, the structural helpers that only tests use, the
+recurrence of the Catalan power coefficients by their closed form, and
+the text and JSON forms of a ``LayeredPoly`` term by term.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from functools import lru_cache
 from typing import Sequence
 
@@ -202,3 +204,42 @@ def power_recurrence_check(r: int, m: int) -> bool:
     if r < 3:
         raise ValueError(f"recurrence needs power >= 3, got {r}")
     return catalan_power(r, m) == catalan_power(r - 1, m + 1) - catalan_power(r - 2, m + 1)
+
+
+# -- polynomial display -----------------------------------------------------------
+
+
+def _print_order(p: LayeredPoly) -> list[tuple[TypeVector, int]]:
+    return sorted(p.terms.items(), key=lambda t: (t[0].faces(), t[0].entries))
+
+
+def poly_text(p: LayeredPoly) -> str:
+    """'42t2^5 + 5t2t3 - t4': terms by face count then entries, coefficients +-1 elided."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for m, c in _print_order(p):
+        mono = "".join(f"t{k}" + (f"^{mk}" if mk > 1 else "") for k, mk in m.items())
+        if not mono:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append("-" + mono)
+        else:
+            parts.append(f"{c}{mono}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def poly_to_json(p: LayeredPoly) -> str:
+    """JSON list of {"type": [m2, m3, ...], "coeff": "<int>"} in print order."""
+    return json.dumps([{"type": m.to_counts(), "coeff": str(c)} for m, c in _print_order(p)])
+
+
+def poly_from_json(text: str) -> LayeredPoly:
+    """Inverse of poly_to_json; repeated types add up."""
+    out: dict[TypeVector, int] = {}
+    for row in json.loads(text):
+        m = TypeVector.from_counts(row["type"])
+        out[m] = out.get(m, 0) + int(row["coeff"])
+    return LayeredPoly(out)

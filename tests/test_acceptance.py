@@ -35,6 +35,7 @@ from hypercatalan.series import (
     LayeredPoly,
     LayerSpec,
     Measure,
+    _poly as unpack_bucket,
     build_beta,
     geode_quotient,
     layer_slice,
@@ -193,7 +194,7 @@ def _poly(terms):
     (LayerSpec(Measure.FACE, 4, 3), FACE_TABLE),
 ])
 def test_criterion_4_table_reproduction(spec, expected):
-    got = dict(table_rows(spec))
+    got = {label: unpack_bucket(bucket, spec) for label, bucket in table_rows(spec)}
     assert set(got) == set(expected)
     for label, terms in expected.items():
         assert got[label] == _poly(terms), label

@@ -1,13 +1,19 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hypercatalan
+from hypercatalan import series, subdigon
 from hypercatalan.cli import build_parser, main
+from hypercatalan.core import TypeVector, central_count, hyper_catalan
 from hypercatalan.subdigon import parse
 
 
@@ -62,6 +68,24 @@ class TestVerify:
             main(["verify", "--measure", "face", "--d", "3"])
         assert exc.value.code == 2
 
+    # (level, [m2, m3, ...], added to C_m) for each corrupted coefficient of the walked beta
+    @pytest.mark.parametrize("bumps,line", [
+        ([(5, [5], 2)], "NONZERO at level 5: 1 nonzero terms, first -2t2^5"),
+        ([(3, [0, 0, 1], 1), (3, [1, 1], -4), (5, [5], 1)],
+         "NONZERO at level 3: 2 nonzero terms, first -t4"),
+    ], ids=["one-at-level-d", "lowest-of-two-levels"])
+    def test_failure_names_first_level_and_term(self, capsys, monkeypatch, bumps, line):
+        walk = series._walk
+
+        def corrupted(spec):
+            buckets = walk(spec)
+            for lvl, counts, by in bumps:
+                buckets[lvl][series._pack(TypeVector.from_counts(counts), spec.d + 1)] += by
+            return buckets
+
+        monkeypatch.setattr(series, "_walk", corrupted)
+        assert run(capsys, "verify", "--measure", "vertex", "--d", "5") == (1, line + "\n")
+
 
 class TestTable:
     def test_vertex_text(self, capsys):
@@ -83,6 +107,82 @@ class TestTable:
         _, first = run(capsys, "table", "--measure", "edge", "--d", "6")
         _, second = run(capsys, "table", "--measure", "edge", "--d", "6")
         assert first == second
+
+    # d = 22 prints about 370 kB, several pipe buffers, after the first line is read;
+    # d = 3 prints 1 kB, which a buffered stdout only writes at its last flush
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("d,first", [("22", b"     [v^0] total  0\n"), ("3", b"")],
+                             ids=["after-first-line", "before-any-output"])
+    def test_closed_stdout_ends_quietly(self, unbuffered, d, first):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(hypercatalan.__file__).parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [sys.executable, "-m", "hypercatalan.cli", "table", "--measure", "vertex", "--d", d]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        line = proc.stdout.readline() if first else b""
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        # one large write into a closed pipe can end short without an error when unbuffered
+        assert proc.wait(timeout=120) in ((0, 1) if unbuffered and first else (1,))
+        assert (line, err) == (first, b"")
+
+
+TABLE_FACE_3_3 = {
+    "text": (
+        "     [f^0] total  0\n"
+        "    [f^1] t2 b^2  t2\n"
+        "    [f^1] t3 b^3  t3\n"
+        "     [f^1] total  t2 + t3\n"
+        "    [f^2] t2 b^2  2t2t3 + 2t2^2\n"
+        "    [f^2] t3 b^3  3t2t3 + 3t3^2\n"
+        "     [f^2] total  5t2t3 + 2t2^2 + 3t3^2\n"
+        "    [f^3] t2 b^2  7t2t3^2 + 12t2^2t3 + 5t2^3\n"
+        "    [f^3] t3 b^3  21t2t3^2 + 9t2^2t3 + 12t3^3\n"
+        "     [f^3] total  28t2t3^2 + 21t2^2t3 + 5t2^3 + 12t3^3\n"
+    ),
+    "csv": (
+        "row,polynomial\n"
+        '[f^0] total,"0"\n'
+        '[f^1] t2 b^2,"t2"\n'
+        '[f^1] t3 b^3,"t3"\n'
+        '[f^1] total,"t2 + t3"\n'
+        '[f^2] t2 b^2,"2t2t3 + 2t2^2"\n'
+        '[f^2] t3 b^3,"3t2t3 + 3t3^2"\n'
+        '[f^2] total,"5t2t3 + 2t2^2 + 3t3^2"\n'
+        '[f^3] t2 b^2,"7t2t3^2 + 12t2^2t3 + 5t2^3"\n'
+        '[f^3] t3 b^3,"21t2t3^2 + 9t2^2t3 + 12t3^3"\n'
+        '[f^3] total,"28t2t3^2 + 21t2^2t3 + 5t2^3 + 12t3^3"\n'
+    ),
+    "json": (
+        '[{"row": "[f^0] total", "terms": []}, '
+        '{"row": "[f^1] t2 b^2", "terms": [{"type": [1], "coeff": "1"}]}, '
+        '{"row": "[f^1] t3 b^3", "terms": [{"type": [0, 1], "coeff": "1"}]}, '
+        '{"row": "[f^1] total", "terms": [{"type": [1], "coeff": "1"}, '
+        '{"type": [0, 1], "coeff": "1"}]}, '
+        '{"row": "[f^2] t2 b^2", "terms": [{"type": [1, 1], "coeff": "2"}, '
+        '{"type": [2], "coeff": "2"}]}, '
+        '{"row": "[f^2] t3 b^3", "terms": [{"type": [1, 1], "coeff": "3"}, '
+        '{"type": [0, 2], "coeff": "3"}]}, '
+        '{"row": "[f^2] total", "terms": [{"type": [1, 1], "coeff": "5"}, '
+        '{"type": [2], "coeff": "2"}, {"type": [0, 2], "coeff": "3"}]}, '
+        '{"row": "[f^3] t2 b^2", "terms": [{"type": [1, 2], "coeff": "7"}, '
+        '{"type": [2, 1], "coeff": "12"}, {"type": [3], "coeff": "5"}]}, '
+        '{"row": "[f^3] t3 b^3", "terms": [{"type": [1, 2], "coeff": "21"}, '
+        '{"type": [2, 1], "coeff": "9"}, {"type": [0, 3], "coeff": "12"}]}, '
+        '{"row": "[f^3] total", "terms": [{"type": [1, 2], "coeff": "28"}, '
+        '{"type": [2, 1], "coeff": "21"}, {"type": [3], "coeff": "5"}, '
+        '{"type": [0, 3], "coeff": "12"}]}]\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", TABLE_FACE_3_3)
+def test_table_stdout_is_pinned(capsys, fmt):
+    argv = ["table", "--measure", "face", "--d", "3", "--q", "3", "--format", fmt]
+    assert run(capsys, *argv) == (0, TABLE_FACE_3_3[fmt])
 
 
 class TestSolve:
@@ -222,6 +322,17 @@ class TestSubdigons:
         _, dumped = run(capsys, "subdigons", "--type", "2,1", "--format", "json")
         assert listed.splitlines() == json.loads(dumped)
         assert dumped == json.dumps(listed.splitlines()) + "\n"
+
+    @pytest.mark.parametrize("counts", ["150", "200", "2,2,1,1"])
+    def test_count_from_empty_memo(self, capsys, counts):
+        # a type of 150 faces of one arity ran out of stack when the memo was empty
+        subdigon._count.cache_clear()
+        subdigon._count_tuple.cache_clear()
+        m = TypeVector.from_counts(int(c) for c in counts.split(","))
+        split = [f"central-{r + 1}:{central_count(m, r)}" for r, _ in m.items()]
+        assert sum(central_count(m, r) for r, _ in m.items()) == hyper_catalan(m)
+        expected = f"{hyper_catalan(m)} split {' '.join(split)}\n"
+        assert run(capsys, "subdigons", "--type", counts) == (0, expected)
 
     def test_arity_above_9_is_bracketed(self, capsys):
         code, out = run(capsys, "subdigons", "--type", "0,0,0,0,0,0,0,0,0,0,1", "--format", "list")

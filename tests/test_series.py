@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypercatalan.series import (
     Measure,
     NonzeroRemainder,
     _graded,
+    _poly,
     _unpack,
     _walk,
     build_beta,
@@ -24,10 +26,13 @@ from hypercatalan.series import (
     layer_sums,
     level,
     mul_truncated,
+    render_table,
     table_rows,
     truncate,
 )
 from hypercatalan.subdigon import count_subdigons
+
+from oracles import poly_from_json, poly_text, poly_to_json
 
 
 def tv(*counts):
@@ -300,7 +305,45 @@ class TestPackedKernel:
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
     def test_table_rows_match_oracle(self, spec):
-        assert table_rows(spec) == _oracle_table_rows(spec)
+        rows = [(label, _poly(bucket, spec)) for label, bucket in table_rows(spec)]
+        assert rows == _oracle_table_rows(spec)
+
+
+def _oracle_render(spec, fmt):
+    """The table as LayeredPoly rows of the oracle chain, each printed on its own."""
+    rows = _oracle_table_rows(spec)
+    if fmt == "json":
+        return json.dumps([{"row": label, "terms": json.loads(poly_to_json(p))}
+                           for label, p in rows]) + "\n"
+    if fmt == "csv":
+        return "row,polynomial\n" + "".join(f'{label},"{poly_text(p)}"\n' for label, p in rows)
+    return "".join(f"{label:>16}  {poly_text(p)}\n" for label, p in rows)
+
+
+class TestRenderTable:
+    """render_table on the packed rows against the oracle rows printed term by term."""
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
+    def test_matches_oracle(self, spec, fmt):
+        assert render_table(spec, table_rows(spec), fmt) == _oracle_render(spec, fmt)
+
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
+    def test_str_matches_oracle(self, spec):
+        for _, p in _oracle_table_rows(spec):
+            assert str(p) == poly_text(p)
+
+    def test_signs_and_constant_term(self):
+        p = poly((1, []), (-1, [1]), (-3, [0, 1]), (1, [2]), (5, [0, 0, 1]))
+        assert str(p) == poly_text(p) == "1 - t2 - 3t3 + 5t4 + t2^2"
+        assert str(poly((-1, []))) == "-1"
+        assert str(LayeredPoly.zero()) == "0"
+
+    def test_zero_coefficients_are_skipped(self):
+        spec = LayerSpec(Measure.VERTEX, 2)
+        rows = [("a", {0: 0, 1: 0}), ("b", {1: 2, 0: -1})]
+        assert render_table(spec, rows, "text") == "               a  0\n               b  -1 + 2t2\n"
+        assert json.loads(render_table(spec, rows, "json"))[0] == {"row": "a", "terms": []}
 
 
 class TestPowers:
@@ -348,11 +391,11 @@ class TestGeode:
 class TestSerialization:
     def test_json_round_trip(self):
         beta = build_beta(LayerSpec(Measure.VERTEX, 4))
-        assert LayeredPoly.from_json(beta.to_json()) == beta
+        assert poly_from_json(poly_to_json(beta)) == beta
 
     def test_table_rows_sum_to_total(self):
         for spec in (LayerSpec(Measure.VERTEX, 5), LayerSpec(Measure.FACE, 4, 3)):
-            rows = table_rows(spec)
+            rows = [(label, _poly(bucket, spec)) for label, bucket in table_rows(spec)]
             acc = LayeredPoly.zero()
             for label, p in rows:
                 if label.endswith("total"):

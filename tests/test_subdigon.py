@@ -1,7 +1,10 @@
 import itertools
+import sys
+import traceback
 
 import pytest
 
+from hypercatalan import subdigon
 from hypercatalan.core import TypeVector, central_count, hyper_catalan, vef
 from hypercatalan.series import LayeredPoly
 from hypercatalan.subdigon import (
@@ -131,6 +134,20 @@ class TestCounting:
     def test_matches_enumeration(self):
         for m in all_small_types(max_faces=4, max_gon=4):
             assert count_subdigons(m) == len(enumerate_subdigons(m))
+
+    # 200 faces of one arity, and 9 of arities 3 and 6
+    @pytest.mark.parametrize("counts", [{2: 200}, {2: 4, 5: 5}])
+    def test_recursion_depth_bounded_by_arity(self, counts):
+        subdigon._count.cache_clear()
+        subdigon._count_tuple.cache_clear()
+        m = TypeVector.of(counts)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(traceback.extract_stack()) + 40)
+        try:
+            count = count_subdigons(m)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert count == hyper_catalan(m)
 
 
 class TestCentralClassification:
