@@ -14,7 +14,7 @@ from .core import _exact_div
 
 
 class UniPoly:
-    """Dense univariate polynomial with exact integer coefficients."""
+    """Dense univariate polynomial with integer coefficients (float ones for float level sums)."""
 
     __slots__ = ("coeffs",)
 

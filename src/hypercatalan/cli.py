@@ -257,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "write --coeffs=-1/3,1/5 when t2 is negative")
     p.add_argument("--measure", choices=["vertex", "edge", "face"], default="vertex")
     p.add_argument("--d", type=int, required=True, help="max level")
-    p.add_argument("--float", action="store_true", help="float instead of exact rationals")
+    p.add_argument("--float", action="store_true",
+                   help="float level sums instead of exact rationals, each within 1e-13 of "
+                        "the sum of |terms| of the exact one")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("subdigons", help="enumerate or count subdigons of a type")

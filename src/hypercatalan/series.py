@@ -27,7 +27,7 @@ evaluate_geometric returns; a caller-supplied beta is packed by _graded.
 
 mul_truncated stays as the slow oracle the tests compare the kernel to.
 
-Exact level sums (layer_sums) need no walk.  Group the types by F = sum_k m_k
+Level sums (layer_sums) need no walk.  Group the types by F = sum_k m_k
 and s = sum_k (k-1) m_k: V - 1 = s + 1 and E - 1 = F + s, so C_m =
 binom(F+s, F)/(s+1) * F!/m!, and by the multinomial theorem the sum of
 F!/m! * t^m over one (F, s) is [mu^s] (sum_k t_k mu^(k-1))^F.  With
@@ -35,6 +35,8 @@ t_k = a_k/Q over one denominator, R(mu) = sum_k a_k mu^(k-2) and the excess
 e = s - F, the cell (F, e) adds binom(F+s, F) * [mu^e] R^F // (s+1) over
 Q^F (exact: it is sum C_m * prod_k a_k^m_k).  Its level is s (vertex), F + s
 (edge) or F (face), weight(2)*F + (weight(3) - weight(2))*e in each case.
+Float values take the same cells with Q = 1 and a_k = t_k as floats, the
+cell adding binom(F+s, F)/(s+1) * [mu^e] R^F.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm, perm
+from math import isfinite, lcm, perm
 from operator import mul
 
 from .catpow import UniPoly
@@ -265,61 +267,51 @@ def build_beta(spec: LayerSpec) -> LayeredPoly:
 def layer_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
     """{level: sum of C_m * prod_k values[k]^m_k over the types spec admits at that level}.
 
-    A level is present iff spec admits a type at it; it is an int unless a type
-    at it uses a Fraction value, so level 0 is the int 1.  Int and Fraction
-    values take no walk: the cells (F, e) of the module docstring add up to one
-    numerator per level l over Q^(l // weight(2)), l // weight(2) being the most
-    faces at level l.  Other values, such as floats, are multiplied in term by
-    term along the walk.
+    Summed by the cells (F, e) of the module docstring.  A level is present iff
+    spec admits a type at it, and level 0 is the int 1.  Int and Fraction values
+    give exact sums: one numerator per level l over Q^(l // weight(2)), the most
+    faces at l, and an int unless a type at l uses a Fraction value.  Other
+    values are taken as floats; a level sum that is not finite raises OverflowError.
     """
     d, ks = spec.d, [(k, weight(k, spec.measure)) for k in range(2, spec.max_gon() + 1)]
-    sums: dict[int, object] = {}
-    if all(isinstance(v, (int, Fraction)) for v in values.values()):
-        # reach[l]: spec admits a type at level l (an unbounded knapsack over the weights)
-        reach = [True] + [False] * d
-        for _, w in ks:
-            for lvl in range(w, d + 1):
-                reach[lvl] = reach[lvl] or reach[lvl - w]
-        fracs = [w for k, w in ks if isinstance(values[k], Fraction)]
+    # reach[l]: spec admits a type at level l (an unbounded knapsack over the weights)
+    reach = [True] + [False] * d
+    for _, w in ks:
+        for lvl in range(w, d + 1):
+            reach[lvl] = reach[lvl] or reach[lvl - w]
+    exact = all(isinstance(values[k], (int, Fraction)) for k, _ in ks)
+    if exact:
         q = lcm(*(values[k].denominator for k, _ in ks))
         r = UniPoly(values[k].numerator * (q // values[k].denominator) for k, _ in ks)
-        # the cell (F, e) sits at level w2*F + step*e; R^F is cut at the largest e that fits
-        w2, step = weight(2, spec.measure), weight(3, spec.measure) - weight(2, spec.measure)
-        qpow = list(accumulate([q] * (d // w2), mul, initial=1))  # up to Q^(most faces)
-        nums = [1] + [0] * d
-        power, central = UniPoly.one(), 1  # R^F and binom(2F, F)
-        for f in range(1, d // w2 + 1):
-            power = power.truncated_mul(r, (d - w2 * f) // step if step else f * (len(ks) - 1))
-            central = central * (4 * f - 2) // f
-            b = central  # binom(F + s, F) with s = F + e
-            for e, c in enumerate(power.coeffs):
-                if e:
-                    b = b * (2 * f + e) // (f + e)
-                if c:
-                    lvl = w2 * f + step * e
+    else:
+        q, r = 1, UniPoly(float(values[k]) for k, _ in ks)
+    # the cell (F, e) sits at level w2*F + step*e; R^F is cut at the largest e that fits
+    w2, step = weight(2, spec.measure), weight(3, spec.measure) - weight(2, spec.measure)
+    qpow = list(accumulate([q] * (d // w2), mul, initial=1))  # up to Q^(most faces)
+    nums = [1] + [0 if exact else 0.0] * d
+    power, central = UniPoly.one(), 1  # R^F and binom(2F, F)
+    for f in range(1, d // w2 + 1):
+        power = power.truncated_mul(r, (d - w2 * f) // step if step else f * (len(ks) - 1))
+        central = central * (4 * f - 2) // f
+        b = central  # binom(F + s, F) with s = F + e
+        for e, c in enumerate(power.coeffs):
+            if e:
+                b = b * (2 * f + e) // (f + e)
+            if c:
+                lvl = w2 * f + step * e
+                if exact:
                     nums[lvl] += b * c // (f + e + 1) * qpow[lvl // w2 - f]
-        for lvl in range(d + 1):
-            if reach[lvl]:
-                num, den = nums[lvl], qpow[lvl // w2]
-                frac = any(w <= lvl and reach[lvl - w] for w in fracs)
-                sums[lvl] = Fraction(num, den) if frac else num // den
-        return sums
-    # pows[k][mk] = values[k] ** mk, extended on first use: the first term
-    # that overflows raises, whichever of its factors overflows first
-    base = d + 1
-    pows = {k: [1] for k, _ in ks}
-    for lvl, bucket in enumerate(_walk(spec)):
-        for key, c in bucket.items():
-            k = 2
-            while key:
-                key, mk = divmod(key, base)
-                if mk:
-                    p = pows[k]
-                    while len(p) <= mk:
-                        p.append(values[k] ** len(p))
-                    c = c * p[mk]
-                k += 1
-            sums[lvl] = sums.get(lvl, 0) + c
+                else:
+                    nums[lvl] += b / (f + e + 1) * c
+    fracs = [w for k, w in ks if exact and isinstance(values[k], Fraction)]
+    sums: dict[int, object] = {}
+    for lvl in range(d + 1):
+        if reach[lvl]:
+            num, den = nums[lvl], qpow[lvl // w2]
+            frac = any(w <= lvl and reach[lvl - w] for w in fracs)
+            sums[lvl] = Fraction(num, den) if frac else num // den if exact else num
+            if not (exact or isfinite(num)):
+                raise OverflowError(f"level {lvl} sum is {num}")
     return sums
 
 

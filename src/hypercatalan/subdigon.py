@@ -182,26 +182,19 @@ def enumerate_subdigons(m: TypeVector, face_cap: int = DEFAULT_FACE_CAP) -> list
     return list(_enumerate(tuple(m.to_counts())))
 
 
-@lru_cache(maxsize=None)
-def _count(m: Counts) -> int:
-    if not m:
-        return 1
-    # memoize every smaller sub-type first, by face count: no call recurses deeper than an arity
-    for s in sorted(itertools.product(*(range(mk + 1) for mk in m)), key=sum)[:-1]:
-        _count(_key(s))
-    return sum(_count_tuple(_unit_minus(m, r), r) for r, mr in enumerate(m, start=2) if mr)
+_count_memo: dict[Counts, int] = {}  # subdigons per type, filled by count_subdigons
 
 
 @lru_cache(maxsize=None)
 def _count_tuple(m: Counts, parts: int) -> int:
-    """Ordered tuples of `parts` subdigons with types summing to m."""
+    """Ordered tuples of `parts` subdigons with types summing to m, all memoized."""
     if parts == 0:
         return 0 if m else 1
     if parts == 1:
-        return _count(m)
+        return _count_memo[m]
     total = 0
     for first, left in _halves(m):
-        c = _count(first)
+        c = _count_memo[first]
         if c:
             total += c * _count_tuple(left, parts - 1)
     return total
@@ -209,7 +202,16 @@ def _count_tuple(m: Counts, parts: int) -> int:
 
 def count_subdigons(m: TypeVector) -> int:
     """|enumerate_subdigons(m)| via the same recursion, memoized, no materialization."""
-    return _count(tuple(m.to_counts()))
+    counts = tuple(m.to_counts())
+    if counts not in _count_memo:
+        # fill every missing sub-type once, by face count: each reads only smaller
+        # ones, so no call recurses deeper than an arity
+        for s in sorted(itertools.product(*(range(mk + 1) for mk in counts)), key=sum):
+            s = _key(s)
+            if s not in _count_memo:
+                _count_memo[s] = sum(_count_tuple(_unit_minus(s, r), r)
+                                     for r, sr in enumerate(s, start=2) if sr) if s else 1
+    return _count_memo[counts]
 
 
 def _digits(k: int) -> str:

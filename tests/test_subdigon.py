@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 import traceback
 
@@ -135,10 +136,18 @@ class TestCounting:
         for m in all_small_types(max_faces=4, max_gon=4):
             assert count_subdigons(m) == len(enumerate_subdigons(m))
 
+    def test_from_cleared_caches_matches_closed_form(self):
+        # each count fills the memo from empty, over every sub-type at once
+        for m in all_small_types(max_faces=8, max_gon=4):
+            subdigon._count_memo.clear()
+            subdigon._count_tuple.cache_clear()
+            assert count_subdigons(m) == hyper_catalan(m), m
+            assert len(subdigon._count_memo) == math.prod(mk + 1 for mk in m.to_counts())
+
     # 200 faces of one arity, and 9 of arities 3 and 6
     @pytest.mark.parametrize("counts", [{2: 200}, {2: 4, 5: 5}])
     def test_recursion_depth_bounded_by_arity(self, counts):
-        subdigon._count.cache_clear()
+        subdigon._count_memo.clear()
         subdigon._count_tuple.cache_clear()
         m = TypeVector.of(counts)
         limit = sys.getrecursionlimit()
