@@ -8,9 +8,9 @@ coefficients, and finite truncated checks of the identities.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb
 
-from .core import _exact_div
+from .core import TypeVector, power_coeff
 
 
 class UniPoly:
@@ -45,9 +45,6 @@ class UniPoly:
 
     def __eq__(self, other):
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -114,13 +111,12 @@ def catalan_series(order: int) -> UniPoly:
 
 
 def catalan_power(r: int, m: int) -> int:
-    """Coefficient of t^m in T^r: (r/(2m+r)) * binom(2m+r, m)."""
+    """Coefficient of t^m in T^r, (r/(2m+r)) * binom(2m+r, m): power_coeff of m triangles."""
     if r < 1:
         raise ValueError(f"power {r} < 1")
     if m < 0:
         raise ValueError(f"negative index {m}")
-    num = r * factorial(2 * m + r - 1)
-    return _exact_div(num, factorial(m + r) * factorial(m))
+    return power_coeff(TypeVector.of({2: m}), r)
 
 
 def p_poly(r: int) -> UniPoly:

@@ -24,7 +24,7 @@ from .core import (
     raney_count,
     vef,
 )
-from .series import LayeredPoly, LayerSpec, Measure
+from .series import LayerSpec, Measure
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -86,13 +86,13 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _spec(args.measure, args.d, args.q)
-    residual = series.evaluate_geometric(None, spec)
+    residual = series.evaluate_geometric(spec)
     if not residual:
         print("ZERO")
         return 0
-    lvl = min(series.level(m, spec.measure) for m in residual.terms)
-    part = series.layer_slice(residual, spec.measure, lvl)
-    first = LayeredPoly.monomial(*part.ordered()[0])
+    lvl = min(residual)
+    part = residual[lvl]
+    first = series.first_term(spec, part)
     print(f"NONZERO at level {lvl}: {len(part)} nonzero terms, first {first}")
     return 1
 

@@ -1,18 +1,18 @@
-"""Sparse exact multivariate polynomials with level truncation.
+"""Layered truncations of the series zero, on packed keys.
 
-A polynomial here is a finite map from TypeVector to a signed big
-integer.  Layer exponents (vertex level V-2, edge level E-1, face level
-F) are recomputed from each monomial's type vector, never stored.  A
-LayerSpec fixes a measure and a maximum level; truncated multiplication
-prunes partial products as soon as their level exceeds the bound, which
-is sound because all three measures are additive.
+A LayerSpec fixes a measure and a maximum level d: vertex level V-2, edge
+level E-1 or face level F, each a sum of one weight per gon.  The run-time
+paths keep every polynomial packed.  The coefficient walk (_walk) emits beta
+as level buckets of packed keys; evaluate_geometric returns the residual as
+{level: {packed key: coefficient}}; table_rows returns the buckets that
+render_table prints; geode_quotient solves over the keys of one bucket.
+Decoding, print order and text come from _printer, behind render_table and
+first_term alike.
 
-The coefficient walk (_walk) and the layering identity (evaluate_geometric,
-table_rows) run on packed keys: the walk emits beta as level buckets of
-packed keys, and the kernel multiplies them.  table_rows returns those
-buckets and render_table prints them, decoding each key once.  TypeVector
-appears only in enumerate_types, build_beta and the residual
-evaluate_geometric returns; a caller-supplied beta is packed by _graded.
+LayeredPoly, a map from TypeVector to int, is the type-vector form that the
+tests compare the packed paths with, through mul_truncated (which prunes
+partial products past level d, sound because every measure is additive),
+truncate, build_beta, enumerate_types and layer_slice.
 
 - Packed keys: a monomial admitted at level bound d is the int
   sum_k m_k * B^(k-2) with B = d+1 (Kronecker substitution), so a
@@ -24,8 +24,6 @@ evaluate_geometric returns; a caller-supplied beta is packed by _graded.
 - Tight truncation: t_n * beta^n is cut at d, so beta^n is computed only
   up to level d - weight(n).  The weights grow with n, so each power
   needs only the buckets of the previous one up to its own bound.
-
-mul_truncated stays as the slow oracle the tests compare the kernel to.
 
 Level sums (layer_sums) need no walk.  Group the types by F = sum_k m_k
 and s = sum_k (k-1) m_k: V - 1 = s + 1 and E - 1 = F + s, so C_m =
@@ -50,7 +48,7 @@ from math import isfinite, lcm, perm
 from operator import mul
 
 from .catpow import UniPoly
-from .core import TypeVector, unit_type
+from .core import TypeVector
 
 
 class Measure(enum.Enum):
@@ -121,62 +119,17 @@ class LayeredPoly:
         clean = {m: c for m, c in (terms or {}).items() if c != 0}
         object.__setattr__(self, "terms", clean)
 
-    @classmethod
-    def zero(cls) -> "LayeredPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LayeredPoly":
-        return cls({TypeVector(): 1})
-
-    @classmethod
-    def monomial(cls, m: TypeVector, coeff: int = 1) -> "LayeredPoly":
-        return cls({m: coeff})
-
     def __setattr__(self, *a):
         raise AttributeError("LayeredPoly is immutable")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LayeredPoly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def coeff(self, m: TypeVector) -> int:
-        return self.terms.get(m, 0)
-
-    def __add__(self, other: "LayeredPoly") -> "LayeredPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return LayeredPoly(out)
-
-    def __neg__(self) -> "LayeredPoly":
-        return LayeredPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "LayeredPoly") -> "LayeredPoly":
-        return self + -other
-
-    def __mul__(self, other: "LayeredPoly") -> "LayeredPoly":
-        out: dict[TypeVector, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 + m2
-                out[m] = out.get(m, 0) + c1 * c2
-        return LayeredPoly(out)
-
-    def ordered(self) -> list[tuple[TypeVector, int]]:
-        """The terms in print order: by face count, then by entries."""
-        return sorted(self.terms.items(), key=lambda t: (t[0].faces(), t[0].entries))
-
-    def __str__(self) -> str:
-        return _poly_text((_mono_text(m.items()), c) for m, c in self.ordered())
 
 
 def _mono_text(entries) -> str:
@@ -315,10 +268,6 @@ def layer_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
     return sums
 
 
-def _pack(m: TypeVector, base: int) -> int:
-    return sum(mk * base ** (k - 2) for k, mk in m.items())
-
-
 def _counts(key: int, base: int) -> list[int]:
     """The exponents [m2, m3, ...] of a packed key, with no trailing zero."""
     counts = []
@@ -332,17 +281,8 @@ def _unpack(key: int, base: int) -> TypeVector:
     return TypeVector(tuple((k, mk) for k, mk in enumerate(_counts(key, base), 2) if mk))
 
 
-def _graded(p: LayeredPoly, spec: LayerSpec) -> Graded:
-    """truncate(p, spec), packed and bucketed by level."""
-    buckets: Graded = [{} for _ in range(spec.d + 1)]
-    for m, c in p.terms.items():
-        if spec.admits(m):
-            buckets[level(m, spec.measure)][_pack(m, spec.d + 1)] = c
-    return buckets
-
-
 def _poly(bucket: dict[int, int], spec: LayerSpec) -> LayeredPoly:
-    return LayeredPoly({_unpack(key, spec.d + 1): c for key, c in bucket.items() if c})
+    return LayeredPoly({_unpack(key, spec.d + 1): c for key, c in bucket.items()})
 
 
 def _mul_graded(a: Graded, b: Graded, bound: int) -> Graded:
@@ -378,19 +318,20 @@ def _graded_sources(beta: Graded, spec: LayerSpec):
         ]
 
 
-def evaluate_geometric(beta: LayeredPoly | None, spec: LayerSpec) -> LayeredPoly:
-    """truncate(1 - beta + sum_n t_n * beta^n, spec); beta None is the walked series.
+def evaluate_geometric(spec: LayerSpec) -> dict[int, dict[int, int]]:
+    """The walked series' residual truncate(1 - beta + sum_n t_n * beta^n, spec), packed.
 
-    Zero whenever beta is the layered series truncation for spec.
+    {level: {packed key: coefficient}} of the nonzero terms: {} (zero) for the layered series.
     """
-    graded = _walk(spec) if beta is None else _graded(beta, spec)
-    acc = {key: -c for bucket in graded for key, c in bucket.items()}
-    acc[0] = acc.get(0, 0) + 1
-    for _, source in _graded_sources(graded, spec):
-        for bucket in source:
+    beta = _walk(spec)
+    acc = [{key: -c for key, c in bucket.items()} for bucket in beta]
+    acc[0][0] = acc[0].get(0, 0) + 1
+    for _, source in _graded_sources(beta, spec):
+        for out, bucket in zip(acc, source):
             for key, c in bucket.items():
-                acc[key] = acc.get(key, 0) + c
-    return _poly(acc, spec)
+                out[key] = out.get(key, 0) + c
+    return {lvl: terms for lvl, bucket in enumerate(acc)
+            if (terms := {key: c for key, c in bucket.items() if c})}
 
 
 def layer_slice(p: LayeredPoly, measure: Measure, n: int) -> LayeredPoly:
@@ -398,42 +339,30 @@ def layer_slice(p: LayeredPoly, measure: Measure, n: int) -> LayeredPoly:
     return LayeredPoly({m: c for m, c in p.terms.items() if level(m, measure) == n})
 
 
-def _lead(p: LayeredPoly) -> tuple[TypeVector, int]:
-    # lex-descending on the exponent list [m2, m3, ...]
-    m = max(p.terms, key=lambda t: t.to_counts())
-    return m, p.terms[m]
-
-
-def _monomial_divides(a: TypeVector, b: TypeVector) -> bool:
-    return all(b.get(k) >= mk for k, mk in a.items())
-
-
-def divide_exact(p: LayeredPoly, divisor: LayeredPoly) -> LayeredPoly:
-    """Single-divisor multivariate division; the remainder must vanish."""
-    if not divisor:
-        raise ZeroDivisionError("division by the zero polynomial")
-    lead_m, lead_c = _lead(divisor)
-    quotient: dict[TypeVector, int] = {}
-    rem = p
-    while rem:
-        rm, rc = _lead(rem)
-        if not _monomial_divides(lead_m, rm) or rc % lead_c != 0:
-            raise NonzeroRemainder(f"leading term {rc}*{rm} not divisible")
-        qm = rm - lead_m
-        qc = rc // lead_c
-        quotient[qm] = quotient.get(qm, 0) + qc
-        rem = rem - LayeredPoly.monomial(qm, qc) * divisor
-    return LayeredPoly(quotient)
-
-
 def geode_quotient(d: int, q: int) -> LayeredPoly:
-    """Face-layer-d slice of beta - 1 divided exactly by t_2 + ... + t_q."""
+    """Face-layer-d slice of beta - 1 divided exactly by t_2 + ... + t_q.
+
+    A triangular solve over packed keys, most t_2 first: the slice S is G * (t_2 + ...
+    + t_q), so G[n] = S[n + t_2] - sum_{k >= 3, n_k >= 1} G[n + t_2 - t_k], each G on
+    the right having one t_2 more than n.  G times the divisor must give S back.
+    """
     if d < 1:
         raise ValueError(f"face level {d} < 1")
     spec = LayerSpec(Measure.FACE, d, q)  # rejects q < 2
-    sliced = _poly(_walk(spec)[d], spec)  # d >= 1, so the constant term is not in it
-    divisor = LayeredPoly({unit_type(k): 1 for k in range(2, q + 1)})
-    return divide_exact(sliced, divisor)
+    base = d + 1
+    units = [base ** (k - 2) for k in range(3, q + 1)]  # the keys of t_3 .. t_q
+    sliced = _walk(spec)[d]  # d >= 1, so the constant term is not in it
+    quotient: dict[int, int] = {}
+    for key in sorted((key for key in sliced if key % base), key=lambda key: -(key % base)):
+        known = (quotient.get(key - u, 0) for u, mk in zip(units, _counts(key, base)[1:]) if mk)
+        quotient[key - 1] = sliced[key] - sum(known)
+    product: dict[int, int] = {}
+    for key, c in quotient.items():
+        for u in [1, *units]:
+            product[key + u] = product.get(key + u, 0) + c
+    if {key: c for key, c in product.items() if c} != {key: c for key, c in sliced.items() if c}:
+        raise NonzeroRemainder(f"face level {d} slice is not a multiple of t2 + ... + t{q}")
+    return _poly(quotient, spec)
 
 
 def table_rows(spec: LayerSpec) -> list[tuple[str, dict[int, int]]]:
@@ -453,13 +382,13 @@ def table_rows(spec: LayerSpec) -> list[tuple[str, dict[int, int]]]:
     return rows
 
 
-def render_table(spec: LayerSpec, rows: list[tuple[str, dict[int, int]]], fmt: str) -> str:
-    """The rows of table_rows as text, csv or json; zero coefficients are skipped.
+def _printer(spec: LayerSpec, buckets, fmt: str):
+    """terms(bucket): its nonzero (monomial, coeff) pairs in print order: faces, then entries.
 
-    Each key is decoded once per call, and all keys are sorted once into
-    LayeredPoly's print order (face count, then entries) that every row reuses.
+    Keys are decoded and sorted once, for every bucket.  A monomial shows as its counts
+    [m2, m3, ...] in json, as its text 't2^3t4' otherwise.
     """
-    counts = {key: _counts(key, spec.d + 1) for key in set().union(*(b for _, b in rows))}
+    counts = {key: _counts(key, spec.d + 1) for key in set().union(*buckets)}
     entries = {key: tuple((k, m) for k, m in enumerate(c, 2) if m) for key, c in counts.items()}
     order = sorted(counts, key=lambda key: (sum(counts[key]), entries[key]))
     rank = dict(zip(order, range(len(order))))
@@ -469,6 +398,12 @@ def render_table(spec: LayerSpec, rows: list[tuple[str, dict[int, int]]], fmt: s
         ranked = sorted(bucket, key=rank.__getitem__)
         return [(show[key], bucket[key]) for key in ranked if bucket[key]]
 
+    return terms
+
+
+def render_table(spec: LayerSpec, rows: list[tuple[str, dict[int, int]]], fmt: str) -> str:
+    """The rows of table_rows as text, csv or json; zero coefficients are skipped."""
+    terms = _printer(spec, [b for _, b in rows], fmt)
     if fmt == "json":
         table = [{"row": label, "terms": [{"type": m, "coeff": str(c)} for m, c in terms(b)]}
                  for label, b in rows]
@@ -477,3 +412,8 @@ def render_table(spec: LayerSpec, rows: list[tuple[str, dict[int, int]]], fmt: s
     lines = ["row,polynomial"] if fmt == "csv" else []
     lines += [line(label, _poly_text(terms(b))) for label, b in rows]
     return "\n".join(lines) + "\n"
+
+
+def first_term(spec: LayerSpec, bucket: dict[int, int]) -> str:
+    """The first nonzero term of a packed bucket in print order, as text: '-2t2^5'."""
+    return _poly_text(_printer(spec, [bucket], "text")(bucket)[:1])

@@ -4,8 +4,8 @@ Each one is the plain form of a fast path in ``hypercatalan``: subdigons
 as ``PlaneTree`` objects enumerated and counted through ``TypeVector``
 arithmetic, Raney lists by depth-first search over prefixes, rotations
 by testing every offset, the structural helpers that only tests use, the
-recurrence of the Catalan power coefficients by their closed form, and
-the text and JSON forms of a ``LayeredPoly`` term by term.
+Catalan power coefficients by their factorial form and recurrence, and
+``LayeredPoly`` arithmetic, packing and text and JSON forms term by term.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ from __future__ import annotations
 import itertools
 import json
 from functools import lru_cache
+from math import factorial
 from typing import Sequence
 
 from hypercatalan.catpow import catalan_power
 from hypercatalan.core import VEF, Composition, TypeVector, unit_type
 from hypercatalan.raney import is_word_list, rank, rotate
-from hypercatalan.series import LayeredPoly
+from hypercatalan.series import LayeredPoly, LayerSpec, level
 from hypercatalan.subdigon import NULL, PlaneTree, to_word, type_of
 
 Symbols = tuple[int, ...]
@@ -199,6 +200,11 @@ def enumerate_lists_dfs(n: int, c: Composition) -> list[Symbols]:
 # -- Catalan powers -------------------------------------------------------------
 
 
+def catalan_power_factorial(r: int, m: int) -> int:
+    """[t^m] T^r by its factorial form r (2m+r-1)! / ((m+r)! m!)."""
+    return r * factorial(2 * m + r - 1) // (factorial(m + r) * factorial(m))
+
+
 def power_recurrence_check(r: int, m: int) -> bool:
     """C^(r)_m = C^(r-1)_{m+1} - C^(r-2)_{m+1}, via the closed form."""
     if r < 3:
@@ -206,10 +212,68 @@ def power_recurrence_check(r: int, m: int) -> bool:
     return catalan_power(r, m) == catalan_power(r - 1, m + 1) - catalan_power(r - 2, m + 1)
 
 
+# -- polynomial arithmetic and packed keys ----------------------------------------
+
+ONE = LayeredPoly({TypeVector(): 1})
+
+
+def poly(*terms) -> LayeredPoly:
+    """poly((coeff, [m2, m3, ...]), ...)"""
+    return LayeredPoly({TypeVector.from_counts(m): c for c, m in terms})
+
+
+def add(p: LayeredPoly, q: LayeredPoly, sign: int = 1) -> LayeredPoly:
+    """p + q, or p - q for sign -1."""
+    out = dict(p.terms)
+    for m, c in q.terms.items():
+        out[m] = out.get(m, 0) + sign * c
+    return LayeredPoly(out)
+
+
+def mul(p: LayeredPoly, q: LayeredPoly) -> LayeredPoly:
+    """The full product p*q, every pair of terms."""
+    out: dict[TypeVector, int] = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return LayeredPoly(out)
+
+
+def pack(m: TypeVector, base: int) -> int:
+    """The packed key of a monomial, sum_k m_k * base^(k-2)."""
+    return sum(mk * base ** (k - 2) for k, mk in m.items())
+
+
+def packed(p: LayeredPoly, spec: LayerSpec) -> dict[int, dict[int, int]]:
+    """truncate(p, spec) as {level: {packed key: coefficient}}, evaluate_geometric's form."""
+    out: dict[int, dict[int, int]] = {}
+    for m, c in p.terms.items():
+        if spec.admits(m):
+            out.setdefault(level(m, spec.measure), {})[pack(m, spec.d + 1)] = c
+    return out
+
+
+def graded(p: LayeredPoly, spec: LayerSpec) -> list[dict[int, int]]:
+    """truncate(p, spec) as the walk's level buckets 0..d of packed keys."""
+    levels = packed(p, spec)
+    return [levels.get(lvl, {}) for lvl in range(spec.d + 1)]
+
+
+def bumped_walk(walk, bumps):
+    """walk with `by` added to C_m for each (level, m, by) in bumps: a wrong beta."""
+    def bumped(spec):
+        buckets = walk(spec)
+        for lvl, m, by in bumps:
+            key = pack(m, spec.d + 1)
+            buckets[lvl][key] = buckets[lvl].get(key, 0) + by
+        return buckets
+    return bumped
+
+
 # -- polynomial display -----------------------------------------------------------
 
 
-def _print_order(p: LayeredPoly) -> list[tuple[TypeVector, int]]:
+def print_order(p: LayeredPoly) -> list[tuple[TypeVector, int]]:
     return sorted(p.terms.items(), key=lambda t: (t[0].faces(), t[0].entries))
 
 
@@ -218,7 +282,7 @@ def poly_text(p: LayeredPoly) -> str:
     if not p.terms:
         return "0"
     parts = []
-    for m, c in _print_order(p):
+    for m, c in print_order(p):
         mono = "".join(f"t{k}" + (f"^{mk}" if mk > 1 else "") for k, mk in m.items())
         if not mono:
             parts.append(str(c))
@@ -233,7 +297,7 @@ def poly_text(p: LayeredPoly) -> str:
 
 def poly_to_json(p: LayeredPoly) -> str:
     """JSON list of {"type": [m2, m3, ...], "coeff": "<int>"} in print order."""
-    return json.dumps([{"type": m.to_counts(), "coeff": str(c)} for m, c in _print_order(p)])
+    return json.dumps([{"type": m.to_counts(), "coeff": str(c)} for m, c in print_order(p)])
 
 
 def poly_from_json(text: str) -> LayeredPoly:

@@ -32,18 +32,16 @@ from hypercatalan.raney import (
     rotate,
 )
 from hypercatalan.series import (
-    LayeredPoly,
     LayerSpec,
     Measure,
     _poly as unpack_bucket,
     build_beta,
     geode_quotient,
-    layer_slice,
     mul_truncated,
     table_rows,
 )
 from hypercatalan.subdigon import count_subdigons, enumerate_subdigons, parse, to_word
-from oracles import central_arity
+from oracles import catalan_power_factorial, central_arity, poly
 
 
 def tv(*counts):
@@ -184,10 +182,6 @@ FACE_TABLE = {
 }
 
 
-def _poly(terms):
-    return LayeredPoly({TypeVector.from_counts(m): c for c, m in terms})
-
-
 @pytest.mark.parametrize("spec,expected", [
     (LayerSpec(Measure.VERTEX, 5), VERTEX_TABLE),
     (LayerSpec(Measure.EDGE, 8), EDGE_TABLE),
@@ -197,7 +191,7 @@ def test_criterion_4_table_reproduction(spec, expected):
     got = {label: unpack_bucket(bucket, spec) for label, bucket in table_rows(spec)}
     assert set(got) == set(expected)
     for label, terms in expected.items():
-        assert got[label] == _poly(terms), label
+        assert got[label] == poly(*terms), label
     report(4, f"{spec.measure.value} table matches all {len(expected)} printed rows")
 
 
@@ -272,7 +266,7 @@ def test_criterion_8_catalan_powers():
     for r in range(1, 7):
         power = (power * T).truncated(order)
         for m in range(order + 1):
-            assert power.coeff(m) == catalan_power(r, m), (r, m)
+            assert power.coeff(m) == catalan_power(r, m) == catalan_power_factorial(r, m), (r, m)
 
     for r in range(3, 11):
         for m in range(16):
@@ -317,5 +311,5 @@ def test_criterion_11_geode_divisibility():
     for q in range(2, 5):
         for d in range(1, 6):
             geode_quotient(d, q)  # raises NonzeroRemainder on failure
-    assert geode_quotient(2, 3) == _poly([(2, [1]), (3, [0, 1])])
+    assert geode_quotient(2, 3) == poly((2, [1]), (3, [0, 1]))
     report(11, "Geode quotients exact for d <= 5, q <= 4; d=2,q=3 is 2t2+3t3")

@@ -12,7 +12,7 @@ from hypercatalan.catpow import (
     verify_power_identity,
 )
 from hypercatalan.core import TypeVector, hyper_catalan, power_coeff
-from oracles import power_recurrence_check
+from oracles import catalan_power_factorial, power_recurrence_check
 
 
 class TestUniPoly:
@@ -74,7 +74,7 @@ class TestCatalanPower:
         for r in range(1, 6):
             for m in range(11):
                 mv = TypeVector.of({2: m} if m else {})
-                assert catalan_power(r, m) == power_coeff(mv, r)
+                assert catalan_power(r, m) == power_coeff(mv, r) == catalan_power_factorial(r, m)
 
 
 def _product(p, q):

@@ -15,6 +15,7 @@ from hypercatalan import series, subdigon
 from hypercatalan.cli import build_parser, main
 from hypercatalan.core import TypeVector, central_count, hyper_catalan
 from hypercatalan.subdigon import parse
+from oracles import bumped_walk
 
 
 def run(capsys, *argv):
@@ -73,17 +74,12 @@ class TestVerify:
         ([(5, [5], 2)], "NONZERO at level 5: 1 nonzero terms, first -2t2^5"),
         ([(3, [0, 0, 1], 1), (3, [1, 1], -4), (5, [5], 1)],
          "NONZERO at level 3: 2 nonzero terms, first -t4"),
-    ], ids=["one-at-level-d", "lowest-of-two-levels"])
+        # one face count each: print order puts t2t4 first, packed-key order t3^2 (12 < 37)
+        ([(4, [0, 2], 1), (4, [1, 0, 1], 1)], "NONZERO at level 4: 2 nonzero terms, first -t2t4"),
+    ], ids=["one-at-level-d", "lowest-of-two-levels", "print-order-tie-break"])
     def test_failure_names_first_level_and_term(self, capsys, monkeypatch, bumps, line):
-        walk = series._walk
-
-        def corrupted(spec):
-            buckets = walk(spec)
-            for lvl, counts, by in bumps:
-                buckets[lvl][series._pack(TypeVector.from_counts(counts), spec.d + 1)] += by
-            return buckets
-
-        monkeypatch.setattr(series, "_walk", corrupted)
+        bumps = [(lvl, TypeVector.from_counts(counts), by) for lvl, counts, by in bumps]
+        monkeypatch.setattr(series, "_walk", bumped_walk(series._walk, bumps))
         assert run(capsys, "verify", "--measure", "vertex", "--d", "5") == (1, line + "\n")
 
 

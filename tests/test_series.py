@@ -13,14 +13,13 @@ from hypercatalan.series import (
     LayerSpec,
     Measure,
     NonzeroRemainder,
-    _graded,
     _poly,
     _unpack,
     _walk,
     build_beta,
-    divide_exact,
     enumerate_types,
     evaluate_geometric,
+    first_term,
     geode_quotient,
     layer_slice,
     layer_sums,
@@ -32,7 +31,8 @@ from hypercatalan.series import (
 )
 from hypercatalan.subdigon import count_subdigons
 
-from oracles import poly_from_json, poly_text, poly_to_json
+from oracles import (ONE, add, bumped_walk, graded, mul, pack, packed, poly, poly_from_json,
+                     poly_text, poly_to_json, print_order)
 
 
 def tv(*counts):
@@ -45,11 +45,6 @@ SWEEP_SPECS = (
     + [LayerSpec(Measure.EDGE, d) for d in range(11)]
     + [LayerSpec(Measure.FACE, d, q) for q in range(2, 6) for d in range(6)]
 )
-
-
-def poly(*terms):
-    """poly((coeff, [m2, m3, ...]), ...)"""
-    return LayeredPoly({TypeVector.from_counts(m): c for c, m in terms})
 
 
 class TestLevel:
@@ -130,7 +125,7 @@ class TestMulTruncated:
     def test_multiply_by_one(self):
         spec = LayerSpec(Measure.EDGE, 6)
         p = build_beta(spec)
-        assert mul_truncated(p, LayeredPoly.one(), spec) == truncate(p, spec)
+        assert mul_truncated(p, ONE, spec) == truncate(p, spec)
 
     def test_prunes_by_level(self):
         spec = LayerSpec(Measure.VERTEX, 1)
@@ -146,7 +141,7 @@ class TestMulTruncated:
             for _ in range(20):
                 p = LayeredPoly({m: rng.randint(-5, 5) for m in rng.sample(types, 6)})
                 q = LayeredPoly({m: rng.randint(-5, 5) for m in rng.sample(types, 6)})
-                assert mul_truncated(p, q, spec) == truncate(p * q, spec)
+                assert mul_truncated(p, q, spec) == truncate(mul(p, q), spec)
 
     def test_remainder_commutation(self):
         # truncate(P*Q) == mul_truncated(truncate(P), truncate(Q))
@@ -156,7 +151,7 @@ class TestMulTruncated:
         for _ in range(50):
             p = LayeredPoly({m: rng.randint(-4, 4) for m in rng.sample(types, 8)})
             q = LayeredPoly({m: rng.randint(-4, 4) for m in rng.sample(types, 8)})
-            assert truncate(p * q, spec) == mul_truncated(
+            assert truncate(mul(p, q), spec) == mul_truncated(
                 truncate(p, spec), truncate(q, spec), spec
             )
 
@@ -198,7 +193,7 @@ class TestEnumerateTypes:
 
 class TestBuildBeta:
     def test_vertex_zero_is_one(self):
-        assert build_beta(LayerSpec(Measure.VERTEX, 0)) == LayeredPoly.one()
+        assert build_beta(LayerSpec(Measure.VERTEX, 0)) == ONE
 
     def test_vertex_table_top_row(self):
         beta = build_beta(LayerSpec(Measure.VERTEX, 3))
@@ -229,17 +224,19 @@ class TestEvaluateGeometric:
         LayerSpec(Measure.FACE, 4, 3),
     ])
     def test_paper_zeros(self, spec):
-        assert not evaluate_geometric(build_beta(spec), spec)
+        assert evaluate_geometric(spec) == {}
+        assert not _oracle_geometric(build_beta(spec), spec)
 
     def test_zero_over_sweep(self):
         for spec in SWEEP_SPECS:
-            assert not evaluate_geometric(build_beta(spec), spec)
+            assert evaluate_geometric(spec) == {}
+            assert not _oracle_geometric(build_beta(spec), spec)
 
-    def test_nonzero_on_wrong_input(self):
+    def test_nonzero_on_wrong_input(self, monkeypatch):
         spec = LayerSpec(Measure.VERTEX, 3)
-        beta = build_beta(spec) + poly((1, [1]))
-        assert evaluate_geometric(beta, spec)
-
+        monkeypatch.setattr(series, "_walk", bumped_walk(_walk, [(1, tv(1), 1)]))
+        residual = evaluate_geometric(spec)
+        assert min(residual) == 1 and residual[1] == {pack(tv(1), spec.d + 1): -1}
 
 # The oracle chain: every product through mul_truncated at the full level d.
 
@@ -248,13 +245,13 @@ def _oracle_sources(beta, spec):
     power = truncate(beta, spec)
     for n in range(2, spec.max_gon() + 1):
         power = mul_truncated(power, beta, spec)
-        yield n, mul_truncated(LayeredPoly.monomial(unit_type(n)), power, spec)
+        yield n, mul_truncated(LayeredPoly({unit_type(n): 1}), power, spec)
 
 
 def _oracle_geometric(beta, spec):
-    acc = LayeredPoly.one() - truncate(beta, spec)
+    acc = add(ONE, truncate(beta, spec), -1)
     for _, source in _oracle_sources(beta, spec):
-        acc = acc + source
+        acc = add(acc, source)
     return acc
 
 
@@ -269,7 +266,7 @@ def _oracle_table_rows(spec):
             if part:
                 rows.append((f"[{sym}^{lvl}] t{n} b^{n}", part))
         rows.append((f"[{sym}^{lvl}] total",
-                     layer_slice(beta - LayeredPoly.one(), spec.measure, lvl)))
+                     layer_slice(add(beta, ONE, -1), spec.measure, lvl)))
     return rows
 
 
@@ -281,27 +278,28 @@ class TestPackedKernel:
     """evaluate_geometric and table_rows against the mul_truncated chain."""
 
     @pytest.mark.parametrize("spec", [s for s in SWEEP_SPECS if s.d >= 1], ids=_spec_id)
-    def test_corrupted_beta_residual_matches_oracle(self, spec):
+    def test_corrupted_beta_residual_matches_oracle(self, spec, monkeypatch):
         beta = build_beta(spec)
         for lvl in sorted({1, spec.d}):
             m = min(layer_slice(beta, spec.measure, lvl).terms, key=lambda t: t.entries,
                     default=None)
             if m is None:  # edge level 1 holds no monomial
                 continue
-            bad = beta + LayeredPoly.monomial(m)
-            residual = evaluate_geometric(bad, spec)
-            assert residual == _oracle_geometric(bad, spec)
-            assert layer_slice(residual, spec.measure, lvl) == LayeredPoly.monomial(m, -1)
+            monkeypatch.setattr(series, "_walk", bumped_walk(_walk, [(lvl, m, 1)]))
+            residual = evaluate_geometric(spec)
+            assert residual == packed(_oracle_geometric(add(beta, LayeredPoly({m: 1})), spec), spec)
+            assert residual[lvl] == {pack(m, spec.d + 1): -1}
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
-    def test_terms_outside_spec_are_dropped(self, spec):
+    def test_terms_outside_spec_are_dropped(self, spec, monkeypatch):
+        # a random beta on the walk's keys: the kernel drops every product term past the spec
         rng = random.Random(spec.d * 31 + (spec.gon_bound or 0))
-        q = None if spec.gon_bound is None else spec.gon_bound + 1
-        wide = LayerSpec(spec.measure, spec.d + 2, q)
-        beta = LayeredPoly({m: rng.randint(-9, 9) for m in enumerate_types(wide)})
-        beta = beta + LayeredPoly.monomial(unit_type(spec.max_gon() + 1), 5)
-        assert any(not spec.admits(m) for m in beta.terms)
-        assert evaluate_geometric(beta, spec) == _oracle_geometric(beta, spec)
+        buckets = [{key: rng.choice((-1, 1)) * rng.randint(1, 9) for key in b} for b in _walk(spec)]
+        beta = _poly({key: c for b in buckets for key, c in b.items()}, spec)
+        if spec.max_gon() >= 2:
+            assert any(not spec.admits(m) for m in mul(beta, beta).terms)
+        monkeypatch.setattr(series, "_walk", lambda s: [dict(b) for b in buckets])
+        assert evaluate_geometric(spec) == packed(_oracle_geometric(beta, spec), spec)
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
     def test_table_rows_match_oracle(self, spec):
@@ -330,14 +328,20 @@ class TestRenderTable:
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
     def test_str_matches_oracle(self, spec):
-        for _, p in _oracle_table_rows(spec):
-            assert str(p) == poly_text(p)
+        # each row printed on its own, and its first term as verify prints it
+        for (label, bucket), (_, p) in zip(table_rows(spec), _oracle_table_rows(spec)):
+            assert render_table(spec, [(label, bucket)], "text") == f"{label:>16}  {poly_text(p)}\n"
+            assert first_term(spec, bucket) == poly_text(LayeredPoly(dict(print_order(p)[:1])))
 
     def test_signs_and_constant_term(self):
+        spec = LayerSpec(Measure.VERTEX, 4)
         p = poly((1, []), (-1, [1]), (-3, [0, 1]), (1, [2]), (5, [0, 0, 1]))
-        assert str(p) == poly_text(p) == "1 - t2 - 3t3 + 5t4 + t2^2"
-        assert str(poly((-1, []))) == "-1"
-        assert str(LayeredPoly.zero()) == "0"
+        bucket = {pack(m, spec.d + 1): c for m, c in p.terms.items()}
+        assert render_table(spec, [("p", bucket)], "csv") == f'row,polynomial\np,"{poly_text(p)}"\n'
+        assert poly_text(p) == "1 - t2 - 3t3 + 5t4 + t2^2"
+        assert first_term(spec, bucket) == "1"
+        assert first_term(spec, {0: -1}) == "-1"
+        assert render_table(spec, [("p", {})], "csv") == 'row,polynomial\np,"0"\n'
 
     def test_zero_coefficients_are_skipped(self):
         spec = LayerSpec(Measure.VERTEX, 2)
@@ -362,30 +366,34 @@ class TestPowers:
         beta = build_beta(spec)
         sq = mul_truncated(beta, beta, spec)
         for n in range(8):
-            assert sq.coeff(TypeVector.of({2: n} if n else {})) == catalan_power(2, n)
+            assert sq.terms.get(TypeVector.of({2: n})) == catalan_power(2, n)
 
 
 class TestGeode:
     def test_trivial_quotients(self):
-        assert geode_quotient(1, 3) == LayeredPoly.one()
+        assert geode_quotient(1, 3) == ONE
         assert geode_quotient(2, 2) == poly((2, [1]))
 
     def test_table_row_quotient(self):
         assert geode_quotient(2, 3) == poly((2, [1]), (3, [0, 1]))
 
     def test_zero_remainder_over_sweep(self):
-        for q in range(2, 5):
-            for d in range(1, 6):
-                quotient = geode_quotient(d, q)
+        for q in range(2, 7):
+            for d in range(1, 8):
+                spec = LayerSpec(Measure.FACE, d, q)
                 divisor = LayeredPoly({unit_type(k): 1 for k in range(2, q + 1)})
-                beta = build_beta(LayerSpec(Measure.FACE, d, q))
-                assert quotient * divisor == layer_slice(
-                    beta - LayeredPoly.one(), Measure.FACE, d
-                )
+                sliced = layer_slice(build_beta(spec), Measure.FACE, d)
+                assert mul_truncated(geode_quotient(d, q), divisor, spec) == sliced
 
-    def test_nonzero_remainder_raises(self):
-        with pytest.raises(NonzeroRemainder):
-            divide_exact(poly((1, [0, 1])), poly((1, [1]), (1, [0, 1])))
+    def test_nonzero_remainder_raises(self, monkeypatch):
+        # no single monomial is a multiple of t2 + t3 + ..., so every bumped coefficient raises
+        for q in range(3, 6):
+            for d in range(1, 6):
+                for key in _walk(LayerSpec(Measure.FACE, d, q))[d]:
+                    bumps = [(d, _unpack(key, d + 1), 1)]
+                    monkeypatch.setattr(series, "_walk", bumped_walk(_walk, bumps))
+                    with pytest.raises(NonzeroRemainder):
+                        geode_quotient(d, q)
 
 
 class TestSerialization:
@@ -396,13 +404,13 @@ class TestSerialization:
     def test_table_rows_sum_to_total(self):
         for spec in (LayerSpec(Measure.VERTEX, 5), LayerSpec(Measure.FACE, 4, 3)):
             rows = [(label, _poly(bucket, spec)) for label, bucket in table_rows(spec)]
-            acc = LayeredPoly.zero()
+            acc = LayeredPoly()
             for label, p in rows:
                 if label.endswith("total"):
                     assert acc == p or (not acc and not p)
-                    acc = LayeredPoly.zero()
+                    acc = LayeredPoly()
                 else:
-                    acc = acc + p
+                    acc = add(acc, p)
 
 
 class TestLayerSums:
@@ -592,8 +600,8 @@ WALK_SPECS = (
 
 
 def _oracle_graded(spec):
-    """The oracle beta, every admitted multiset with its closed form, packed by _graded."""
-    return _graded(LayeredPoly({m: hyper_catalan(m) for m in _oracle_types(spec)}), spec)
+    """The oracle beta, every admitted multiset with its closed form, packed by the oracle."""
+    return graded(LayeredPoly({m: hyper_catalan(m) for m in _oracle_types(spec)}), spec)
 
 
 class TestPackedWalk:
@@ -608,10 +616,11 @@ class TestPackedWalk:
             assert entries == sorted(entries)  # lex within each level
 
     @pytest.mark.parametrize("spec", WALK_SPECS, ids=_spec_id)
-    def test_walked_residual_matches_build_beta(self, spec):
-        residual = evaluate_geometric(None, spec)
-        assert residual == evaluate_geometric(build_beta(spec), spec)
-        assert not residual
+    def test_walked_residual_matches_build_beta(self, spec, monkeypatch):
+        residual = evaluate_geometric(spec)
+        beta = graded(build_beta(spec), spec)
+        monkeypatch.setattr(series, "_walk", lambda s: [dict(b) for b in beta])
+        assert residual == evaluate_geometric(spec) == {}
 
     @pytest.mark.parametrize("spec", [s for s in WALK_SPECS if s.max_gon() >= 2], ids=_spec_id)
     def test_wrong_key_unit_is_caught(self, spec, monkeypatch):
@@ -620,5 +629,5 @@ class TestPackedWalk:
         assert wrong != _oracle_graded(spec)
         rows = table_rows(spec)
         monkeypatch.setattr(series, "_walk", lambda s: [dict(b) for b in wrong])
-        assert evaluate_geometric(None, spec)
+        assert evaluate_geometric(spec)
         assert table_rows(spec) != rows
