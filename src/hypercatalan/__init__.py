@@ -23,7 +23,6 @@ from .series import (
     layer_slice,
     level,
     mul_truncated,
-    truncate,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "layer_slice",
     "level",
     "mul_truncated",
-    "truncate",
 ]

@@ -80,23 +80,17 @@ class UniPoly:
         return UniPoly(self.coeffs[: order + 1])
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                mono = "t" if k == 1 else f"t^{k}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append("-" + mono)
-                else:
-                    parts.append(f"{c}{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _poly_text(("t" if k == 1 else f"t^{k}" if k else "", c)
+                          for k, c in enumerate(self.coeffs) if c)
+
+
+def _poly_text(terms) -> str:
+    """'42t2^5 - t4' from (monomial text, coefficient) pairs in print order; '0' if none."""
+    text = " + ".join(
+        mono if c == 1 and mono else "-" + mono if c == -1 and mono else f"{c}{mono}"
+        for mono, c in terms
+    )
+    return text.replace("+ -", "- ") if text else "0"
 
 
 def catalan(n: int) -> int:

@@ -143,10 +143,11 @@ def cmd_subdigons(args) -> int:
     m = _parse_type(args.type)
     if args.format == "count":
         total = subdigon.count_subdigons(m)
-        split = " ".join(
-            f"central-{r + 1}:{central_count(m, r)}" for r, _ in m.items()
-        )
-        print(f"{total}" + (f" split {split}" if split else ""))
+        central = [(r, central_count(m, r)) for r, _ in m.items()]
+        with _digit_limit():
+            split = " ".join(f"central-{r + 1}:{n}" for r, n in central)
+            line = f"{total}" + (f" split {split}" if split else "")
+        print(line)
         return 0
     try:
         words = subdigon.enumerate_subdigons(m, face_cap=args.max_faces)

@@ -12,7 +12,7 @@ first_term alike.
 LayeredPoly, a map from TypeVector to int, is the type-vector form that the
 tests compare the packed paths with, through mul_truncated (which prunes
 partial products past level d, sound because every measure is additive),
-truncate, build_beta, enumerate_types and layer_slice.
+build_beta, enumerate_types and layer_slice.
 
 - Packed keys: a monomial admitted at level bound d is the int
   sum_k m_k * B^(k-2) with B = d+1 (Kronecker substitution), so a
@@ -47,7 +47,7 @@ from itertools import accumulate
 from math import isfinite, lcm, perm
 from operator import mul
 
-from .catpow import UniPoly
+from .catpow import UniPoly, _poly_text
 from .core import TypeVector
 
 
@@ -75,9 +75,10 @@ def level(m: TypeVector, measure: Measure) -> int:
 class LayerSpec:
     """A measure with a maximum level d and an optional gon bound q.
 
-    Face layering without a gon bound has infinite support and is
-    rejected.  For vertex/edge layering the level bound alone forces a
-    finite gon range (k <= d+1 resp. k <= d).
+    The spec admits a monomial whose level is at most d and whose gon
+    indices are at most q.  Face layering without a gon bound has
+    infinite support and is rejected.  For vertex/edge layering the level
+    bound alone forces a finite gon range (k <= d+1 resp. k <= d).
     """
 
     measure: Measure
@@ -91,11 +92,6 @@ class LayerSpec:
             raise ValueError(f"gon bound {self.gon_bound} < 2")
         if self.measure is Measure.FACE and self.gon_bound is None:
             raise ValueError("face layering requires a gon bound")
-
-    def admits(self, m: TypeVector) -> bool:
-        if self.gon_bound is not None and m.max_gon() > self.gon_bound:
-            return False
-        return level(m, self.measure) <= self.d
 
     def max_gon(self) -> int:
         """Largest gon index any admitted monomial can mention, 1 if none."""
@@ -137,22 +133,8 @@ def _mono_text(entries) -> str:
     return "".join(f"t{k}^{mk}" if mk > 1 else f"t{k}" for k, mk in entries)
 
 
-def _poly_text(terms) -> str:
-    """'42t2^5 - t4' from (monomial text, coefficient) pairs in print order; '0' if none."""
-    text = " + ".join(
-        mono if c == 1 and mono else "-" + mono if c == -1 and mono else f"{c}{mono}"
-        for mono, c in terms
-    )
-    return text.replace("+ -", "- ") if text else "0"
-
-
-def truncate(p: LayeredPoly, spec: LayerSpec) -> LayeredPoly:
-    """Keep terms with level <= d (and gon index <= q if bounded)."""
-    return LayeredPoly({m: c for m, c in p.terms.items() if spec.admits(m)})
-
-
 def mul_truncated(p: LayeredPoly, q: LayeredPoly, spec: LayerSpec) -> LayeredPoly:
-    """truncate(p*q, spec), pruning partial products eagerly.
+    """The terms of p*q that spec admits, pruning partial products eagerly.
 
     Sound because every measure is additive: once a pair of monomials
     exceeds level d, so does any extension of it.
@@ -319,7 +301,7 @@ def _graded_sources(beta: Graded, spec: LayerSpec):
 
 
 def evaluate_geometric(spec: LayerSpec) -> dict[int, dict[int, int]]:
-    """The walked series' residual truncate(1 - beta + sum_n t_n * beta^n, spec), packed.
+    """The walked series' residual 1 - beta + sum_n t_n * beta^n, cut to spec, packed.
 
     {level: {packed key: coefficient}} of the nonzero terms: {} (zero) for the layered series.
     """

@@ -8,8 +8,8 @@ node.  The preorder arities of a tree form its Raney word (``to_word``);
 ``group_trees`` is the one iterative pass that reads words back into
 trees.  This module enumerates subdigons exhaustively by type, as
 words in the digit form of ``serialize`` (built once per type and
-memoized on plain count tuples), and counts them by the same recursion;
-both serve as brute-force oracles for the closed-form counts.
+memoized on plain count tuples); the enumeration is the brute-force
+oracle for the closed form C_m, which ``count_subdigons`` returns.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import sub
 
-from .core import TypeVector
+from .core import TypeVector, hyper_catalan
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -182,36 +182,9 @@ def enumerate_subdigons(m: TypeVector, face_cap: int = DEFAULT_FACE_CAP) -> list
     return list(_enumerate(tuple(m.to_counts())))
 
 
-_count_memo: dict[Counts, int] = {}  # subdigons per type, filled by count_subdigons
-
-
-@lru_cache(maxsize=None)
-def _count_tuple(m: Counts, parts: int) -> int:
-    """Ordered tuples of `parts` subdigons with types summing to m, all memoized."""
-    if parts == 0:
-        return 0 if m else 1
-    if parts == 1:
-        return _count_memo[m]
-    total = 0
-    for first, left in _halves(m):
-        c = _count_memo[first]
-        if c:
-            total += c * _count_tuple(left, parts - 1)
-    return total
-
-
 def count_subdigons(m: TypeVector) -> int:
-    """|enumerate_subdigons(m)| via the same recursion, memoized, no materialization."""
-    counts = tuple(m.to_counts())
-    if counts not in _count_memo:
-        # fill every missing sub-type once, by face count: each reads only smaller
-        # ones, so no call recurses deeper than an arity
-        for s in sorted(itertools.product(*(range(mk + 1) for mk in counts)), key=sum):
-            s = _key(s)
-            if s not in _count_memo:
-                _count_memo[s] = sum(_count_tuple(_unit_minus(s, r), r)
-                                     for r, sr in enumerate(s, start=2) if sr) if s else 1
-    return _count_memo[counts]
+    """|enumerate_subdigons(m)|: C_m by its closed form (Wildberger-Rubine), no enumeration."""
+    return hyper_catalan(m)
 
 
 def _digits(k: int) -> str:

@@ -5,7 +5,8 @@ as ``PlaneTree`` objects enumerated and counted through ``TypeVector``
 arithmetic, Raney lists by depth-first search over prefixes, rotations
 by testing every offset, the structural helpers that only tests use, the
 Catalan power coefficients by their factorial form and recurrence, and
-``LayeredPoly`` arithmetic, packing and text and JSON forms term by term.
+``LayeredPoly`` admission to a spec, truncation, arithmetic, packing and
+text and JSON forms term by term.
 """
 
 from __future__ import annotations
@@ -102,9 +103,19 @@ def enumerate_trees(m: TypeVector) -> tuple[PlaneTree, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def count_trees(m: TypeVector) -> int:
-    """Subdigons of type m by the central-polygon recursion on type vectors."""
+    """Subdigons of type m by the central-polygon recursion on type vectors.
+
+    Every sub-type of m is counted first, fewest faces first, so no call
+    recurses deeper than an arity (200 triangles in one go overflow the stack).
+    """
+    for s in sorted(_sub_vectors(m), key=TypeVector.faces):
+        _count_type(s)
+    return _count_type(m)
+
+
+@lru_cache(maxsize=None)
+def _count_type(m: TypeVector) -> int:
     if not m:
         return 1
     total = 0
@@ -119,10 +130,10 @@ def _count_tuple(m: TypeVector, parts: int) -> int:
     if parts == 0:
         return 0 if m else 1
     if parts == 1:
-        return count_trees(m)
+        return _count_type(m)
     total = 0
     for first in _sub_vectors(m):
-        c = count_trees(first)
+        c = _count_type(first)
         if c:
             total += c * _count_tuple(m - first, parts - 1)
     return total
@@ -217,6 +228,18 @@ def power_recurrence_check(r: int, m: int) -> bool:
 ONE = LayeredPoly({TypeVector(): 1})
 
 
+def admits(spec: LayerSpec, m: TypeVector) -> bool:
+    """m has level <= spec.d and no gon index above spec.gon_bound."""
+    if spec.gon_bound is not None and m.max_gon() > spec.gon_bound:
+        return False
+    return level(m, spec.measure) <= spec.d
+
+
+def truncate(p: LayeredPoly, spec: LayerSpec) -> LayeredPoly:
+    """The terms of p that spec admits."""
+    return LayeredPoly({m: c for m, c in p.terms.items() if admits(spec, m)})
+
+
 def poly(*terms) -> LayeredPoly:
     """poly((coeff, [m2, m3, ...]), ...)"""
     return LayeredPoly({TypeVector.from_counts(m): c for c, m in terms})
@@ -248,7 +271,7 @@ def packed(p: LayeredPoly, spec: LayerSpec) -> dict[int, dict[int, int]]:
     """truncate(p, spec) as {level: {packed key: coefficient}}, evaluate_geometric's form."""
     out: dict[int, dict[int, int]] = {}
     for m, c in p.terms.items():
-        if spec.admits(m):
+        if admits(spec, m):
             out.setdefault(level(m, spec.measure), {})[pack(m, spec.d + 1)] = c
     return out
 

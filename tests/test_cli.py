@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 import hypercatalan
 from hypercatalan import series, subdigon
 from hypercatalan.cli import build_parser, main
-from hypercatalan.core import TypeVector, central_count, hyper_catalan
+from hypercatalan.core import TypeVector, central_count
 from hypercatalan.subdigon import parse
-from oracles import bumped_walk
+from oracles import bumped_walk, count_trees
 
 
 def run(capsys, *argv):
@@ -328,13 +328,14 @@ class TestSubdigons:
 
     @pytest.mark.parametrize("counts", ["150", "200", "2,2,1,1"])
     def test_count_from_empty_memo(self, capsys, counts):
-        # a type of 150 faces of one arity ran out of stack when the memo was empty
-        subdigon._count_memo.clear()
-        subdigon._count_tuple.cache_clear()
+        # a first count in a process needs none of the program's caches, even at 150
+        # faces of one arity (a count memo filled from empty once ran out of stack there)
+        subdigon._enumerate.cache_clear()
+        subdigon._splits.cache_clear()
         m = TypeVector.from_counts(int(c) for c in counts.split(","))
         split = [f"central-{r + 1}:{central_count(m, r)}" for r, _ in m.items()]
-        assert sum(central_count(m, r) for r, _ in m.items()) == hyper_catalan(m)
-        expected = f"{hyper_catalan(m)} split {' '.join(split)}\n"
+        assert sum(central_count(m, r) for r, _ in m.items()) == count_trees(m)
+        expected = f"{count_trees(m)} split {' '.join(split)}\n"
         assert run(capsys, "subdigons", "--type", counts) == (0, expected)
 
     def test_arity_above_9_is_bracketed(self, capsys):
@@ -423,6 +424,7 @@ class TestUsageErrors:
             ["coeff", "--type", "8000"],
             ["powers", "--r", "1", "--m", "8000"],
             ["solve", "--coeffs=1/7", "--d", "6000"],
+            ["subdigons", "--type", "8000"],
         )],
     ], ids=["powers-without-arguments", "rotations-rank-0", "enumerate-n-0",
             "identify-rank-0", "check-n-0", "enumerate-negative-count", "rank-bad-digits",
@@ -431,7 +433,7 @@ class TestUsageErrors:
             "coeff-power-0", "subdigons-list-over-cap", "subdigons-json-over-cap",
             "subdigons-max-faces", "solve-float-coefficient-overflow", "solve-float-term-overflow",
             "solve-float-power-overflow", "coeff-digit-limit", "powers-digit-limit",
-            "solve-digit-limit"])
+            "solve-digit-limit", "subdigons-digit-limit"])
     def test_exit_2_with_one_line_message(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)

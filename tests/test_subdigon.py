@@ -1,11 +1,9 @@
 import itertools
-import math
 import sys
 import traceback
 
 import pytest
 
-from hypercatalan import subdigon
 from hypercatalan.core import TypeVector, central_count, hyper_catalan, vef
 from hypercatalan.series import LayeredPoly
 from hypercatalan.subdigon import (
@@ -133,22 +131,18 @@ class TestCounting:
             assert count_subdigons(m) == hyper_catalan(m)
 
     def test_matches_enumeration(self):
-        for m in all_small_types(max_faces=4, max_gon=4):
-            assert count_subdigons(m) == len(enumerate_subdigons(m))
+        # every type of <= 6 faces over arities 2-7 with at most 5,000 subdigons
+        small = [m for m in all_small_types(max_faces=6, max_gon=7) if hyper_catalan(m) <= 5000]
+        for m in small + WIDE_TYPES:
+            assert count_subdigons(m) == len(enumerate_subdigons(m)), m
 
-    def test_from_cleared_caches_matches_closed_form(self):
-        # each count fills the memo from empty, over every sub-type at once
+    def test_matches_tree_oracle_to_8_faces(self):
         for m in all_small_types(max_faces=8, max_gon=4):
-            subdigon._count_memo.clear()
-            subdigon._count_tuple.cache_clear()
-            assert count_subdigons(m) == hyper_catalan(m), m
-            assert len(subdigon._count_memo) == math.prod(mk + 1 for mk in m.to_counts())
+            assert count_subdigons(m) == count_trees(m), m
 
     # 200 faces of one arity, and 9 of arities 3 and 6
     @pytest.mark.parametrize("counts", [{2: 200}, {2: 4, 5: 5}])
     def test_recursion_depth_bounded_by_arity(self, counts):
-        subdigon._count_memo.clear()
-        subdigon._count_tuple.cache_clear()
         m = TypeVector.of(counts)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(traceback.extract_stack()) + 40)
@@ -156,7 +150,7 @@ class TestCounting:
             count = count_subdigons(m)
         finally:
             sys.setrecursionlimit(limit)
-        assert count == hyper_catalan(m)
+        assert count == count_trees(m)
 
 
 class TestCentralClassification:
