@@ -3,7 +3,9 @@
 T = 1 + t T^2 lets every power of T be rewritten as a linear
 combination P_r T + Q_r with polynomial coefficients; this module
 holds the reduction polynomials, the closed form for the power
-coefficients, and finite truncated checks of the identities.
+coefficients, and finite truncated checks of the identities.  The check
+forms T^r by repeated squaring, each product cut at the order it needs,
+and takes P_r and Q_r = -P_{r-1} from one pass of the recurrence.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .core import TypeVector, power_coeff
 
 
 class UniPoly:
-    """Dense univariate polynomial with integer coefficients (float ones for float level sums)."""
+    """Dense univariate polynomial with integer coefficients."""
 
     __slots__ = ("coeffs",)
 
@@ -113,41 +115,47 @@ def catalan_power(r: int, m: int) -> int:
     return power_coeff(TypeVector.of({2: m}), r)
 
 
+def _p_pair(r: int) -> tuple[UniPoly, UniPoly]:
+    """(P_{r-1}, P_r) for r >= 1, from one pass of P_r = P_{r-1} - t P_{r-2}."""
+    prev, cur = UniPoly.zero(), UniPoly.one()
+    for _ in range(r - 1):
+        prev, cur = cur, cur - prev.shift(1)
+    return prev, cur
+
+
 def p_poly(r: int) -> UniPoly:
     """P_0 = 0, P_1 = 1, P_r = P_{r-1} - t P_{r-2}."""
     if r < 0:
         raise ValueError(f"negative index {r}")
-    prev, cur = UniPoly.zero(), UniPoly.one()
-    if r == 0:
-        return prev
-    t = UniPoly((0, 1))
-    for _ in range(r - 1):
-        prev, cur = cur, cur - t * prev
-    return cur
+    return _p_pair(r)[1] if r else UniPoly.zero()
 
 
 def q_poly(r: int) -> UniPoly:
     """Q_1 = 0 and Q_{r+1} = -P_r."""
     if r < 1:
         raise ValueError(f"power {r} < 1")
-    if r == 1:
-        return UniPoly.zero()
-    return -p_poly(r - 1)
+    return -_p_pair(r)[0]
 
 
 def verify_power_identity(r: int, d: int) -> UniPoly:
     """Residual of t^{r-1} T^r = P_r T + Q_r, truncated at order d.
 
-    T is truncated at order d, and T^r at d - r + 1, the order that the
-    shift by t^{r-1} moves to d; the contract is the zero polynomial.
+    T is truncated at order d, and T^r, formed by repeated squaring, at
+    d - r + 1, the order that the shift by t^{r-1} moves to d; every
+    product is cut there.  The contract is the zero polynomial.
     """
     if r < 1:
         raise ValueError(f"power {r} < 1")
     if d < 0:
         raise ValueError(f"negative order {d}")
-    T = catalan_series(d)
-    lhs = UniPoly.one()
-    for _ in range(r):
-        lhs = lhs.truncated_mul(T, d - r + 1)
-    rhs = p_poly(r).truncated_mul(T, d) + q_poly(r)
+    T, order = catalan_series(d), d - r + 1
+    lhs, square, bits = UniPoly.one(), T, r
+    while bits:
+        if bits & 1:
+            lhs = lhs.truncated_mul(square, order)
+        bits >>= 1
+        if bits:
+            square = square.truncated_mul(square, order)
+    prev, p = _p_pair(r)
+    rhs = p.truncated_mul(T, d) - prev  # Q_r = -P_{r-1}
     return (lhs.shift(r - 1) - rhs).truncated(d)

@@ -115,17 +115,14 @@ def cmd_solve(args) -> int:
     spec = _spec(args.measure, args.d, q)
     values = {k: coeffs[k - 2] for k in range(2, q + 1)}
     # every line is formatted before any is printed, so an overflow prints none
-    partials = []
-    alpha = 0
     try:
         if args.float:
             values = {k: float(v) for k, v in values.items()}
-        for lvl, part in sorted(series.layer_sums(spec, values).items()):
-            alpha = alpha + part
-            partials.append((lvl, alpha))
+        partials = series.partial_sums(spec, values)
+        alpha = partials[max(partials)]
         residual = 1 - alpha + sum(values[k] * alpha**k for k in values)
         with _digit_limit():
-            lines = [f"level {lvl:>3}: partial sum = {_show(a)}" for lvl, a in partials]
+            lines = [f"level {lvl:>3}: partial sum = {_show(a)}" for lvl, a in partials.items()]
             lines += [f"alpha = {_show(alpha)}", f"residual = {_show(residual)}"]
     except OverflowError as exc:
         _usage_error(f"out of float range at level bound {spec.d}: {exc}")

@@ -34,7 +34,14 @@ e = s - F, the cell (F, e) adds binom(F+s, F) * [mu^e] R^F // (s+1) over
 Q^F (exact: it is sum C_m * prod_k a_k^m_k).  Its level is s (vertex), F + s
 (edge) or F (face), weight(2)*F + (weight(3) - weight(2))*e in each case.
 Float values take the same cells with Q = 1 and a_k = t_k as floats, the
-cell adding binom(F+s, F)/(s+1) * [mu^e] R^F.
+cell adding binom(F+s, F)/(s+1) * [mu^e] R^F.  R^F is a plain list, advanced
+by one slice-and-add per nonzero coefficient of R, highest index first, so
+each float cell adds its terms in one fixed order.
+
+Partial sums (partial_sums), the truncations of the zero that solve prints,
+come from the same cell pass.  Exact ones keep a single running numerator
+over Q^(l // weight(2)): each level multiplies it by a power of Q from the
+same table, adds the level's numerator and reduces the fraction once.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from itertools import accumulate
 from math import isfinite, lcm, perm
 from operator import mul
 
-from .catpow import UniPoly, _poly_text
+from .catpow import _poly_text
 from .core import TypeVector
 
 
@@ -199,14 +206,12 @@ def build_beta(spec: LayerSpec) -> LayeredPoly:
                         for key, c in bucket.items()})
 
 
-def layer_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
-    """{level: sum of C_m * prod_k values[k]^m_k over the types spec admits at that level}.
+def _level_numerators(spec: LayerSpec, values: dict):
+    """(exact, w2, qpow, [(level, numerator, frac)]): the cell pass of layer_sums and partial_sums.
 
-    Summed by the cells (F, e) of the module docstring.  A level is present iff
-    spec admits a type at it, and level 0 is the int 1.  Int and Fraction values
-    give exact sums: one numerator per level l over Q^(l // weight(2)), the most
-    faces at l, and an int unless a type at l uses a Fraction value.  Other
-    values are taken as floats; a level sum that is not finite raises OverflowError.
+    One entry per level that spec admits a type at, in increasing order; the level sum is
+    the numerator over qpow[level // w2] (1 for floats), and frac marks a level with a type
+    that uses a Fraction value.  A float numerator that is not finite raises OverflowError.
     """
     d, ks = spec.d, [(k, weight(k, spec.measure)) for k in range(2, spec.max_gon() + 1)]
     # reach[l]: spec admits a type at level l (an unbounded knapsack over the weights)
@@ -217,19 +222,31 @@ def layer_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
     exact = all(isinstance(values[k], (int, Fraction)) for k, _ in ks)
     if exact:
         q = lcm(*(values[k].denominator for k, _ in ks))
-        r = UniPoly(values[k].numerator * (q // values[k].denominator) for k, _ in ks)
+        r = [values[k].numerator * (q // values[k].denominator) for k, _ in ks]
     else:
-        q, r = 1, UniPoly(float(values[k]) for k, _ in ks)
+        q, r = 1, [float(values[k]) for k, _ in ks]
+    # R's nonzero terms, highest index first: each cell of R^F then adds its terms
+    # in increasing index of R^(F-1), the order that keeps float sums reproducible
+    terms = [(j, r[j]) for j in reversed(range(len(r))) if r[j]]
     # the cell (F, e) sits at level w2*F + step*e; R^F is cut at the largest e that fits
     w2, step = weight(2, spec.measure), weight(3, spec.measure) - weight(2, spec.measure)
     qpow = list(accumulate([q] * (d // w2), mul, initial=1))  # up to Q^(most faces)
     nums = [1] + [0 if exact else 0.0] * d
-    power, central = UniPoly.one(), 1  # R^F and binom(2F, F)
+    power, central = [1], 1  # R^F and binom(2F, F)
     for f in range(1, d // w2 + 1):
-        power = power.truncated_mul(r, (d - w2 * f) // step if step else f * (len(ks) - 1))
+        n = len(power) + len(r) - 1
+        if step:
+            n = min(n, (d - w2 * f) // step + 1)
+        out = [0] * n
+        for j, c in terms:
+            part = power[: n - j]
+            out[j : j + len(part)] = [o + c * x for o, x in zip(out[j : j + len(part)], part)]
+        while out and not out[-1]:
+            out.pop()
+        power = out
         central = central * (4 * f - 2) // f
         b = central  # binom(F + s, F) with s = F + e
-        for e, c in enumerate(power.coeffs):
+        for e, c in enumerate(power):
             if e:
                 b = b * (2 * f + e) // (f + e)
             if c:
@@ -239,14 +256,52 @@ def layer_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
                 else:
                     nums[lvl] += b / (f + e + 1) * c
     fracs = [w for k, w in ks if exact and isinstance(values[k], Fraction)]
-    sums: dict[int, object] = {}
+    levels = []
     for lvl in range(d + 1):
         if reach[lvl]:
-            num, den = nums[lvl], qpow[lvl // w2]
-            frac = any(w <= lvl and reach[lvl - w] for w in fracs)
-            sums[lvl] = Fraction(num, den) if frac else num // den if exact else num
+            num = nums[lvl]
             if not (exact or isfinite(num)):
                 raise OverflowError(f"level {lvl} sum is {num}")
+            levels.append((lvl, num, any(w <= lvl and reach[lvl - w] for w in fracs)))
+    return exact, w2, qpow, levels
+
+
+def layer_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
+    """{level: sum of C_m * prod_k values[k]^m_k over the types spec admits at that level}.
+
+    Summed by the cells (F, e) of the module docstring.  A level is present iff
+    spec admits a type at it, and level 0 is the int 1.  Int and Fraction values
+    give exact sums: one numerator per level l over Q^(l // weight(2)), the most
+    faces at l, and an int unless a type at l uses a Fraction value.  Other
+    values are taken as floats; a level sum that is not finite raises OverflowError.
+    """
+    exact, w2, qpow, levels = _level_numerators(spec, values)
+    if not exact:
+        return {lvl: num for lvl, num, _ in levels}
+    return {lvl: Fraction(num, qpow[lvl // w2]) if frac else num // qpow[lvl // w2]
+            for lvl, num, frac in levels}
+
+
+def partial_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
+    """{level: sum of the layer_sums up to that level}, the truncations of the zero.
+
+    Exact values keep one running numerator over Q^(l // weight(2)), rescaled by a power
+    of Q at each level and normalized once per level.  A partial sum is an int until the
+    first level whose level sum is a Fraction, and a Fraction from there on.  Float values
+    add the float level sums left to right.
+    """
+    exact, w2, qpow, levels = _level_numerators(spec, values)
+    sums: dict[int, object] = {}
+    alpha = 0
+    if not exact:
+        for lvl, num, _ in levels:
+            alpha = sums[lvl] = alpha + num
+        return sums
+    top, frac = 0, False  # alpha is a numerator over Q^top
+    for lvl, num, frac_here in levels:
+        k = lvl // w2
+        alpha, top, frac = alpha * qpow[k - top] + num, k, frac or frac_here
+        sums[lvl] = Fraction(alpha, qpow[k]) if frac else alpha // qpow[k]
     return sums
 
 

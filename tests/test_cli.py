@@ -289,6 +289,17 @@ class TestNegativeCoefficients:
             "residual = 4407758/12301875 ~ 0.358299690088\n"
         ))
 
+    def test_integral_fraction_partial_sum_stays_a_fraction(self, capsys):
+        # 1 - 1/2 + 2/4 = 1 is a Fraction, printed "1 ~ 1", unlike the int 1 at level 0
+        assert run(capsys, "solve", "--coeffs=-1/2", "--d", "3") == (0, (
+            "level   0: partial sum = 1\n"
+            "level   1: partial sum = 1/2 ~ 0.5\n"
+            "level   2: partial sum = 1 ~ 1\n"
+            "level   3: partial sum = 3/8 ~ 0.375\n"
+            "alpha = 3/8 ~ 0.375\n"
+            "residual = 71/128 ~ 0.5546875\n"
+        ))
+
     def test_spaced_form_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--coeffs", "-1/3,1/5", "--d", "3"])

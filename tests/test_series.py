@@ -25,6 +25,7 @@ from hypercatalan.series import (
     layer_sums,
     level,
     mul_truncated,
+    partial_sums,
     render_table,
     table_rows,
 )
@@ -482,6 +483,19 @@ def _assert_float_sums_close(got, types, spec, values):
         assert error <= FLOAT_TOLERANCE * Fraction(scale[lvl]), (spec, values, lvl)
 
 
+def _assert_partial_sums(spec, values, sums):
+    """partial_sums equals the running sum of the level sums, typed as alpha + part types it.
+
+    repr tells an int from a Fraction and a float bit for bit, so the float check is exact.
+    """
+    want, alpha = [], 0
+    for lvl, part in sums.items():
+        alpha = alpha + part
+        want.append((lvl, repr(alpha)))
+    got = [(lvl, repr(a)) for lvl, a in partial_sums(spec, values).items()]
+    assert got == want, (spec, values)
+
+
 BOUNDED_MEASURES = [(meas, q) for meas in Measure for q in range(2, 7)]
 
 
@@ -508,10 +522,12 @@ class TestCoefficientWalk:
                 got = layer_sums(spec, values)
                 if kind == "float":
                     _assert_float_sums_close(got, types, spec, values)
+                    _assert_partial_sums(spec, values, got)
                     continue
                 want = _oracle_layer_sums(types, spec, values)
                 assert got == want, (d, kind, values)
                 assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+                _assert_partial_sums(spec, values, want)
 
     def test_mixed_int_and_fraction_value_types(self):
         # level 1 holds only t2, an int; every higher level holds a Fraction term
@@ -521,6 +537,7 @@ class TestCoefficientWalk:
         assert got == want
         assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
         assert type(got[1]) is int and type(got[2]) is Fraction
+        _assert_partial_sums(spec, values, want)
 
 
 # the exact route's differential sweep: every level bound up to these, q = 2..6
@@ -543,11 +560,14 @@ class TestExactLevelSums:
                 if kind == "fraction":
                     values[2 + d % (q - 1)] = Fraction(0)
                 if kind == "float":
-                    _assert_float_sums_close(layer_sums(spec, values), types, spec, values)
+                    got = layer_sums(spec, values)
+                    _assert_float_sums_close(got, types, spec, values)
+                    _assert_partial_sums(spec, values, got)
                     continue
                 got, want = layer_sums(spec, values), _oracle_layer_sums(types, spec, values)
                 assert list(got.items()) == list(want.items()), (d, kind, values)
                 assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+                _assert_partial_sums(spec, values, want)
 
     @pytest.mark.parametrize("meas", [Measure.VERTEX, Measure.EDGE], ids=lambda m: m.value)
     def test_unbounded_gons_match_oracle(self, meas):
@@ -558,18 +578,28 @@ class TestExactLevelSums:
             got, want = layer_sums(spec, values), _oracle_layer_sums(_oracle_types(spec), spec, values)
             assert list(got.items()) == list(want.items()), (d, values)
             assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+            _assert_partial_sums(spec, values, want)
 
     def test_exact_values_never_walk(self, monkeypatch):
-        # no kind of value walks, floats included
+        # no kind of value walks, floats included, for level sums or partial sums
         def walk(spec):
             raise AssertionError("walked")
 
         monkeypatch.setattr(series, "_walk", walk)
         for spec in (LayerSpec(Measure.VERTEX, 9, 4), LayerSpec(Measure.EDGE, 9),
                      LayerSpec(Measure.FACE, 5, 3)):
-            assert layer_sums(spec, {k: Fraction(1, k + 5) for k in range(2, 11)})[0] == 1
-            assert layer_sums(spec, {k: k - 3 for k in range(2, 11)})[0] == 1
-            assert layer_sums(spec, {k: 1 / (k + 5) for k in range(2, 11)})[0] == 1
+            for sums in (layer_sums, partial_sums):
+                assert sums(spec, {k: Fraction(1, k + 5) for k in range(2, 11)})[0] == 1
+                assert sums(spec, {k: k - 3 for k in range(2, 11)})[0] == 1
+                assert sums(spec, {k: 1 / (k + 5) for k in range(2, 11)})[0] == 1
+
+    def test_float_cells_add_in_a_fixed_order(self):
+        # pinned bits: adding R^F's terms to a cell in another order changes level 5's last bit
+        spec = LayerSpec(Measure.VERTEX, 5, 4)
+        sums = layer_sums(spec, {2: 1 / 9, 3: 1 / 10, 4: 1 / 26})
+        assert [sums[0]] + [v.hex() for v in list(sums.values())[1:]] == [
+            1, "0x1.c71c71c71c71cp-4", "0x1.febc5d8cf5412p-4", "0x1.9d2ff29a06dc8p-4",
+            "0x1.56d69f1196a39p-4", "0x1.56469eaf12f3ap-4"]
 
     def test_vertex_60_seven_gons_under_a_second(self):
         # walking every admitted type took 3.4 s (2-core Xeon VM, Python 3.11)

@@ -126,10 +126,6 @@ class TestCounting:
         assert count_subdigons(tv(2, 1)) == 21
         assert count_subdigons(tv(4)) == 14
 
-    def test_matches_closed_form(self):
-        for m in all_small_types(max_faces=6, max_gon=6):
-            assert count_subdigons(m) == hyper_catalan(m)
-
     def test_matches_enumeration(self):
         # every type of <= 6 faces over arities 2-7 with at most 5,000 subdigons
         small = [m for m in all_small_types(max_faces=6, max_gon=7) if hyper_catalan(m) <= 5000]
