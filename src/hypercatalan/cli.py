@@ -298,6 +298,9 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
+    except OverflowError as exc:
+        # a closed form past math.factorial's range (sys.maxsize), before any output
+        _usage_error(f"input too large to compute: {exc}")
     except BrokenPipeError:
         # stdout closed early (`| head`): devnull keeps the exit flush quiet (signal docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

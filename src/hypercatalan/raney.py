@@ -5,8 +5,9 @@ A string is a finite sequence of naturals; its rank is the sum of
 words.  Every string of rank -n has exactly n cyclic rotations that
 split into n words; the identification algorithm finds those words in
 place by grouping a symbol i with the i identified words following it
-(``subdigon.group_trees``).  An identified word is a plane tree whose
-preorder arities are its symbols (``subdigon.to_word``).
+(``group_words``).  Those i words are adjacent, so an identified word is
+a contiguous slice of the string: its symbols are the preorder arities
+of a plane tree, and no tree object is built.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from itertools import accumulate
 from typing import Sequence
 
 from .core import Composition
-from .subdigon import PlaneTree, group_trees, to_word
 
 Symbols = tuple[int, ...]
 
@@ -48,9 +48,33 @@ def rank(sigma: Sequence[int]) -> int:
     return sum(a - 1 for a in sigma)
 
 
+def group_words(sigma: Sequence[int]) -> list[tuple[int, int | None]]:
+    """Group each symbol k >= 0 with the k words right after it, right to left.
+
+    Returns (start, end or None) for every item left, leftmost first: an
+    identified word is sigma[start:end], and None marks a symbol that found
+    fewer than k words after it (or k < 0).
+    """
+    starts: list[int] = []  # the items so far, rightmost first
+    ends: list[int | None] = []
+    run = 0  # identified words at the end of the lists
+    for i in range(len(sigma) - 1, -1, -1):
+        k = sigma[i]
+        if 0 <= k <= run:
+            cut = len(ends) - k
+            end = ends[cut] if k else i + 1  # a word ends where its last child does
+            del ends[cut:], starts[cut:]
+            run += 1 - k
+        else:
+            end, run = None, 0
+        ends.append(end)
+        starts.append(i)
+    return list(zip(reversed(starts), reversed(ends)))
+
+
 def is_word(sigma: Sequence[int]) -> bool:
-    """Grammar: the symbols group into exactly one tree, as ``from_word`` needs."""
-    items = group_trees(sigma)
+    """Grammar: the symbols group into exactly one word."""
+    items = group_words(sigma)
     return len(items) == 1 and items[0][1] is not None
 
 
@@ -99,10 +123,10 @@ def list_rotations(sigma: Sequence[int]) -> set[int]:
     return offsets
 
 
-def render(t: PlaneTree) -> str:
+def render(word: Sequence[int]) -> str:
     """Bracketed form of an identified word: 0, or (i w_1 ... w_i)."""
     out, due = [], []  # due: children still due inside each open bracket
-    for k in to_word(t):
+    for k in word:
         out.append(f"({k}" if k else "0")
         if k:
             due.append(k)
@@ -121,17 +145,17 @@ class Bracketing:
     """Result of running the identification algorithm."""
 
     symbols: Symbols
-    items: tuple[tuple[int, int, PlaneTree | None], ...]  # (start, symbol, word?)
+    items: tuple[tuple[int, Symbols | None], ...]  # (start, word?); symbols[start] heads it
 
     @property
     def complete(self) -> bool:
-        return all(w is not None for _, _, w in self.items)
+        return all(w is not None for _, w in self.items)
 
     @property
-    def words(self) -> list[PlaneTree]:
+    def words(self) -> list[Symbols]:
         if not self.complete:
             raise ValueError("identification incomplete: unidentified symbols remain")
-        return [w for _, _, w in self.items]
+        return [w for _, w in self.items]
 
     def render_words(self) -> list[str]:
         return [render(w) for w in self.words]
@@ -141,10 +165,10 @@ def identify_words(sigma: Sequence[int], cyclic: bool = True) -> Bracketing:
     """Group every symbol i >= 0 with the i identified words after it.
 
     Moves commute, so any order of moves ends in the same bracketing.
-    Linear: one pass of ``subdigon.group_trees``.  Cyclic: the rotation
-    starting at the first minimum of the prefix rank is a list of n
-    words (cycle lemma), so one pass over it identifies n words, whose
-    starts are mapped back onto sigma.
+    Linear: one pass of ``group_words``.  Cyclic: the rotation starting
+    at the first minimum of the prefix rank is a list of n words (cycle
+    lemma), so one pass over it identifies n words, each a slice of that
+    rotation, whose starts are mapped back onto sigma.
     """
     sigma = tuple(sigma)
     n = -rank(sigma)
@@ -154,8 +178,12 @@ def identify_words(sigma: Sequence[int], cyclic: bool = True) -> Bracketing:
     if cyclic:
         prefix = list(accumulate((a - 1 for a in sigma[:-1]), initial=0))
         offset = prefix.index(min(prefix))
-    items = sorted(((i + offset) % len(sigma), t) for i, t in group_trees(rotate(sigma, offset)))
-    return Bracketing(sigma, tuple((i, sigma[i], t) for i, t in items))
+    rotated = rotate(sigma, offset)
+    items = sorted(
+        ((i + offset) % len(sigma), None if end is None else rotated[i:end])
+        for i, end in group_words(rotated)
+    )
+    return Bracketing(sigma, tuple(items))
 
 
 def enumerate_lists(n: int, c: Composition) -> list[str]:

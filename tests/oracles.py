@@ -1,10 +1,12 @@
 """Slow reference implementations that the tests compare the program with.
 
 Each one is the plain form of a fast path in ``hypercatalan``: subdigons
-as ``PlaneTree`` objects enumerated and counted through ``TypeVector``
-arithmetic, Raney lists by depth-first search over prefixes, rotations
-by testing every offset, the structural helpers that only tests use, the
-Catalan power coefficients by their factorial form and recurrence, and
+and Raney words as ``PlaneTree`` objects, built by ``group_trees`` (the
+tree-building reference for ``raney.group_words``'s slices) and read
+from text by ``tokens``, enumerated and counted through ``TypeVector`` arithmetic,
+Raney lists by depth-first search over prefixes, rotations by testing
+every offset, the structural helpers that only tests use, the Catalan
+power coefficients by their factorial form and recurrence, and
 ``LayeredPoly`` admission to a spec, truncation, arithmetic, packing and
 text and JSON forms term by term.
 """
@@ -13,6 +15,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
+from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Sequence
@@ -21,9 +26,118 @@ from hypercatalan.catpow import catalan_power
 from hypercatalan.core import VEF, Composition, TypeVector, unit_type
 from hypercatalan.raney import is_word_list, rank, rotate
 from hypercatalan.series import LayeredPoly, LayerSpec, level
-from hypercatalan.subdigon import NULL, PlaneTree, to_word, type_of
+from hypercatalan.subdigon import serialize
 
 Symbols = tuple[int, ...]
+
+
+# -- plane trees --------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class PlaneTree:
+    """Rooted ordered tree: a leaf when children is empty.
+
+    The word determines the tree, so equality and hashing go through
+    ``to_word``, and no operation recurses into deep trees.
+    """
+
+    children: tuple[PlaneTree, ...] = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, PlaneTree):
+            return NotImplemented
+        return to_word(self) == to_word(other)
+
+    def __hash__(self):
+        return hash(to_word(self))
+
+    def __repr__(self):
+        return f"PlaneTree({serialize(to_word(self))!r})"
+
+
+NULL = PlaneTree()
+
+
+def panel(k: int, children) -> PlaneTree:
+    """Glue k ordered subdigons to a central (k+1)-gon."""
+    children = tuple(children)
+    if k < 2:
+        raise ValueError(f"panel arity {k} < 2")
+    if len(children) != k:
+        raise ValueError(f"expected {k} children, got {len(children)}")
+    return PlaneTree(children)
+
+
+def to_word(t: PlaneTree) -> Symbols:
+    """Raney word of t: the arities of its nodes in preorder."""
+    out = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        out.append(len(node.children))
+        stack.extend(reversed(node.children))
+    return tuple(out)
+
+
+def group_trees(word) -> list[tuple[int, PlaneTree | None]]:
+    """Group each symbol k >= 0 with the k trees right after it, right to left.
+
+    Returns (index, tree or None) for every item left, leftmost first;
+    None marks a symbol that found fewer than k trees after it (or k < 0).
+    """
+    starts: list[int] = []  # the items so far, rightmost first
+    trees: list[PlaneTree | None] = []
+    run = 0  # trees at the end of the lists
+    for i in range(len(word) - 1, -1, -1):
+        k = word[i]
+        if 0 <= k <= run:
+            cut = len(trees) - k
+            tree = PlaneTree(tuple(trees[cut:][::-1])) if k else NULL
+            del trees[cut:], starts[cut:]
+            run += 1 - k
+        else:
+            tree, run = None, 0
+        trees.append(tree)
+        starts.append(i)
+    return list(zip(reversed(starts), reversed(trees)))
+
+
+def from_word(word) -> PlaneTree:
+    """The plane tree whose preorder arities are word; inverse of to_word."""
+    items = group_trees(word)
+    if not items or items[0][1] is None:
+        raise ValueError(f"unexpected end of input at position {len(word)}")
+    if len(items) > 1:
+        raise ValueError(f"trailing input at position {items[1][0]}")
+    return items[0][1]
+
+
+def tokens(text: str) -> Symbols:
+    """The arities of a word in ``serialize`` form: digits, and [k] above 9."""
+    if text.isascii() and text.isdigit():
+        return tuple(map(int, text))
+    word = tuple(int(big or digit) for big, digit in re.findall(r"\[([0-9]+)\]|([0-9])", text))
+    if serialize(word) != text:
+        raise ValueError(f"not in serialize form: {text!r}")
+    return word
+
+
+def tree_of(text: str) -> PlaneTree:
+    """The subdigon whose word in ``serialize`` form is text."""
+    return check_subdigon(from_word(tokens(text)))
+
+
+def render_tree(t: PlaneTree) -> str:
+    """Bracketed form of a tree: 0 for a leaf, else (k followed by its k children)."""
+    if not t.children:
+        return "0"
+    return f"({len(t.children)}" + "".join(map(render_tree, t.children)) + ")"
+
+
+def type_of(s: PlaneTree) -> TypeVector:
+    """m_k = number of panels of arity k anywhere in s."""
+    return TypeVector.of(Counter(k for k in to_word(s) if k))
 
 
 # -- subdigons ----------------------------------------------------------------

@@ -40,8 +40,8 @@ from hypercatalan.series import (
     mul_truncated,
     table_rows,
 )
-from hypercatalan.subdigon import count_subdigons, enumerate_subdigons, parse, to_word
-from oracles import catalan_power_factorial, central_arity, count_trees, poly
+from hypercatalan.subdigon import count_subdigons, enumerate_subdigons
+from oracles import catalan_power_factorial, central_arity, count_trees, poly, tree_of
 
 
 def tv(*counts):
@@ -196,7 +196,7 @@ def test_criterion_4_table_reproduction(spec, expected):
 
 
 def test_criterion_5_central_polygon_split():
-    subs = [parse(w) for w in enumerate_subdigons(tv(2, 1))]
+    subs = [tree_of(w) for w in enumerate_subdigons(tv(2, 1))]
     split = {}
     for s in subs:
         split[central_arity(s)] = split.get(central_arity(s), 0) + 1
@@ -229,7 +229,7 @@ def test_criterion_6_raney_lemma_and_identification():
     # triquad word, 0; the bracketing invariant (head i, then i identified
     # words) pins the closing parens
     assert words[3] == "(4(200)0(30(1(300(10)))0)0)"
-    assert to_word(bracketing.words[3]) == (4, 2, 0, 0, 0, 3, 0, 1, 3, 0, 0, 1, 0, 0, 0)
+    assert bracketing.words[3] == (4, 2, 0, 0, 0, 3, 0, 1, 3, 0, 0, 1, 0, 0, 0)
     report(6, "Raney lemma on 500 random strings; 4-word identification exact")
 
 

@@ -14,8 +14,7 @@ import hypercatalan
 from hypercatalan import series, subdigon
 from hypercatalan.cli import build_parser, main
 from hypercatalan.core import TypeVector, central_count
-from hypercatalan.subdigon import parse
-from oracles import bumped_walk, count_trees
+from oracles import bumped_walk, count_trees, tree_of
 
 
 def run(capsys, *argv):
@@ -329,7 +328,7 @@ class TestSubdigons:
         words = json.loads(out)
         assert len(words) == 2
         for w in words:
-            parse(w)
+            tree_of(w)
 
     def test_list_and_json_print_the_same_words(self, capsys):
         _, listed = run(capsys, "subdigons", "--type", "2,1", "--format", "list")
@@ -401,6 +400,10 @@ NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"
                                        reason="no int-to-str digit limit")
 DIGIT_LIMIT_ERROR = ("error: result has more than 4300 digits, Python's int-to-str limit "
                      "(PYTHONINTMAXSTRDIGITS=0 lifts it)")
+# math.factorial takes no argument above sys.maxsize (2^63 - 1 on 64-bit builds)
+TOO_LARGE_ERROR = ("error: input too large to compute: "
+                   f"factorial() argument should not exceed {sys.maxsize}")
+HUGE = "99999999999999999999"
 
 
 class TestUsageErrors:
@@ -437,6 +440,11 @@ class TestUsageErrors:
             ["solve", "--coeffs=1/7", "--d", "6000"],
             ["subdigons", "--type", "8000"],
         )],
+        (["coeff", "--type", HUGE], TOO_LARGE_ERROR),
+        (["coeff", "--type", "1", "--power", HUGE], TOO_LARGE_ERROR),
+        (["subdigons", "--type", HUGE], TOO_LARGE_ERROR),
+        (["powers", "--r", HUGE, "--m", "1"], TOO_LARGE_ERROR),
+        (["powers", "--r", "1", "--m", HUGE], TOO_LARGE_ERROR),
     ], ids=["powers-without-arguments", "rotations-rank-0", "enumerate-n-0",
             "identify-rank-0", "check-n-0", "enumerate-negative-count", "rank-bad-digits",
             "powers-r-0", "powers-m-negative", "identity-0", "identity-negative-order",
@@ -444,7 +452,8 @@ class TestUsageErrors:
             "coeff-power-0", "subdigons-list-over-cap", "subdigons-json-over-cap",
             "subdigons-max-faces", "solve-float-coefficient-overflow", "solve-float-term-overflow",
             "solve-float-power-overflow", "coeff-digit-limit", "powers-digit-limit",
-            "solve-digit-limit", "subdigons-digit-limit"])
+            "solve-digit-limit", "subdigons-digit-limit", "coeff-huge-type", "coeff-huge-power",
+            "subdigons-huge-type", "powers-huge-r", "powers-huge-m"])
     def test_exit_2_with_one_line_message(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +8,7 @@ from hypercatalan.core import Composition, TypeVector, raney_count
 from hypercatalan.raney import (
     enumerate_lists,
     format_string,
+    group_words,
     identify_words,
     is_word,
     is_word_list,
@@ -17,17 +17,21 @@ from hypercatalan.raney import (
     rank,
     rotate,
 )
-from hypercatalan.subdigon import (
+from hypercatalan.subdigon import enumerate_subdigons, serialize
+from oracles import (
     NULL,
     PlaneTree,
-    enumerate_subdigons,
+    check_subdigon,
+    enumerate_lists_dfs,
     from_word,
-    parse,
-    serialize,
+    group_trees,
+    list_rotations_scan,
+    render_tree,
+    split_words,
     to_word,
+    tree_of,
     type_of,
 )
-from oracles import check_subdigon, enumerate_lists_dfs, list_rotations_scan, split_words
 
 
 PAPER_21_WORDS = """
@@ -86,7 +90,7 @@ class TestWordRecognition:
         assert not is_word_list(parse_string("020"), 1)
 
     def test_recognizers_agree_exhaustively(self):
-        # grammar (grouping into one tree) against the rank criterion for n = 1
+        # grammar (grouping into one word) against the rank criterion for n = 1
         for length in range(1, 11):
             for sigma in itertools.product(range(4), repeat=length):
                 assert is_word(sigma) == is_word_list(sigma, 1), sigma
@@ -159,6 +163,31 @@ class TestRotations:
             list_rotations((-1, 0))
 
 
+class TestGroupWords:
+    def test_slices_equal_the_tree_oracle_exhaustively(self):
+        # every string of length <= 8 over symbols -1..3: 488,281 strings
+        for length in range(9):
+            for sigma in itertools.product(range(-1, 4), repeat=length):
+                items, trees = group_words(sigma), group_trees(sigma)
+                assert [i for i, _ in items] == [i for i, _ in trees], sigma
+                slices = [None if end is None else sigma[i:end] for i, end in items]
+                assert slices == [None if t is None else to_word(t) for _, t in trees], sigma
+
+    def test_cyclic_render_equals_the_tree_oracle(self):
+        # shuffled strings of 60-80 faces of arity 2-5 holding 1-3 words, as the benchmark draws
+        rng = random.Random(14)
+        for _ in range(100):
+            n = rng.choice((1, 2, 3))
+            heads = [rng.choice((2, 2, 3, 3, 4, 5)) for _ in range(rng.randint(60, 80))]
+            sigma = heads + [0] * (n + sum(a - 1 for a in heads))
+            rng.shuffle(sigma)
+            br = identify_words(sigma, cyclic=True)
+            off = min(list_rotations(sigma))
+            trees = sorted(((i + off) % len(sigma), t) for i, t in group_trees(rotate(sigma, off)))
+            assert [start for start, _ in br.items] == [start for start, _ in trees]
+            assert br.render_words() == [render_tree(t) for _, t in trees]
+
+
 class TestIdentifyWords:
     def test_all_zeros(self):
         br = identify_words((0, 0, 0))
@@ -171,9 +200,9 @@ class TestIdentifyWords:
         assert br.render_words() == [
             "(10)", "0", "0", "(4(200)0(30(1(300(10)))0)0)"
         ]
-        # every identified word flattens back onto the circular symbols
+        # every identified word is a slice of the circular symbols
         big = br.words[-1]
-        assert to_word(big) == (4, 2, 0, 0, 0, 3, 0, 1, 3, 0, 0, 1, 0, 0, 0)
+        assert big == (4, 2, 0, 0, 0, 3, 0, 1, 3, 0, 0, 1, 0, 0, 0)
 
     def test_whole_word_single_group(self):
         for text in ["0", "200", "202030100", "302000"]:
@@ -181,7 +210,7 @@ class TestIdentifyWords:
             assert is_word(sigma)
             br = identify_words(sigma, cyclic=False)
             assert len(br.words) == 1
-            assert to_word(br.words[0]) == sigma
+            assert br.words[0] == sigma
 
     def test_rejects_nonnegative_rank(self):
         with pytest.raises(ValueError):
@@ -194,8 +223,7 @@ class TestIdentifyWords:
                 for off in list_rotations(sigma):
                     rotated = rotate(sigma, off)
                     br = identify_words(rotated, cyclic=False)
-                    flat = [to_word(w) for w in br.words]
-                    assert flat == split_words(rotated)
+                    assert br.words == split_words(rotated)
 
     def test_word_starts_are_the_rotations(self):
         # the n identified words tile the circle; each start begins a list of n words
@@ -204,13 +232,13 @@ class TestIdentifyWords:
             for sigma in strings_of_rank(-n, rng=rng, count=60):
                 br = identify_words(sigma, cyclic=True)
                 assert br.complete
-                assert {start for start, _, _ in br.items} == list_rotations(sigma)
+                assert {start for start, _ in br.items} == list_rotations(sigma)
 
     def test_deep_string_does_not_recurse(self):
         sigma = (2,) * 1200 + (0,) * 1201
         for cyclic in (False, True):
             br = identify_words(sigma, cyclic=cyclic)
-            assert [to_word(w) for w in br.words] == [sigma]
+            assert br.words == [sigma]
         assert identify_words(rotate(sigma, 7)).items[0][0] == len(sigma) - 7
 
     def test_randomized_move_order_same_words(self):
@@ -219,39 +247,31 @@ class TestIdentifyWords:
         for sigma in strings_of_rank(-3, rng=rng, count=30):
             left = identify_words(sigma, cyclic=True)
             right = _identify_reversed(sigma)
-            assert sorted(to_word(w) for w in left.words) == sorted(right)
-
-
-@dataclass
-class _Item:
-    start: int
-    symbol: int
-    word: PlaneTree | None  # None while unidentified
-
-    @property
-    def identified(self) -> bool:
-        return self.word is not None
+            assert sorted(left.words) == sorted(right)
 
 
 def _identify_reversed(sigma):
-    """Restart-after-every-move grouping around the circle, scanning right-to-left."""
-    items = [_Item(i, a, NULL if a == 0 else None) for i, a in enumerate(sigma)]
+    """Restart-after-every-move grouping around the circle, scanning right-to-left.
+
+    Each item is [symbol, word], the word None while the symbol is unidentified.
+    """
+    items = [[a, (0,) if a == 0 else None] for a in sigma]
     moved = True
     while moved:
         moved = False
         for idx in reversed(range(len(items))):
-            it = items[idx]
-            if it.identified or it.symbol > len(items) - 1:
+            a, word = items[idx]
+            if word is not None or a > len(items) - 1:
                 continue
-            followers = [items[(idx + j) % len(items)] for j in range(1, it.symbol + 1)]
-            if all(f.identified for f in followers):
-                it.word = PlaneTree(tuple(f.word for f in followers))
+            followers = [items[(idx + j) % len(items)] for j in range(1, a + 1)]
+            if all(f[1] is not None for f in followers):
+                items[idx][1] = (a,) + sum((f[1] for f in followers), ())
                 drop = {id(f) for f in followers}
                 items = [x for x in items if id(x) not in drop]
                 moved = True
                 break
-    assert all(x.identified for x in items)
-    return [to_word(x.word) for x in items]
+    assert all(word is not None for _, word in items)
+    return [word for _, word in items]
 
 
 class TestEnumerateLists:
@@ -365,7 +385,7 @@ class TestTreeBijection:
     def test_triangle_word(self):
         t = from_word((2, 0, 0))
         assert len(t.children) == 2
-        assert serialize(check_subdigon(t)) == "200"
+        assert serialize(to_word(check_subdigon(t))) == "200"
 
     def test_rejects_non_word(self):
         with pytest.raises(ValueError):
@@ -391,10 +411,10 @@ class TestTreeBijection:
     def test_words_biject_with_subdigons(self):
         m = TypeVector.from_counts([2, 1])
         words = [parse_string(w) for w in enumerate_lists(1, Composition(0, m))]
-        mapped = {serialize(check_subdigon(from_word(w))) for w in words}
+        mapped = {serialize(to_word(check_subdigon(from_word(w)))) for w in words}
         enumerated = set(enumerate_subdigons(m))
         assert mapped == enumerated
-        assert {from_word(w) for w in words} == {parse(s) for s in enumerate_subdigons(m)}
+        assert {from_word(w) for w in words} == {tree_of(s) for s in enumerate_subdigons(m)}
         for w in words:
             s = check_subdigon(from_word(w))
             assert type_of(s) == m

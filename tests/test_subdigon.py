@@ -6,26 +6,21 @@ import pytest
 
 from hypercatalan.core import TypeVector, central_count, hyper_catalan, vef
 from hypercatalan.series import LayeredPoly
-from hypercatalan.subdigon import (
-    NULL,
-    ParseError,
-    PlaneTree,
-    count_subdigons,
-    enumerate_subdigons,
-    from_word,
-    group_trees,
-    panel,
-    parse,
-    serialize,
-    to_word,
-    type_of,
-)
+from hypercatalan.subdigon import count_subdigons, enumerate_subdigons, serialize
 from oracles import (
+    NULL,
+    PlaneTree,
     central_arity,
     check_subdigon,
     count_trees,
     enumerate_trees,
+    from_word,
+    group_trees,
+    panel,
     psi_sum,
+    to_word,
+    tree_of,
+    type_of,
     vef_structural,
 )
 
@@ -92,14 +87,14 @@ class TestVEFStructural:
 
     def test_agrees_with_closed_form_exhaustively(self):
         for m in all_small_types(max_faces=5, max_gon=4):
-            for s in map(parse, enumerate_subdigons(m)):
+            for s in map(tree_of, enumerate_subdigons(m)):
                 assert vef_structural(s) == vef(type_of(s))
 
 
 class TestEnumeration:
     def test_null_type(self):
         assert enumerate_subdigons(TypeVector()) == ["0"]
-        assert parse("0") == NULL
+        assert tree_of("0") == NULL
 
     def test_paper_counts(self):
         assert len(enumerate_subdigons(tv(2, 1))) == 21
@@ -107,7 +102,7 @@ class TestEnumeration:
 
     def test_no_duplicates_and_right_types(self):
         for m in [tv(2, 1), tv(3), tv(1, 1, 1)]:
-            subs = [parse(w) for w in enumerate_subdigons(m)]
+            subs = [tree_of(w) for w in enumerate_subdigons(m)]
             assert len(set(subs)) == len(subs)
             assert all(type_of(s) == m for s in subs)
 
@@ -152,7 +147,7 @@ class TestCounting:
 class TestCentralClassification:
     def test_paper_split(self):
         split = {}
-        for s in map(parse, enumerate_subdigons(tv(2, 1))):
+        for s in map(tree_of, enumerate_subdigons(tv(2, 1))):
             split[central_arity(s)] = split.get(central_arity(s), 0) + 1
         assert split == {2: 12, 3: 9}
 
@@ -168,7 +163,7 @@ class TestCentralClassification:
 class TestPsiProjection:
     def test_monomial_sum(self):
         m = tv(2, 1, 1)
-        assert psi_sum(map(parse, enumerate_subdigons(m))) == LayeredPoly({m: 495})
+        assert psi_sum(map(tree_of, enumerate_subdigons(m))) == LayeredPoly({m: 495})
 
 
 class TestWordToTree:
@@ -181,76 +176,42 @@ class TestWordToTree:
 
     def test_round_trip_every_subdigon_up_to_5_faces(self):
         for m in all_small_types(5, 4):
-            for s in map(parse, enumerate_subdigons(m)):
+            for s in map(tree_of, enumerate_subdigons(m)):
                 assert from_word(to_word(s)) == s
 
     def test_from_word_errors(self):
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ValueError) as exc:
             from_word((2, 0))
         assert str(exc.value) == "unexpected end of input at position 2"
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ValueError) as exc:
             from_word((2, 0, 0, 0, 3))
         assert str(exc.value) == "trailing input at position 3"
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError):
             from_word(())
 
 
 class TestSerialization:
     def test_basic_forms(self):
-        assert serialize(NULL) == "0"
-        assert serialize(TRIANGLE) == "200"
-        assert serialize(panel(3, [NULL, TRIANGLE, NULL])) == "302000"
+        assert serialize((0,)) == "0"
+        assert serialize(to_word(TRIANGLE)) == "200"
+        assert serialize(to_word(panel(3, [NULL, TRIANGLE, NULL]))) == "302000"
 
     def test_round_trip_all_495(self):
         for w in enumerate_subdigons(tv(2, 1, 1)):
-            s = parse(w)
-            assert serialize(s) == w
-            assert parse(serialize(s)) == s
+            s = tree_of(w)
+            assert serialize(to_word(s)) == w
+            assert tree_of(serialize(to_word(s))) == s
 
     def test_large_arity_bracketed(self):
         for k in (10, 12):
             s = panel(k, [NULL] * k)
-            assert serialize(s) == f"[{k}]" + "0" * k
-            assert parse(serialize(s)) == s
-        assert serialize(panel(9, [NULL] * 9)) == "9" + "0" * 9
-
-    def test_parse_errors_of_each_kind(self):
-        for text, message in [
-            ("", "unexpected end of input at position 0"),
-            ("2[3]000", "unexpected end of input at position 7"),
-            ("2x00", "unexpected character 'x' at position 1"),
-            ("2[300", "unterminated bracket at position 1"),
-            ("2[]00", "bad arity '' at position 1"),
-            ("2[-2]00", "bad arity '-2' at position 1"),
-            ("[1]0", "panel arity 1 < 2 at position 2"),
-            ("2[0]00", "panel arity 0 < 2 at position 3"),
-            ("2010", "panel arity 1 < 2 at position 2"),
-            # every token is read before the words, so a bad one is named even after a word
-            ("200x", "unexpected character 'x' at position 3"),
-            ("200[1]", "panel arity 1 < 2 at position 5"),
-            ("200200", "trailing input at position 3"),
-            # decimal digits that int() rejects are bad characters, not crashes
-            ("\u00b200", "unexpected character '\u00b2' at position 0"),
-            ("[\u00b2]", "bad arity '\u00b2' at position 0"),
-        ]:
-            with pytest.raises(ParseError) as exc:
-                parse(text)
-            assert str(exc.value) == message, text
+            assert serialize(to_word(s)) == f"[{k}]" + "0" * k
+            assert tree_of(serialize(to_word(s))) == s
+        assert serialize(to_word(panel(9, [NULL] * 9))) == "9" + "0" * 9
 
     def test_deep_text_does_not_recurse(self):
         text = "2" * 3000 + "0" * 3001
-        assert to_word(parse(text)) == tuple(int(ch) for ch in text)
-
-    def test_parse_errors_carry_position(self):
-        with pytest.raises(ParseError) as exc:
-            parse("20")
-        assert exc.value.position == 2
-        with pytest.raises(ParseError):
-            parse("2000")
-        with pytest.raises(ParseError):
-            parse("x")
-        with pytest.raises(ParseError):
-            parse("100")
+        assert to_word(tree_of(text)) == tuple(int(ch) for ch in text)
 
 
 class TestDeepTrees:
@@ -262,7 +223,7 @@ class TestDeepTrees:
         assert chain != longer
         assert len({chain, same, longer}) == 2
         assert repr(chain) == "PlaneTree('" + "1" * 4999 + "0')"
-        assert serialize(chain) == "1" * 4999 + "0"
+        assert serialize(to_word(chain)) == "1" * 4999 + "0"
 
     def test_equality_is_by_word(self):
         assert panel(2, [TRIANGLE, NULL]) != panel(2, [NULL, TRIANGLE])
@@ -271,7 +232,7 @@ class TestDeepTrees:
 
 
 def _words_of_trees(m):
-    return [serialize(s) for s in enumerate_trees(m)]
+    return [serialize(to_word(s)) for s in enumerate_trees(m)]
 
 
 # types with an arity of 10 or more, whose words bracket that arity
