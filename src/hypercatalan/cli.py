@@ -42,6 +42,23 @@ def _digit_limit():
                      "Python's int-to-str limit (PYTHONINTMAXSTRDIGITS=0 lifts it)")
 
 
+def _write(text: str) -> None:
+    """Write text to stdout in full, or raise BrokenPipeError if the reader has left.
+
+    An unbuffered stdout (``PYTHONUNBUFFERED``) writes through to the raw
+    file, whose write can end short when the pipe closes; the text layer
+    ignores that count, so the bytes are written here until none are left.
+    """
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text-only stream, such as io.StringIO
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[buffer.write(data):]
+
+
 def _parse_type(text: str) -> TypeVector:
     text = text.strip()
     if not text:
@@ -80,7 +97,7 @@ def cmd_coeff(args) -> int:
 
 def cmd_table(args) -> int:
     spec = _spec(args.measure, args.d, args.q)
-    sys.stdout.write(series.render_table(spec, series.table_rows(spec), args.format))
+    _write(series.render_table(spec, series.table_rows(spec), args.format))
     return 0
 
 
@@ -151,9 +168,9 @@ def cmd_subdigons(args) -> int:
     except ValueError as exc:
         _usage_error(str(exc))
     if args.format == "json":
-        sys.stdout.write(subdigon.to_json(words) + "\n")
+        _write(subdigon.to_json(words) + "\n")
     else:
-        sys.stdout.write("".join(w + "\n" for w in words))
+        _write("\n".join(words) + "\n")
     return 0
 
 
@@ -168,7 +185,7 @@ def cmd_raney(args) -> int:
         c = Composition(m1, TypeVector.of({k: v for k, v in counts.items() if v}))
         lists = raney.enumerate_lists(args.n, c)
         total = f"total {len(lists)} (closed form {raney_count(args.n, c)})"
-        sys.stdout.write("\n".join([*lists, total]) + "\n")
+        _write("\n".join([*lists, total]) + "\n")
         return 0
     try:
         sigma = raney.parse_string(args.string)

@@ -5,9 +5,11 @@ central (k+1)-gon with k >= 2 ordered subdigon children glued
 roof-to-side: a plane tree with no unary node.  Its word is the arity
 of each node in preorder, so the null subdigon is (0,) and a single
 triangle (2, 0, 0).  This module enumerates the subdigons of a type as
-words in the digit form of ``serialize`` (built once per type and
-memoized on plain count tuples); the enumeration is the brute-force
-oracle for the closed form C_m, which ``count_subdigons`` returns.
+words in the digit form of ``serialize``, built once per type and
+memoized on plain count tuples as one newline-joined string, so the
+memo holds one object per type rather than one per word.  The
+enumeration is the brute-force oracle for the closed form C_m, which
+``count_subdigons`` returns.
 """
 
 from __future__ import annotations
@@ -60,24 +62,29 @@ def _unit_minus(m: Counts, r: int) -> Counts:
 
 
 @lru_cache(maxsize=None)
-def _enumerate(m: Counts) -> tuple[str, ...]:
-    """The words of every subdigon of type m, central polygon first.
+def _enumerate(m: Counts) -> str:
+    """The words of every subdigon of type m, central polygon first, one per line.
 
     A word is the root arity (``_digits``) followed by the words of its
     children, so each type's words are built once and every parent
-    concatenates them.
+    concatenates them.  The memo keeps one newline-joined string per
+    type, not one object per word; a build splits each child type's
+    string once and shares the lists among its splits.
     """
     if not m:
-        return ("0",)
+        return "0"
     out = []
+    child_words: dict[Counts, list[str]] = {}
     for r, mr in enumerate(m, start=2):
         if not mr:
             continue
-        head = _digits(r)
+        head = (_digits(r),)
         for split in _splits(_unit_minus(m, r), r):
-            children = itertools.product(*map(_enumerate, split))
-            out += [head + "".join(words) for words in children]
-    return tuple(out)
+            for t in split:
+                if t not in child_words:
+                    child_words[t] = _enumerate(t).split("\n")
+            out += map("".join, itertools.product(head, *map(child_words.__getitem__, split)))
+    return "\n".join(out)
 
 
 DEFAULT_FACE_CAP = 8
@@ -91,7 +98,7 @@ def enumerate_subdigons(m: TypeVector, face_cap: int = DEFAULT_FACE_CAP) -> list
     """
     if m.faces() > face_cap:
         raise ValueError(f"face count {m.faces()} exceeds cap {face_cap}")
-    return list(_enumerate(tuple(m.to_counts())))
+    return _enumerate(tuple(m.to_counts())).split("\n")
 
 
 def count_subdigons(m: TypeVector) -> int:

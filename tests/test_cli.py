@@ -103,25 +103,28 @@ class TestTable:
         _, second = run(capsys, "table", "--measure", "edge", "--d", "6")
         assert first == second
 
-    # d = 22 prints about 370 kB, several pipe buffers, after the first line is read;
-    # d = 3 prints 1 kB, which a buffered stdout only writes at its last flush
+    # d = 22 prints about 370 kB and the subdigon list 7.3 MB, several pipe buffers, after
+    # the first line is read; d = 3 prints 1 kB, which a buffered stdout only writes at its
+    # last flush
     @pytest.mark.parametrize("unbuffered", [False, True])
-    @pytest.mark.parametrize("d,first", [("22", b"     [v^0] total  0\n"), ("3", b"")],
-                             ids=["after-first-line", "before-any-output"])
-    def test_closed_stdout_ends_quietly(self, unbuffered, d, first):
+    @pytest.mark.parametrize("argv,first", [
+        (["table", "--measure", "vertex", "--d", "22"], b"     [v^0] total  0\n"),
+        (["table", "--measure", "vertex", "--d", "3"], b""),
+        (["subdigons", "--type", "2,2,1,1", "--format", "list"], b"20203003004000500000\n"),
+    ], ids=["after-first-line", "before-any-output", "subdigon-list"])
+    def test_closed_stdout_ends_quietly(self, unbuffered, argv, first):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(hypercatalan.__file__).parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep))
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
-        argv = [sys.executable, "-m", "hypercatalan.cli", "table", "--measure", "vertex", "--d", d]
+        argv = [sys.executable, "-m", "hypercatalan.cli", *argv]
         proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         line = proc.stdout.readline() if first else b""
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
-        # one large write into a closed pipe can end short without an error when unbuffered
-        assert proc.wait(timeout=120) in ((0, 1) if unbuffered and first else (1,))
+        assert proc.wait(timeout=120) == 1
         assert (line, err) == (first, b"")
 
 
@@ -347,6 +350,17 @@ class TestSubdigons:
         assert sum(central_count(m, r) for r, _ in m.items()) == count_trees(m)
         expected = f"{count_trees(m)} split {' '.join(split)}\n"
         assert run(capsys, "subdigons", "--type", counts) == (0, expected)
+
+    @pytest.mark.parametrize("fmt", ["list", "json"])
+    def test_list_after_a_parent_equals_a_fresh_list(self, capsys, fmt):
+        # 2,1 is a child type of 2,2,1: building the parent first fills its memo entry
+        subdigon._enumerate.cache_clear()
+        subdigon._splits.cache_clear()
+        fresh = run(capsys, "subdigons", "--type", "2,1", "--format", fmt)
+        subdigon._enumerate.cache_clear()
+        subdigon._splits.cache_clear()
+        assert run(capsys, "subdigons", "--type", "2,2,1", "--format", fmt)[0] == 0
+        assert run(capsys, "subdigons", "--type", "2,1", "--format", fmt) == fresh
 
     def test_arity_above_9_is_bracketed(self, capsys):
         code, out = run(capsys, "subdigons", "--type", "0,0,0,0,0,0,0,0,0,0,1", "--format", "list")

@@ -1,9 +1,12 @@
+import gc
 import itertools
 import sys
 import traceback
+import tracemalloc
 
 import pytest
 
+from hypercatalan import subdigon
 from hypercatalan.core import TypeVector, central_count, hyper_catalan, vef
 from hypercatalan.series import LayeredPoly
 from hypercatalan.subdigon import count_subdigons, enumerate_subdigons, serialize
@@ -252,3 +255,38 @@ class TestAgainstOracles:
     def test_counts_equal_the_type_vector_oracle(self):
         for m in [*all_small_types(max_faces=6, max_gon=7), *WIDE_TYPES]:
             assert count_subdigons(m) == count_trees(m), m
+
+
+def _clear_memo():
+    subdigon._enumerate.cache_clear()
+    subdigon._splits.cache_clear()
+
+
+class TestMemo:
+    def test_words_do_not_depend_on_call_order(self):
+        # smallest first lists each type before any parent uses it as a child;
+        # largest first builds each type as a child before it is listed
+        types = sorted(all_small_types(max_faces=5, max_gon=5),
+                       key=lambda m: (m.faces(), m.to_counts()))
+        try:
+            expected = {m: "\n".join(_words_of_trees(m)) for m in types}
+        finally:
+            enumerate_trees.cache_clear()  # 663,021 trees
+        for order in (types, types[::-1]):
+            _clear_memo()
+            for m in order:
+                assert enumerate_subdigons(m) == expected[m].split("\n"), m
+
+    def test_retention_is_bounded_by_the_listing(self):
+        _clear_memo()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            words = enumerate_subdigons(tv(2, 2, 1))
+            text_bytes = sum(len(w) + 1 for w in words)
+            del words
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= 3 * text_bytes, (retained, text_bytes)
