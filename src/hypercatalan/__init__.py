@@ -11,6 +11,7 @@ from .core import (
     unit_type,
     vef,
 )
+from .raney import lists_text
 from .series import (
     LayeredPoly,
     LayerSpec,
@@ -24,6 +25,7 @@ from .series import (
     level,
     mul_truncated,
 )
+from .subdigon import subdigons_text
 
 __all__ = [
     "Composition",
@@ -46,4 +48,6 @@ __all__ = [
     "layer_slice",
     "level",
     "mul_truncated",
+    "lists_text",
+    "subdigons_text",
 ]

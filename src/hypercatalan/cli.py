@@ -42,21 +42,30 @@ def _digit_limit():
                      "Python's int-to-str limit (PYTHONINTMAXSTRDIGITS=0 lifts it)")
 
 
-def _write(text: str) -> None:
-    """Write text to stdout in full, or raise BrokenPipeError if the reader has left.
+_CHUNK = 1 << 20  # characters encoded and written at a time
 
-    An unbuffered stdout (``PYTHONUNBUFFERED``) writes through to the raw
+
+def _write(*texts: str) -> None:
+    """Write the texts to stdout in full, or raise BrokenPipeError if the reader has left.
+
+    Each text is encoded and written _CHUNK characters at a time, so a
+    listing never holds a whole encoded copy beside its text.  An
+    unbuffered stdout (``PYTHONUNBUFFERED``) writes through to the raw
     file, whose write can end short when the pipe closes; the text layer
     ignores that count, so the bytes are written here until none are left.
     """
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:  # a text-only stream, such as io.StringIO
-        sys.stdout.write(text)
+        for text in texts:
+            sys.stdout.write(text)
         return
     sys.stdout.flush()
-    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
-    while data:
-        data = data[buffer.write(data):]
+    for text in texts:
+        for start in range(0, len(text), _CHUNK):
+            chunk = text[start : start + _CHUNK].encode(sys.stdout.encoding, sys.stdout.errors)
+            data = memoryview(chunk)
+            while data:
+                data = data[buffer.write(data):]
 
 
 def _parse_type(text: str) -> TypeVector:
@@ -164,13 +173,13 @@ def cmd_subdigons(args) -> int:
         print(line)
         return 0
     try:
-        words = subdigon.enumerate_subdigons(m, face_cap=args.max_faces)
+        text = subdigon.subdigons_text(m, face_cap=args.max_faces)
     except ValueError as exc:
         _usage_error(str(exc))
-    if args.format == "json":
-        _write(subdigon.to_json(words) + "\n")
+    if args.format == "json":  # words hold only digits and brackets: nothing to escape
+        _write('["', text.replace("\n", '", "'), '"]\n')
     else:
-        _write("\n".join(words) + "\n")
+        _write(text, "\n")
     return 0
 
 
@@ -183,9 +192,9 @@ def cmd_raney(args) -> int:
             _usage_error("negative symbol count")
         m1 = counts.pop(1)
         c = Composition(m1, TypeVector.of({k: v for k, v in counts.items() if v}))
-        lists = raney.enumerate_lists(args.n, c)
-        total = f"total {len(lists)} (closed form {raney_count(args.n, c)})"
-        _write("\n".join([*lists, total]) + "\n")
+        text = raney.lists_text(args.n, c)
+        count = text.count("\n") + 1
+        _write(text, f"\ntotal {count} (closed form {raney_count(args.n, c)})\n")
         return 0
     try:
         sigma = raney.parse_string(args.string)
@@ -204,8 +213,10 @@ def cmd_raney(args) -> int:
     if rank >= 0:  # rotations and identify need a list of words
         _usage_error(f"rank {rank} is not negative")
     if args.raney_cmd == "rotations":
-        for off in sorted(raney.list_rotations(sigma)):
-            print(f"{off}: {raney.format_string(raney.rotate(sigma, off))}")
+        texts = list(map(str, sigma))
+        sep = "" if max(sigma) <= 9 else ","  # format_string's two forms
+        print("\n".join(f"{off}: {sep.join(texts[off:] + texts[:off])}"
+                        for off in sorted(raney.list_rotations(sigma))))
         return 0
     if args.raney_cmd == "identify":
         bracketing = raney.identify_words(sigma, cyclic=args.cyclic)

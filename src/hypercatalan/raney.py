@@ -7,7 +7,10 @@ split into n words; the identification algorithm finds those words in
 place by grouping a symbol i with the i identified words following it
 (``group_words``).  Those i words are adjacent, so an identified word is
 a contiguous slice of the string: its symbols are the preorder arities
-of a plane tree, and no tree object is built.
+of a plane tree, and no tree object is built.  ``lists_text`` lists the
+n-word lists of a composition as one newline-joined text, grown from
+blocks of suffix text by ``str.replace``; ``enumerate_lists`` is its
+split.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ def parse_string(text: str) -> Symbols:
         return symbols
     if not text.isdigit():
         raise ValueError(f"not a digit string: {text!r}")
-    return tuple(int(ch) for ch in text)
+    return tuple(map(int, text))
 
 
 def format_string(sigma: Sequence[int]) -> str:
@@ -45,7 +48,7 @@ def format_string(sigma: Sequence[int]) -> str:
 
 
 def rank(sigma: Sequence[int]) -> int:
-    return sum(a - 1 for a in sigma)
+    return sum(sigma) - len(sigma)
 
 
 def group_words(sigma: Sequence[int]) -> list[tuple[int, int | None]]:
@@ -186,32 +189,43 @@ def identify_words(sigma: Sequence[int], cyclic: bool = True) -> Bracketing:
     return Bracketing(sigma, tuple(items))
 
 
-def enumerate_lists(n: int, c: Composition) -> list[str]:
+def lists_text(n: int, c: Composition) -> str:
     """Every multiset permutation of the composition that is an n-word list.
 
-    Lexicographic order, each list in ``format_string`` form.  Suffix form
-    of the rank criterion: a string of rank -n is a list of n words iff
-    every nonempty suffix has negative rank.  So the lists are built
-    bottom-up, one length at a time, from the valid suffixes over each
-    sub-multiset of negative rank: every symbol a it holds, in ascending
-    order, put before the suffixes over the rest.  Only the previous
-    length's table is kept, keyed by the count of each symbol.
+    One list per line, in lexicographic order and ``format_string`` form.
+    Suffix form of the rank criterion: a string of rank -n is a list of
+    n words iff every nonempty suffix has negative rank.  So the lists
+    are built bottom-up, one length at a time, from the valid suffixes
+    over each sub-multiset of negative rank, starting from the one
+    suffix of length 1, "0".  A sub-multiset's suffixes are one block of
+    text, each line after a newline, so putting a symbol before every
+    line of a block is one ``str.replace``; a sub-multiset's block joins
+    once the blocks grown by each symbol a it holds, in ascending order
+    of a, from the suffixes over the rest.  Only the previous length's
+    table is kept, keyed by the count of each symbol.
     """
     if n < 1:
         raise ValueError(f"word count {n} < 1")
     avail = {0: c.zeros(n), 1: c.m1, **dict(c.tail.items())}
-    symbols = sorted(k for k, v in avail.items() if v > 0)
+    symbols = sorted(k for k, v in avail.items() if v > 0)  # 0 first: c.zeros(n) >= n
     full = tuple(avail[a] for a in symbols)
-    sep = "" if symbols[-1] <= 9 else ","  # every symbol is written after its separator
-    layer = {(0,) * len(symbols): (0, [""])}  # counts -> (rank, suffixes)
-    for _ in range(sum(full)):
-        below, layer = layer, {}
+    sep = "" if symbols[-1] <= 9 else ","  # written after every symbol but the last 0
+    heads = [f"\n{a}{sep}" for a in symbols]
+    layer = {(1,) + (0,) * (len(symbols) - 1): (-1, ["\n0"])}  # counts -> (rank, blocks)
+    for _ in range(sum(full) - 1):
+        below, layer = {key: (r, "".join(blocks)) for key, (r, blocks) in layer.items()}, {}
         for i, a in enumerate(symbols):
-            head = f"{sep}{a}"
-            for key, (r, tails) in below.items():
+            for key, (r, block) in below.items():
                 if key[i] < full[i] and r + a - 1 < 0:
                     grown = key[:i] + (key[i] + 1,) + key[i + 1 :]
                     entry = layer.setdefault(grown, (r + a - 1, []))
-                    entry[1].extend([head + t for t in tails])
-    lists = layer[full][1]
-    return [t[1:] for t in lists] if sep else lists
+                    entry[1].append(block.replace("\n", heads[i]))
+        del below  # its text lives on in layer's copies; drop it before the next join
+    blocks = layer.pop(full)[1]
+    blocks[0] = blocks[0][1:]  # no newline before the first list
+    return "".join(blocks)
+
+
+def enumerate_lists(n: int, c: Composition) -> list[str]:
+    """The lines of ``lists_text``: every n-word list of the composition."""
+    return lists_text(n, c).split("\n")

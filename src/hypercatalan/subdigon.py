@@ -7,8 +7,10 @@ of each node in preorder, so the null subdigon is (0,) and a single
 triangle (2, 0, 0).  This module enumerates the subdigons of a type as
 words in the digit form of ``serialize``, built once per type and
 memoized on plain count tuples as one newline-joined string, so the
-memo holds one object per type rather than one per word.  The
-enumeration is the brute-force oracle for the closed form C_m, which
+memo holds one object per type rather than one per word.
+``subdigons_text`` returns that string itself, for a listing to write
+as it stands, and ``enumerate_subdigons`` its split.  The enumeration
+is the brute-force oracle for the closed form C_m, which
 ``count_subdigons`` returns.
 """
 
@@ -90,15 +92,21 @@ def _enumerate(m: Counts) -> str:
 DEFAULT_FACE_CAP = 8
 
 
-def enumerate_subdigons(m: TypeVector, face_cap: int = DEFAULT_FACE_CAP) -> list[str]:
-    """The word (``serialize`` form) of every subdigon of type m exactly once.
+def subdigons_text(m: TypeVector, face_cap: int = DEFAULT_FACE_CAP) -> str:
+    """The word (``serialize`` form) of every subdigon of type m exactly once, one per line.
 
-    Deterministic order: split on the central polygon first; uniqueness
-    of that decomposition rules out double counting.
+    The memo's string itself, no copy.  Deterministic order: split on
+    the central polygon first; uniqueness of that decomposition rules
+    out double counting.
     """
     if m.faces() > face_cap:
         raise ValueError(f"face count {m.faces()} exceeds cap {face_cap}")
-    return _enumerate(tuple(m.to_counts())).split("\n")
+    return _enumerate(tuple(m.to_counts()))
+
+
+def enumerate_subdigons(m: TypeVector, face_cap: int = DEFAULT_FACE_CAP) -> list[str]:
+    """The lines of ``subdigons_text``: every subdigon word of type m."""
+    return subdigons_text(m, face_cap).split("\n")
 
 
 def count_subdigons(m: TypeVector) -> int:

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -11,10 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hypercatalan
-from hypercatalan import series, subdigon
+from hypercatalan import cli, series, subdigon
 from hypercatalan.cli import build_parser, main
-from hypercatalan.core import TypeVector, central_count
-from oracles import bumped_walk, count_trees, tree_of
+from hypercatalan.core import Composition, TypeVector, central_count, raney_count
+from hypercatalan.raney import format_string, parse_string, rotate
+from oracles import bumped_walk, count_trees, enumerate_lists_dfs, list_rotations_scan, tree_of
 
 
 def run(capsys, *argv):
@@ -103,15 +105,17 @@ class TestTable:
         _, second = run(capsys, "table", "--measure", "edge", "--d", "6")
         assert first == second
 
-    # d = 22 prints about 370 kB and the subdigon list 7.3 MB, several pipe buffers, after
-    # the first line is read; d = 3 prints 1 kB, which a buffered stdout only writes at its
-    # last flush
+    # d = 22 prints about 370 kB, the subdigon list 7.3 MB and the Raney lists 10.8 MB,
+    # several pipe buffers, after the first line is read; d = 3 prints 1 kB, which a
+    # buffered stdout only writes at its last flush
     @pytest.mark.parametrize("unbuffered", [False, True])
     @pytest.mark.parametrize("argv,first", [
         (["table", "--measure", "vertex", "--d", "22"], b"     [v^0] total  0\n"),
         (["table", "--measure", "vertex", "--d", "3"], b""),
         (["subdigons", "--type", "2,2,1,1", "--format", "list"], b"20203003004000500000\n"),
-    ], ids=["after-first-line", "before-any-output", "subdigon-list"])
+        (["raney", "enumerate", "--n", "1", "--m1", "2", "--m2", "4", "--m3", "2"],
+         b"11202020203003000\n"),
+    ], ids=["after-first-line", "before-any-output", "subdigon-list", "raney-enumerate"])
     def test_closed_stdout_ends_quietly(self, unbuffered, argv, first):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = os.pathsep.join(
@@ -366,6 +370,15 @@ class TestSubdigons:
         code, out = run(capsys, "subdigons", "--type", "0,0,0,0,0,0,0,0,0,0,1", "--format", "list")
         assert (code, out) == (0, "[12]000000000000\n")
 
+    def test_list_and_json_write_the_library_words(self, capsys):
+        # every type of <= 5 faces over arities 2-5, and one with a bracketed arity, 10
+        types = [counts for counts in itertools.product(range(6), repeat=4) if sum(counts) <= 5]
+        for counts in [*types, (0,) * 8 + (1,)]:
+            words = subdigon.enumerate_subdigons(TypeVector.from_counts(counts))
+            argv = ["subdigons", "--type", ",".join(map(str, counts)), "--format"]
+            assert run(capsys, *argv, "list") == (0, "\n".join(words) + "\n"), counts
+            assert run(capsys, *argv, "json") == (0, json.dumps(words) + "\n"), counts
+
 
 class TestRaney:
     def test_rank(self, capsys):
@@ -397,6 +410,55 @@ class TestRaney:
         code, out = run(capsys, "raney", "rotations", "0002")
         assert code == 0
         assert len(out.strip().splitlines()) == 2
+
+    @pytest.mark.parametrize("n,counts", [
+        (1, {}), (3, {1: 1, 2: 1}), (1, {2: 2, 3: 1}), (2, {1: 3, 2: 2, 3: 1}),
+        (1, {2: 1, 9: 1}), (4, {1: 2, 5: 1}),
+    ])
+    def test_enumerate_writes_every_list_then_the_total(self, capsys, n, counts):
+        c = Composition(counts.get(1, 0), TypeVector.of({k: v for k, v in counts.items() if k > 1}))
+        lists = [format_string(s) for s in enumerate_lists_dfs(n, c)]
+        total = f"total {len(lists)} (closed form {raney_count(n, c)})"
+        argv = ["raney", "enumerate", "--n", str(n)]
+        argv += [arg for k, v in counts.items() for arg in (f"--m{k}", str(v))]
+        assert run(capsys, *argv) == (0, "\n".join([*lists, total]) + "\n")
+
+    @pytest.mark.parametrize("string", [
+        "0002", "00302000100", "0030130010001000420", "10,0,0,0,0,0,0,0,0,0,0,0,0",
+        "0,0,12,0,0,0,0,0,0,0,0,0,0,0,0,0,0",
+    ])
+    def test_rotations_print_each_rotation_in_format_string_form(self, capsys, string):
+        sigma = parse_string(string)
+        want = "".join(f"{off}: {format_string(rotate(sigma, off))}\n"
+                       for off in sorted(list_rotations_scan(sigma)))
+        assert run(capsys, "raney", "rotations", string) == (0, want)
+
+
+class _ShortWrites(io.RawIOBase):
+    """A raw stream that takes at most three bytes of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.data = bytearray()
+        self.offered = []
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.offered.append(len(b))
+        self.data += bytes(b[:3])
+        return min(len(b), 3)
+
+
+def test_write_delivers_every_chunk_through_short_writes(monkeypatch):
+    raw = _ShortWrites()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+    monkeypatch.setattr(cli, "_CHUNK", 3)
+    texts = ["0123456789" * 2, "", "\u00e9\u2014x\n[12]"]
+    cli._write(*texts)
+    assert bytes(raw.data) == "".join(texts).encode("utf-8")
+    assert max(raw.offered) <= 4 * 3  # no write is offered more than one encoded chunk
 
 
 class TestPowers:
