@@ -176,10 +176,8 @@ def cmd_subdigons(args) -> int:
         text = subdigon.subdigons_text(m, face_cap=args.max_faces)
     except ValueError as exc:
         _usage_error(str(exc))
-    if args.format == "json":  # words hold only digits and brackets: nothing to escape
-        _write('["', text.replace("\n", '", "'), '"]\n')
-    else:
-        _write(text, "\n")
+    pieces = subdigon.to_json(text) if args.format == "json" else (text,)
+    _write(*pieces, "\n")
     return 0
 
 
@@ -213,10 +211,7 @@ def cmd_raney(args) -> int:
     if rank >= 0:  # rotations and identify need a list of words
         _usage_error(f"rank {rank} is not negative")
     if args.raney_cmd == "rotations":
-        texts = list(map(str, sigma))
-        sep = "" if max(sigma) <= 9 else ","  # format_string's two forms
-        print("\n".join(f"{off}: {sep.join(texts[off:] + texts[:off])}"
-                        for off in sorted(raney.list_rotations(sigma))))
+        print(raney.rotations_text(sigma))
         return 0
     if args.raney_cmd == "identify":
         bracketing = raney.identify_words(sigma, cyclic=args.cyclic)

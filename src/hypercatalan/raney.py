@@ -10,7 +10,8 @@ a contiguous slice of the string: its symbols are the preorder arities
 of a plane tree, and no tree object is built.  ``lists_text`` lists the
 n-word lists of a composition as one newline-joined text, grown from
 blocks of suffix text by ``str.replace``; ``enumerate_lists`` is its
-split.
+split.  ``format_string`` is the text form of a string, and
+``rotations_text`` writes every list rotation of a string in it.
 """
 
 from __future__ import annotations
@@ -40,11 +41,14 @@ def parse_string(text: str) -> Symbols:
     return tuple(map(int, text))
 
 
+def _separator(symbols: Sequence[int]) -> str:
+    """What ``format_string`` writes between symbols: nothing if all are digits, else a comma."""
+    return "" if all(0 <= a <= 9 for a in symbols) else ","
+
+
 def format_string(sigma: Sequence[int]) -> str:
     """Compact digit form when possible, else comma-separated."""
-    if all(0 <= a <= 9 for a in sigma):
-        return "".join(str(a) for a in sigma)
-    return ",".join(str(a) for a in sigma)
+    return _separator(sigma).join(map(str, sigma))
 
 
 def rank(sigma: Sequence[int]) -> int:
@@ -124,6 +128,17 @@ def list_rotations(sigma: Sequence[int]) -> set[int]:
     if len(offsets) != n:
         raise ArithmeticError(f"expected {n} rotations, found {len(offsets)}")
     return offsets
+
+
+def rotations_text(sigma: Sequence[int]) -> str:
+    """Each offset of ``list_rotations``, ascending, and its rotation in ``format_string`` form.
+
+    One ``"offset: rotation"`` line per offset; the symbol texts are
+    made once and every rotation is sliced from them.
+    """
+    texts, sep = list(map(str, sigma)), _separator(sigma)
+    return "\n".join(f"{off}: {sep.join(texts[off:] + texts[:off])}"
+                     for off in sorted(list_rotations(sigma)))
 
 
 def render(word: Sequence[int]) -> str:
@@ -209,7 +224,7 @@ def lists_text(n: int, c: Composition) -> str:
     avail = {0: c.zeros(n), 1: c.m1, **dict(c.tail.items())}
     symbols = sorted(k for k, v in avail.items() if v > 0)  # 0 first: c.zeros(n) >= n
     full = tuple(avail[a] for a in symbols)
-    sep = "" if symbols[-1] <= 9 else ","  # written after every symbol but the last 0
+    sep = _separator(symbols)  # written after every symbol but the last 0
     heads = [f"\n{a}{sep}" for a in symbols]
     layer = {(1,) + (0,) * (len(symbols) - 1): (-1, ["\n0"])}  # counts -> (rank, blocks)
     for _ in range(sum(full) - 1):

@@ -9,7 +9,8 @@ words in the digit form of ``serialize``, built once per type and
 memoized on plain count tuples as one newline-joined string, so the
 memo holds one object per type rather than one per word.
 ``subdigons_text`` returns that string itself, for a listing to write
-as it stands, and ``enumerate_subdigons`` its split.  The enumeration
+as it stands, ``to_json`` its JSON list, and ``enumerate_subdigons``
+its split.  The enumeration
 is the brute-force oracle for the closed form C_m, which
 ``count_subdigons`` returns.
 """
@@ -17,7 +18,6 @@ is the brute-force oracle for the closed form C_m, which
 from __future__ import annotations
 
 import itertools
-import json
 from functools import lru_cache
 from operator import sub
 from typing import Sequence
@@ -124,6 +124,11 @@ def serialize(word: Sequence[int]) -> str:
     return "".join(map(_digits, word))
 
 
-def to_json(words) -> str:
-    """JSON list of subdigon words, as ``enumerate_subdigons`` returns them."""
-    return json.dumps(list(words))
+def to_json(text: str) -> tuple[str, str, str]:
+    """``json.dumps`` of the words in ``subdigons_text``'s text, as pieces to write in order.
+
+    A word holds only digits and brackets, so nothing needs escaping:
+    the list is the text with every newline replaced by ``", "``,
+    between ``["`` and ``"]``.
+    """
+    return '["', text.replace("\n", '", "'), '"]'

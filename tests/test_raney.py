@@ -17,6 +17,7 @@ from hypercatalan.raney import (
     parse_string,
     rank,
     rotate,
+    rotations_text,
 )
 from hypercatalan.subdigon import enumerate_subdigons, serialize
 from oracles import (
@@ -157,6 +158,12 @@ class TestRotations:
             for sigma in strings_of_rank(-n, rng=rng, count=100):
                 offsets = list_rotations(sigma)  # raises unless |offsets| == n
                 assert len(offsets) == n
+
+    @pytest.mark.parametrize("text", ["0002", "0300200", "12,0,0,0,0,0,0,0,0,0,0,0,0"])
+    def test_rotations_text_lines(self, text):
+        sigma = parse_string(text)
+        want = [f"{off}: {format_string(rotate(sigma, off))}" for off in sorted(list_rotations(sigma))]
+        assert rotations_text(sigma) == "\n".join(want)
 
     def test_lemma_violation_raises(self):
         # a negative symbol breaks Raney's lemma: rank -3 but only 2 rotations

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import sys
 import traceback
 import tracemalloc
@@ -112,6 +113,11 @@ class TestEnumeration:
     def test_face_cap(self):
         with pytest.raises(ValueError):
             enumerate_subdigons(tv(9), face_cap=8)
+
+    def test_to_json_pieces_are_json_dumps_of_the_words(self):
+        for m in [TypeVector(), tv(2, 1), tv(0, 0, 0, 0, 0, 0, 0, 0, 1)]:
+            pieces = subdigon.to_json(subdigon.subdigons_text(m))
+            assert "".join(pieces) == json.dumps(enumerate_subdigons(m)), m
 
 
 class TestCounting:
