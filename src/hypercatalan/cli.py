@@ -249,9 +249,14 @@ def cmd_powers(args) -> int:
     return 0
 
 
-@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
+    return _parsers()[0]
+
+
+@functools.lru_cache(maxsize=1)
+def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]]:
+    """The top parser, and the innermost subparser of each command by its leading words."""
     parser = argparse.ArgumentParser(
         prog="hypercatalan",
         description="Hyper-Catalan numbers, layered series zeros and Raney words",
@@ -304,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--n", type=int, required=True)
     for k in range(1, 10):
         rp.add_argument(f"--m{k}", type=int, default=0, help=f"count of symbol {k}")
-    p.set_defaults(func=cmd_raney)
+    for rp in rsub.choices.values():
+        rp.set_defaults(func=cmd_raney)
 
     p = sub.add_parser("powers", help="Catalan power queries")
     p.add_argument("--r", type=int, help="power")
@@ -313,11 +319,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=20, help="truncation order")
     p.set_defaults(func=cmd_powers)
 
-    return parser
+    leaves = {(name,): p for name, p in sub.choices.items() if name != "raney"}
+    leaves.update({("raney", name): rp for name, rp in rsub.choices.items()})
+    return parser, leaves
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv) in one pass, by the parser of the command argv names.
+
+    The parsers above it would hand it every later word and report its leftovers.
+    """
+    parser, leaves = _parsers()
+    words = tuple(argv[:2] if argv[:1] == ["raney"] else argv[:1])
+    if words not in leaves:
+        return parser.parse_args(argv)
+    args, extras = leaves[words].parse_known_args(argv[len(words):])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    vars(args).update(zip(("command", "raney_cmd"), words))  # what the parsers above set
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -26,17 +26,19 @@ Symbols = tuple[int, ...]
 
 
 def parse_string(text: str) -> Symbols:
-    """Whitespace/comma-separated naturals, or compact digit form."""
+    """Whitespace/comma-separated naturals, or compact digit form, in ASCII digits 0-9."""
     text = text.strip()
     if not text:
         return ()
     if any(ch in text for ch in ", \t"):
-        symbols = tuple(int(p) for p in text.replace(",", " ").split())
-        negative = [a for a in symbols if a < 0]
-        if negative:
-            raise ValueError(f"negative symbol {negative[0]}")
-        return symbols
-    if not text.isdigit():
+        parts = text.replace(",", " ").split()
+        for p in parts:
+            if not (p.isascii() and p.isdigit()):
+                if p[:1] == "-" and p[1:].isascii() and p[1:].isdigit() and int(p) < 0:
+                    raise ValueError(f"negative symbol {int(p)}")
+                raise ValueError(f"bad symbol {p!r}")
+        return tuple(map(int, parts))
+    if not (text.isascii() and text.isdigit()):  # str.isdigit alone admits '²' and '٣'
         raise ValueError(f"not a digit string: {text!r}")
     return tuple(map(int, text))
 

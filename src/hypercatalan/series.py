@@ -23,7 +23,11 @@ build_beta, enumerate_types and layer_slice.
   levels add up to more than the bound are never visited.
 - Tight truncation: t_n * beta^n is cut at d, so beta^n is computed only
   up to level d - weight(n).  The weights grow with n, so each power
-  needs only the buckets of the previous one up to its own bound.
+  needs its factors only up to its own bound: beta^n is (beta^(n/2))^2
+  for even n and beta^(n-1) * beta for odd n.  Level 0 holds only the
+  empty monomial, so a product scales a copy of each side by the other's
+  constant term and multiplies term by term only the pairs of levels
+  >= 1, a square each unordered pair once.
 
 Level sums (layer_sums) need no walk.  Group the types by F = sum_k m_k
 and s = sum_k (k-1) m_k: V - 1 = s + 1 and E - 1 = F + s, so C_m =
@@ -323,36 +327,47 @@ def _poly(bucket: dict[int, int], spec: LayerSpec) -> LayeredPoly:
 
 
 def _mul_graded(a: Graded, b: Graded, bound: int) -> Graded:
-    """a*b truncated at level bound; a and b both have buckets up to bound."""
-    out: Graded = [{} for _ in range(bound + 1)]
-    for i in range(bound + 1):
-        terms_a = a[i].items()
-        if not terms_a:
-            continue
-        for j in range(bound + 1 - i):
+    """a*b truncated at level bound; a and b both have buckets up to bound.
+
+    Each constant term (key 0, the only one at level 0) scales a copy of the other side;
+    a square (a is b) takes each unordered pair of terms once, doubled off the diagonal.
+    """
+    a0, b0 = a[0].get(0, 0), b[0].get(0, 0)
+    out: Graded = [{k: a0 * c for k, c in bucket.items()} for bucket in b[: bound + 1]]
+    for o, bucket in zip(out[1:], a[1:]):
+        for k, c in bucket.items():
+            o[k] = o.get(k, 0) + b0 * c
+    square = a is b
+    for i in range(1, bound // 2 + 1 if square else bound):
+        terms_a = list(a[i].items())
+        for j in range(i if square else 1, bound + 1 - i):
             terms_b = b[j].items()
             o = out[i + j]
-            for ka, ca in terms_a:
+            for x, (ka, ca) in enumerate(terms_a):
+                if square:
+                    if i == j:  # the diagonal once, the pairs after it doubled
+                        o[2 * ka] = o.get(2 * ka, 0) + ca * ca
+                        terms_b = terms_a[x + 1 :]
+                    ca *= 2
                 for kb, cb in terms_b:
                     k = ka + kb
                     o[k] = o.get(k, 0) + ca * cb
     return out
 
 
-def _graded_sources(beta: Graded, spec: LayerSpec):
-    """(n, t_n * beta^n as level buckets 0..d) for every gon n that spec admits.
+def _graded_powers(beta: Graded, spec: LayerSpec):
+    """(n, weight(n), key of t_n, beta^n cut at d - weight(n)) for every gon n spec admits.
 
-    beta is graded for spec.  beta^n is truncated at d - weight(n), the
-    level t_n leaves over, and its keys are shifted by the key of t_n.
+    beta is graded for spec.  Kept are the last power and those a later square needs.
     """
-    power = beta
-    for n in range(2, spec.max_gon() + 1):
+    top = spec.max_gon()
+    powers = {1: beta}
+    for n in range(2, top + 1):
         w = weight(n, spec.measure)
-        power = _mul_graded(power, beta, spec.d - w)
-        shift = (spec.d + 1) ** (n - 2)
-        yield n, [{} for _ in range(w)] + [
-            {key + shift: c for key, c in bucket.items()} for bucket in power
-        ]
+        factors = (powers[n - 1], beta) if n % 2 else (powers[n // 2], powers[n // 2])
+        power = _mul_graded(*factors, spec.d - w)
+        powers = {m: p for m, p in powers.items() if n < 2 * m <= top} | {n: power}
+        yield n, w, (spec.d + 1) ** (n - 2), power
 
 
 def evaluate_geometric(spec: LayerSpec) -> dict[int, dict[int, int]]:
@@ -363,9 +378,10 @@ def evaluate_geometric(spec: LayerSpec) -> dict[int, dict[int, int]]:
     beta = _walk(spec)
     acc = [{key: -c for key, c in bucket.items()} for bucket in beta]
     acc[0][0] = acc[0].get(0, 0) + 1
-    for _, source in _graded_sources(beta, spec):
-        for out, bucket in zip(acc, source):
+    for _, w, shift, power in _graded_powers(beta, spec):
+        for out, bucket in zip(acc[w:], power):
             for key, c in bucket.items():
+                key += shift
                 out[key] = out.get(key, 0) + c
     return {lvl: terms for lvl, bucket in enumerate(acc)
             if (terms := {key: c for key, c in bucket.items() if c})}
@@ -410,7 +426,8 @@ def table_rows(spec: LayerSpec) -> list[tuple[str, dict[int, int]]]:
     """
     sym = spec.measure.value[0]
     beta = _walk(spec)
-    sources = list(_graded_sources(beta, spec))
+    sources = [(n, [{} for _ in range(w)] + [{k + shift: c for k, c in b.items()} for b in power])
+               for n, w, shift, power in _graded_powers(beta, spec)]
     beta[0][0] = beta[0].get(0, 0) - 1  # the total rows are beta - 1
     rows = []
     for lvl in range(spec.d + 1):

@@ -71,11 +71,12 @@ def _enumerate(m: Counts) -> str:
     children, so each type's words are built once and every parent
     concatenates them.  The memo keeps one newline-joined string per
     type, not one object per word; a build splits each child type's
-    string once and shares the lists among its splits.
+    string once, shares the lists among its splits and joins each
+    split's words into one block as it makes them.
     """
     if not m:
         return "0"
-    out = []
+    blocks = []
     child_words: dict[Counts, list[str]] = {}
     for r, mr in enumerate(m, start=2):
         if not mr:
@@ -85,8 +86,9 @@ def _enumerate(m: Counts) -> str:
             for t in split:
                 if t not in child_words:
                     child_words[t] = _enumerate(t).split("\n")
-            out += map("".join, itertools.product(head, *map(child_words.__getitem__, split)))
-    return "\n".join(out)
+            words = itertools.product(head, *map(child_words.__getitem__, split))
+            blocks.append("\n".join(map("".join, words)))
+    return "\n".join(blocks)
 
 
 DEFAULT_FACE_CAP = 8

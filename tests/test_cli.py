@@ -434,6 +434,16 @@ class TestRaney:
         assert run(capsys, "raney", "rotations", string) == (0, want)
 
 
+    @pytest.mark.parametrize("string", ["\u00b2", "2,\u00b2", "\u0663\u0663", "1_0,0"])
+    def test_non_ascii_digit_symbols_are_usage_errors(self, capsys, string):
+        with pytest.raises(SystemExit) as exc:
+            main(["raney", "rank", string])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "invalid literal" not in captured.err
+
+
 class _ShortWrites(io.RawIOBase):
     """A raw stream that takes at most three bytes of each write."""
 
@@ -556,15 +566,15 @@ class TestDeepWords:
         assert out.splitlines() == ["1" * 1200 + "0", "total 1 (closed form 1)"]
 
 
-def _main_captured(argv):
-    """(exit code, stdout, stderr) of main(argv), a SystemExit read as its code."""
+def _main_captured(argv, call=main):
+    """(result, stdout, stderr) of call(argv), main by default; a SystemExit is read as its code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv)
+            result = call(argv)
         except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
 
 
 def _assert_documented_exit(code, err):
@@ -682,6 +692,51 @@ def test_powers_fuzz_exit_codes(identity, r, m, order):
     assert code != 1
     if code == 2:
         assert out == ""
+
+
+# each command's own words: options with their values, flags, abbreviations, the = form
+OWN_WORDS = {
+    "coeff": [("--type", "2,1"), ("--central",), ("--power", "2")],
+    "table": [("--measure", "edge"), ("--d", "3"), ("--q", "4"), ("--form", "csv"),
+              ("--ma", "face")],
+    "verify": [("--measure", "vertex"), ("--d", "4"), ("--q", "3"), ("--ma", "edge")],
+    "solve": [("--coeffs", "1/3"), ("--coeffs=-1/3",), ("--measure", "face"), ("--d", "2"),
+              ("--float",)],
+    "subdigons": [("--type", "1,1"), ("--format", "list"), ("--form", "json"),
+                  ("--max-faces", "4")],
+    "powers": [("--r", "2"), ("--m", "3"), ("--identity", "2"), ("--order", "4")],
+    "raney rank": [("0030",)],
+    "raney rotations": [("0002",)],
+    "raney check": [("10",), ("--n", "2")],
+    "raney identify": [("200",), ("--cyclic",)],
+    "raney enumerate": [("--n", "1"), ("--m1", "2"), ("--m9", "0")],
+}
+# what each command requires, so that whole calls are drawn as often as bare names
+REQUIRED = {"coeff": ["--type", "1"], "table": ["--measure", "face", "--d", "2", "--q", "3"],
+            "verify": ["--measure", "edge", "--d", "5"], "solve": ["--d", "2"],
+            "subdigons": ["--type", "2"], "raney rank": ["0"], "raney rotations": ["00302"],
+            "raney check": ["1,0"], "raney identify": ["0 0"], "raney enumerate": ["--n", "2"]}
+# help and its abbreviation, "--", a bad value, and words and options no parser knows
+NOISE_WORDS = [("-h",), ("--he",), ("--",), ("--d", "x"), ("--bogus",), ("-x",), ("bogus",),
+               ("verify",), ("enumerate",)]
+# (command, first words of argv): no command, a bare command, or a whole call
+HEADS = [*((None, head) for head in ([], ["-h"], ["--"], ["bogus"], ["raney"],
+                                     ["raney", "bogus"], ["raney", "-h"])),
+         *((command, command.split()) for command in OWN_WORDS),
+         *((command, command.split() + words) for command, words in REQUIRED.items())]
+
+
+def _argv(command, head):
+    own = st.sampled_from(OWN_WORDS.get(command, NOISE_WORDS))
+    item = st.one_of(own, own, own, st.sampled_from(NOISE_WORDS))  # own words 3 times in 4
+    return st.lists(item, max_size=6).map(lambda items: head + [w for i in items for w in i])
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=st.sampled_from(HEADS).flatmap(lambda head: _argv(*head)))
+def test_one_pass_parse_matches_the_parser_tree(argv):
+    # the same Namespace, or the same exit code, stdout and stderr
+    assert _main_captured(argv, cli._parse) == _main_captured(argv, build_parser().parse_args)
 
 
 def test_parser_is_built_once():

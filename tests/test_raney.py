@@ -66,6 +66,23 @@ class TestParsing:
         assert parse_string("3 1 0") == (3, 1, 0)
         assert parse_string("") == ()
 
+    @pytest.mark.parametrize("text,message", [
+        ("\u00b2", "not a digit string: '\u00b2'"),  # superscript two: str.isdigit admits it
+        ("\u0663\u0663", "not a digit string: '\u0663\u0663'"),  # Arabic-Indic: int() reads 33
+        ("12\u00b2", "not a digit string: '12\u00b2'"),
+        ("2,\u00b2", "bad symbol '\u00b2'"),
+        ("2 \u0663", "bad symbol '\u0663'"),
+        ("1_0,0", "bad symbol '1_0'"),  # int() reads 10
+        ("2,+3", "bad symbol '+3'"),
+        ("2,-0", "bad symbol '-0'"),
+        ("2,-1,0", "negative symbol -1"),
+        ("0 -12", "negative symbol -12"),
+    ])
+    def test_only_ascii_digits_are_symbols(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_string(text)
+        assert str(exc.value) == message
+
     def test_format_round_trip(self):
         assert format_string((2, 0, 2)) == "202"
         assert format_string((12, 0)) == "12,0"

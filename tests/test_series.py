@@ -279,7 +279,7 @@ class TestPackedKernel:
     @pytest.mark.parametrize("spec", [s for s in SWEEP_SPECS if s.d >= 1], ids=_spec_id)
     def test_corrupted_beta_residual_matches_oracle(self, spec, monkeypatch):
         beta = build_beta(spec)
-        for lvl in sorted({1, spec.d}):
+        for lvl in sorted({0, 1, spec.d}):  # level 0: the constant term the kernel scales by
             m = min(layer_slice(beta, spec.measure, lvl).terms, key=lambda t: t.entries,
                     default=None)
             if m is None:  # edge level 1 holds no monomial
@@ -299,6 +299,23 @@ class TestPackedKernel:
             assert any(not admits(spec, m) for m in mul(beta, beta).terms)
         monkeypatch.setattr(series, "_walk", lambda s: [dict(b) for b in buckets])
         assert evaluate_geometric(spec) == packed(_oracle_geometric(beta, spec), spec)
+
+    @pytest.mark.parametrize("spec", [s for s in SWEEP_SPECS if s.d >= 1], ids=_spec_id)
+    def test_square_matches_product_and_oracle(self, spec):
+        # random coefficients on the walk's keys, under each kind of constant term;
+        # the square (a is b) takes its own path through the kernel
+        rng = random.Random(_spec_id(spec))
+        keys = _walk(spec)
+        for const in ({0: 1}, {0: 0}, {0: -3}, {}):
+            a = [dict(const)] + [{key: rng.randint(-9, 9) for key in bucket if rng.random() < 0.8}
+                                 for bucket in keys[1:]]
+            bound = rng.randint(0, spec.d)
+            square = series._mul_graded(a, a, bound)
+            assert square == series._mul_graded(a, [dict(bucket) for bucket in a], bound)
+            p = _poly({key: c for bucket in a for key, c in bucket.items()}, spec)
+            oracle = mul_truncated(p, p, LayerSpec(spec.measure, bound, spec.gon_bound))
+            assert _poly({key: c for bucket in square for key, c in bucket.items()}, spec) == oracle
+            assert len(square) == bound + 1
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
     def test_table_rows_match_oracle(self, spec):

@@ -296,3 +296,16 @@ class TestMemo:
         finally:
             tracemalloc.stop()
         assert retained <= 3 * text_bytes, (retained, text_bytes)
+
+    def test_build_peak_is_bounded_by_the_listing(self):
+        # each split's words are joined into one block as they are made, so a build
+        # never holds a separate str per word of the type (6.6 times the text if it did)
+        _clear_memo()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            text = subdigon.subdigons_text(tv(3, 2, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * len(text), (peak, len(text))
