@@ -69,32 +69,26 @@ def _write(*texts: str) -> None:
 
 
 def _parse_type(text: str) -> TypeVector:
+    """Counts m2,m3,... in ASCII digits 0-9; int() alone would also read '1_0', '+2' and '٣'."""
     text = text.strip()
     if not text:
         return TypeVector()
+    parts = [p.strip() for p in text.split(",")]
     try:
-        counts = [int(p) for p in text.split(",")]
-        if any(c < 0 for c in counts):
+        if not all(p.isascii() and p.isdigit() for p in parts):
             raise ValueError
+        counts = [int(p) for p in parts]  # ValueError past the int-to-str digit limit
     except ValueError:
         _usage_error(f"bad type vector {text!r}")
     return TypeVector.from_counts(counts)
 
 
-def _spec(measure: str, d: int, q: int | None) -> LayerSpec:
-    try:
-        return LayerSpec(Measure(measure), d, q)
-    except ValueError as exc:
-        _usage_error(str(exc))
-
-
 def cmd_coeff(args) -> int:
     m = _parse_type(args.type)
-    if args.power is not None and args.power < 1:
-        _usage_error(f"power {args.power} < 1")
+    # the power first, so that a bad --power is named before a type too large to compute
+    power = None if args.power is None else power_coeff(m, args.power)
     s, c = vef(m), hyper_catalan(m)
     central = [(r, central_count(m, r)) for r, _ in m.items()] if args.central else []
-    power = None if args.power is None else power_coeff(m, args.power)
     with _digit_limit():
         lines = [f"type {m}", f"C = {c}", f"V = {s.V}, E = {s.E}, F = {s.F}"]
         lines += [f"central {r + 1}-gon: {n}" for r, n in central]
@@ -105,13 +99,13 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_table(args) -> int:
-    spec = _spec(args.measure, args.d, args.q)
+    spec = LayerSpec(Measure(args.measure), args.d, args.q)
     _write(series.render_table(spec, series.table_rows(spec), args.format))
     return 0
 
 
 def cmd_verify(args) -> int:
-    spec = _spec(args.measure, args.d, args.q)
+    spec = LayerSpec(Measure(args.measure), args.d, args.q)
     residual = series.evaluate_geometric(spec)
     if not residual:
         print("ZERO")
@@ -138,7 +132,7 @@ def cmd_solve(args) -> int:
         print("alpha = 1")
         print("residual = 0")
         return 0
-    spec = _spec(args.measure, args.d, q)
+    spec = LayerSpec(Measure(args.measure), args.d, q)
     values = {k: coeffs[k - 2] for k in range(2, q + 1)}
     # every line is formatted before any is printed, so an overflow prints none
     try:
@@ -172,10 +166,7 @@ def cmd_subdigons(args) -> int:
             line = f"{total}" + (f" split {split}" if split else "")
         print(line)
         return 0
-    try:
-        text = subdigon.subdigons_text(m, face_cap=args.max_faces)
-    except ValueError as exc:
-        _usage_error(str(exc))
+    text = subdigon.subdigons_text(m, face_cap=args.max_faces)
     pieces = subdigon.to_json(text) if args.format == "json" else (text,)
     _write(*pieces, "\n")
     return 0
@@ -184,63 +175,43 @@ def cmd_subdigons(args) -> int:
 def cmd_raney(args) -> int:
     if args.raney_cmd == "enumerate":
         counts = {k: getattr(args, f"m{k}") for k in range(1, 10)}
-        if args.n < 1:
-            _usage_error(f"word count {args.n} < 1")
         if any(v < 0 for v in counts.values()):
             _usage_error("negative symbol count")
-        m1 = counts.pop(1)
-        c = Composition(m1, TypeVector.of({k: v for k, v in counts.items() if v}))
+        c = Composition(counts.pop(1), TypeVector.of(counts))
         text = raney.lists_text(args.n, c)
         count = text.count("\n") + 1
         _write(text, f"\ntotal {count} (closed form {raney_count(args.n, c)})\n")
         return 0
-    try:
-        sigma = raney.parse_string(args.string)
-    except ValueError as exc:
-        _usage_error(str(exc))
-    rank = raney.rank(sigma)
+    sigma = raney.parse_string(args.string)
     if args.raney_cmd == "rank":
-        print(rank)
+        with _digit_limit():
+            text = str(raney.rank(sigma))
+        print(text)
         return 0
     if args.raney_cmd == "check":
-        if args.n < 1:
-            _usage_error(f"word count {args.n} < 1")
         ok = raney.is_word_list(sigma, args.n)
         print("yes" if ok else "no")
         return 0 if ok else 1
-    if rank >= 0:  # rotations and identify need a list of words
-        _usage_error(f"rank {rank} is not negative")
     if args.raney_cmd == "rotations":
         print(raney.rotations_text(sigma))
         return 0
-    if args.raney_cmd == "identify":
-        bracketing = raney.identify_words(sigma, cyclic=args.cyclic)
-        if not bracketing.complete:
-            print("INCOMPLETE: unidentified symbols remain")
-            return 1
-        for word in bracketing.render_words():
-            print(word)
-        return 0
-    raise SystemExit(2)
+    bracketing = raney.identify_words(sigma, cyclic=args.cyclic)  # identify
+    if not bracketing.complete:
+        print("INCOMPLETE: unidentified symbols remain")
+        return 1
+    print("\n".join(bracketing.render_words()))
+    return 0
 
 
 def cmd_powers(args) -> int:
     if args.identity is None:
         if args.r is None or args.m is None:
             _usage_error("powers needs --identity, or both --r and --m")
-        if args.r < 1:
-            _usage_error(f"power {args.r} < 1")
-        if args.m < 0:
-            _usage_error(f"negative index {args.m}")
         value = catpow.catalan_power(args.r, args.m)
         with _digit_limit():
             text = str(value)
         print(text)
         return 0
-    if args.identity < 1:
-        _usage_error(f"power {args.identity} < 1")
-    if args.order < 0:
-        _usage_error(f"negative order {args.order}")
     residual = catpow.verify_power_identity(args.identity, args.order)
     if residual:
         print(f"NONZERO residual: {residual}")
@@ -345,6 +316,9 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
+    except ValueError as exc:
+        # the library's argument checks, made before any output: these are the usage errors
+        _usage_error(str(exc))
     except OverflowError as exc:
         # a closed form past math.factorial's range (sys.maxsize), before any output
         _usage_error(f"input too large to compute: {exc}")

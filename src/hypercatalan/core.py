@@ -1,11 +1,13 @@
 """Exact closed-form combinatorics of subdivided polygons.
 
-Type vectors record how many (k+1)-gon faces a subdivided polygon has.
-From a type vector alone we can compute vertex/edge/face counts, the
-number of subdivisions of that type, the split of that count by central
-polygon, the coefficients of powers of the generating series, and
-Raney's generalized word-list count.  Everything here is exact integer
-arithmetic; every division is checked to be exact.
+Type vectors record how many (k+1)-gon faces a subdivided polygon has;
+``vef`` gives its vertex, edge and face counts.  Every count is Raney's
+count n*(L-1)!/(m_0! m_1! m!) of the lists of n words over one
+composition, made by ``_list_count`` with its one checked division:
+``hyper_catalan(m)`` counts one word over m, ``power_coeff(m, r)`` r
+words over m, ``central_count(m, r)`` r words over m less one (r+1)-gon,
+and ``raney_count(n, c)`` n words over c.  All of it is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -138,43 +140,6 @@ def vef(m: TypeVector) -> VEF:
     return VEF(v, e, f)
 
 
-def hyper_catalan(m: TypeVector) -> int:
-    """Number of subdivided roofed polygons of type m: (E-1)!/((V-1)! m!)."""
-    s = vef(m)
-    # (E-1)!/(V-1)! is a falling-factorial product since E >= V always
-    num = factorial(s.E - 1)
-    return _exact_div(num, factorial(s.V - 1) * m.type_factorial())
-
-
-def central_count(m: TypeVector, r: int) -> int:
-    """Subdigons of type m whose central polygon is an (r+1)-gon.
-
-    Equals r*m_r*C_m/(E_m - 1), computed as r*m_r*(E-2)!/((V-1)! m!)
-    so the division by E-1 is cancelled symbolically.
-    """
-    if r < 2:
-        raise ValueError(f"central gon arity {r} < 2")
-    mr = m.get(r)
-    if mr == 0:
-        return 0
-    s = vef(m)
-    num = r * mr * factorial(s.E - 2)
-    return _exact_div(num, factorial(s.V - 1) * m.type_factorial())
-
-
-def power_coeff(m: TypeVector, r: int) -> int:
-    """Coefficient of t^m in the r-th power of the subdigon series.
-
-    Closed form r*(r-2+E_m)!/((r-2+V_m)! m!); equals the number of
-    subdigons of type m + unit(r) with a central (r+1)-gon.
-    """
-    if r < 1:
-        raise ValueError(f"power {r} < 1")
-    s = vef(m)
-    num = r * factorial(r - 2 + s.E)
-    return _exact_div(num, factorial(r - 2 + s.V) * m.type_factorial())
-
-
 @dataclass(frozen=True)
 class Composition:
     """Symbol counts of a Raney string: m_1 plus the m_2, m_3, ... tail.
@@ -197,6 +162,41 @@ class Composition:
         return self.zeros(n) + self.m1 + self.tail.faces()
 
 
+def _list_count(n: int, c: Composition) -> int:
+    """Raney's count of the lists of n words over c: n*(L-1)!/(m_0! m_1! m!), L = c.length(n)."""
+    num = n * factorial(c.length(n) - 1)
+    return _exact_div(num, factorial(c.zeros(n)) * factorial(c.m1) * c.tail.type_factorial())
+
+
+def hyper_catalan(m: TypeVector) -> int:
+    """Number of subdivided roofed polygons of type m: (E-1)!/((V-1)! m!), one word over m."""
+    return _list_count(1, Composition(0, m))
+
+
+def central_count(m: TypeVector, r: int) -> int:
+    """Subdigons of type m whose central polygon is an (r+1)-gon.
+
+    Equals r*m_r*C_m/(E_m - 1) = r*m_r*(E-2)!/((V-1)! m!): the lists of
+    r words, one per subdigon glued to that polygon, over m less it.
+    """
+    if r < 2:
+        raise ValueError(f"central gon arity {r} < 2")
+    if m.get(r) == 0:
+        return 0
+    return _list_count(r, Composition(0, m - unit_type(r)))
+
+
+def power_coeff(m: TypeVector, r: int) -> int:
+    """Coefficient of t^m in the r-th power of the subdigon series.
+
+    Closed form r*(r-2+E_m)!/((r-2+V_m)! m!), the lists of r words over m;
+    equals the number of subdigons of type m + unit(r) with a central (r+1)-gon.
+    """
+    if r < 1:
+        raise ValueError(f"power {r} < 1")
+    return _list_count(r, Composition(0, m))
+
+
 def raney_count(n: int, c: Composition) -> int:
     """Number of lists of n words with symbol composition c.
 
@@ -205,8 +205,4 @@ def raney_count(n: int, c: Composition) -> int:
     """
     if n < 1:
         raise ValueError(f"word count {n} < 1")
-    m0 = c.zeros(n)
-    m = c.length(n)
-    num = n * factorial(m - 1)
-    den = factorial(m0) * factorial(c.m1) * c.tail.type_factorial()
-    return _exact_div(num, den)
+    return _list_count(n, c)

@@ -5,8 +5,10 @@ and Raney words as ``PlaneTree`` objects, built by ``group_trees`` (the
 tree-building reference for ``raney.group_words``'s slices) and read
 from text by ``tokens``, enumerated and counted through ``TypeVector`` arithmetic,
 Raney lists by depth-first search over prefixes, rotations by testing
-every offset, the structural helpers that only tests use, the Catalan
-power coefficients by their factorial form and recurrence, and
+every offset, the structural helpers that only tests use, the
+hyper-Catalan number, central split and power coefficient by the
+paper's factorial forms, the Catalan power coefficients by their
+factorial form and recurrence, and
 ``LayeredPoly`` admission to a spec, truncation, arithmetic, packing and
 text and JSON forms term by term.
 """
@@ -23,7 +25,7 @@ from math import factorial
 from typing import Sequence
 
 from hypercatalan.catpow import catalan_power
-from hypercatalan.core import VEF, Composition, TypeVector, unit_type
+from hypercatalan.core import VEF, Composition, TypeVector, unit_type, vef
 from hypercatalan.raney import is_word_list, rank, rotate
 from hypercatalan.series import LayeredPoly, LayerSpec, level
 from hypercatalan.subdigon import serialize
@@ -320,6 +322,35 @@ def enumerate_lists_dfs(n: int, c: Composition) -> list[Symbols]:
         cum += a - 1
         stack.append(iter(symbols))
     return out
+
+
+# -- hyper-Catalan closed forms ---------------------------------------------------
+
+
+def _exact(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    assert r == 0, f"non-exact division {num}/{den}"
+    return q
+
+
+def hyper_catalan_factorial(m: TypeVector) -> int:
+    """C_m by the paper's factorial form (E-1)!/((V-1)! m!)."""
+    s = vef(m)
+    return _exact(factorial(s.E - 1), factorial(s.V - 1) * m.type_factorial())
+
+
+def central_count_factorial(m: TypeVector, r: int) -> int:
+    """Subdigons of type m with a central (r+1)-gon, r*m_r*(E-2)!/((V-1)! m!)."""
+    if m.get(r) == 0:  # also keeps (E-2)! of the empty type out
+        return 0
+    s = vef(m)
+    return _exact(r * m.get(r) * factorial(s.E - 2), factorial(s.V - 1) * m.type_factorial())
+
+
+def power_coeff_factorial(m: TypeVector, r: int) -> int:
+    """[t^m] S^r by its factorial form r*(r-2+E)!/((r-2+V)! m!)."""
+    s = vef(m)
+    return _exact(r * factorial(r - 2 + s.E), factorial(r - 2 + s.V) * m.type_factorial())
 
 
 # -- Catalan powers -------------------------------------------------------------

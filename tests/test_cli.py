@@ -53,6 +53,17 @@ class TestCoeff:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: bad type vector")
 
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", "+2", "-0"])
+    def test_type_entries_are_ascii_digits(self, capsys, text):
+        # int() alone reads these as 10, 3, 2 and 0
+        with pytest.raises(SystemExit) as exc:
+            main(["coeff", "--type", text])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", f"error: bad type vector {text!r}\n")
+
+    def test_spaces_around_type_entries(self, capsys):
+        assert run(capsys, "coeff", "--type", " 2 , 1 ") == run(capsys, "coeff", "--type", "2,1")
+
 
 class TestVerify:
     @pytest.mark.parametrize("argv", [
@@ -490,6 +501,8 @@ DIGIT_LIMIT_ERROR = ("error: result has more than 4300 digits, Python's int-to-s
 TOO_LARGE_ERROR = ("error: input too large to compute: "
                    f"factorial() argument should not exceed {sys.maxsize}")
 HUGE = "99999999999999999999"
+# a Raney string of two 4300-digit symbols, whose rank has 4301 digits
+NINES = "9" * 4300 + "," + "9" * 4300
 
 
 class TestUsageErrors:
@@ -525,6 +538,7 @@ class TestUsageErrors:
             ["powers", "--r", "1", "--m", "8000"],
             ["solve", "--coeffs=1/7", "--d", "6000"],
             ["subdigons", "--type", "8000"],
+            ["raney", "rank", NINES],
         )],
         (["coeff", "--type", HUGE], TOO_LARGE_ERROR),
         (["coeff", "--type", "1", "--power", HUGE], TOO_LARGE_ERROR),
@@ -538,8 +552,8 @@ class TestUsageErrors:
             "coeff-power-0", "subdigons-list-over-cap", "subdigons-json-over-cap",
             "subdigons-max-faces", "solve-float-coefficient-overflow", "solve-float-term-overflow",
             "solve-float-power-overflow", "coeff-digit-limit", "powers-digit-limit",
-            "solve-digit-limit", "subdigons-digit-limit", "coeff-huge-type", "coeff-huge-power",
-            "subdigons-huge-type", "powers-huge-r", "powers-huge-m"])
+            "solve-digit-limit", "subdigons-digit-limit", "rank-digit-limit", "coeff-huge-type",
+            "coeff-huge-power", "subdigons-huge-type", "powers-huge-r", "powers-huge-m"])
     def test_exit_2_with_one_line_message(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -547,6 +561,38 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.err == message + "\n"
         assert captured.out == ""
+
+    @NEEDS_DIGIT_LIMIT
+    @pytest.mark.parametrize("command", ["identify", "rotations"])
+    def test_rank_past_the_digit_limit(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(["raney", command, NINES])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestLibraryErrors:
+    """main reports the library's ValueErrors as usage errors, and nothing else."""
+
+    @staticmethod
+    def _fail_with(monkeypatch, error):
+        def fail(m):
+            raise error
+        monkeypatch.setattr(cli, "hyper_catalan", fail)
+
+    def test_value_error_exits_2_with_its_message(self, capsys, monkeypatch):
+        self._fail_with(monkeypatch, ValueError("gon index 1 < 2"))
+        with pytest.raises(SystemExit) as exc:
+            main(["coeff", "--type", "2,1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", "error: gon index 1 < 2\n")
+
+    def test_arithmetic_error_propagates(self, monkeypatch):
+        self._fail_with(monkeypatch, ArithmeticError("non-exact division 7/2"))
+        with pytest.raises(ArithmeticError, match="non-exact division 7/2"):
+            main(["coeff", "--type", "2,1"])
 
 
 class TestDeepWords:
@@ -577,11 +623,26 @@ def _main_captured(argv, call=main):
     return result, out.getvalue(), err.getvalue()
 
 
+# how every one-line usage error that the program writes begins: its own
+# messages and the library's ValueErrors; main reports any ValueError this
+# way, so a stray one (such as int()'s "invalid literal") must fail the fuzz
+USAGE_ERRORS = tuple("error: " + head for head in (
+    "bad type vector ", "bad coefficient ", "out of float range ", "result has more than ",
+    "input too large to compute: ", "powers needs --identity", "word count ",
+    "negative symbol ", "bad symbol ", "not a digit string: ", "rank ", "power ",
+    "negative index ", "negative order ", "face count ", "negative level bound ", "gon bound ",
+    "face layering requires a gon bound",
+))
+
+
 def _assert_documented_exit(code, err):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 2:
-        assert "error: " in err.splitlines()[-1]
+        last = err.splitlines()[-1]
+        if last.startswith("hypercatalan") and ": error: " in last:  # argparse's own
+            return
+        assert err == last + "\n" and last.startswith(USAGE_ERRORS), err
 
 
 # strings of at most 30 characters: free text, and comma lists that may hold negative symbols

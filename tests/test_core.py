@@ -16,6 +16,7 @@ from hypercatalan.core import (
     unit_type,
     vef,
 )
+from oracles import central_count_factorial, hyper_catalan_factorial, power_coeff_factorial
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012,
            742900, 2674440, 9694845]
@@ -145,6 +146,30 @@ class TestRaneyCount:
     @given(type_vectors, st.integers(min_value=1, max_value=5))
     def test_agrees_with_power_coeff(self, m, r):
         assert raney_count(r, Composition(0, m)) == power_coeff(m, r)
+
+
+# the large closed-form bench types, past any enumeration
+BENCH_TYPES = [(35, 0, 0, 0, 1), (18, 0, 0, 42, 3), (4, 0, 4, 8, 2)]
+
+
+class TestFactorialForms:
+    """Each count against the paper's own factorial form, not against another count."""
+
+    @given(type_vectors, st.integers(min_value=1, max_value=9))
+    def test_hypothesis_types(self, m, r):
+        assert hyper_catalan(m) == hyper_catalan_factorial(m)
+        assert power_coeff(m, r) == power_coeff_factorial(m, r)
+        for k in range(2, 10):
+            assert central_count(m, k) == central_count_factorial(m, k)
+
+    @pytest.mark.parametrize("counts", BENCH_TYPES, ids=lambda c: ",".join(map(str, c)))
+    def test_bench_types(self, counts):
+        m = tv(*counts)
+        assert hyper_catalan(m) == hyper_catalan_factorial(m)
+        for r in range(1, 10):
+            assert power_coeff(m, r) == power_coeff_factorial(m, r)
+        for r in range(2, 10):
+            assert central_count(m, r) == central_count_factorial(m, r)
 
 
 def test_random_sweep_exactness():
