@@ -118,7 +118,10 @@ def cmd_verify(args) -> int:
 
 
 def _parse_coeff(text: str) -> Fraction:
+    """A rational in ASCII without '_'; Fraction() alone would also read '1_0' and '٣'."""
     try:
+        if not text.isascii() or "_" in text:
+            raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         _usage_error(f"bad coefficient {text!r}")
@@ -138,11 +141,16 @@ def cmd_solve(args) -> int:
     try:
         if args.float:
             values = {k: float(v) for k, v in values.items()}
-        partials = series.partial_sums(spec, values)
-        alpha = partials[max(partials)]
+        partials = list(series.partial_pairs(spec, values))
+        _, n, den = partials[-1]
+        alpha = n if den is None else Fraction(n, den)
         residual = 1 - alpha + sum(values[k] * alpha**k for k in values)
         with _digit_limit():
-            lines = [f"level {lvl:>3}: partial sum = {_show(a)}" for lvl, a in partials.items()]
+            if args.float:
+                lines = [f"level {lvl:>3}: partial sum = {x:.12g}" for lvl, x, _ in partials]
+            else:
+                lines = [f"level {lvl:>3}: partial sum = {n if den is None else _ratio(n, den)}"
+                         for lvl, n, den in partials]
             lines += [f"alpha = {_show(alpha)}", f"residual = {_show(residual)}"]
     except OverflowError as exc:
         _usage_error(f"out of float range at level bound {spec.d}: {exc}")
@@ -150,9 +158,14 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _ratio(n: int, den: int) -> str:
+    """The reduced fraction n/den (den > 0) as 'n/den ~ float', '/den' left out when den is 1."""
+    return f"{n}/{den} ~ {n / den:.12g}" if den != 1 else f"{n} ~ {n / den:.12g}"
+
+
 def _show(x) -> str:
     if isinstance(x, Fraction):
-        return f"{x} ~ {float(x):.12g}"
+        return _ratio(x.numerator, x.denominator)
     return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 

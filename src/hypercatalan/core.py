@@ -183,7 +183,9 @@ def central_count(m: TypeVector, r: int) -> int:
         raise ValueError(f"central gon arity {r} < 2")
     if m.get(r) == 0:
         return 0
-    return _list_count(r, Composition(0, m - unit_type(r)))
+    # m less that polygon, straight from the sorted entries (an m_r of 1 drops out)
+    rest = tuple((k, mk - (k == r)) for k, mk in m.entries if k != r or mk > 1)
+    return _list_count(r, Composition(0, TypeVector(rest)))
 
 
 def power_coeff(m: TypeVector, r: int) -> int:

@@ -40,12 +40,20 @@ Q^F (exact: it is sum C_m * prod_k a_k^m_k).  Its level is s (vertex), F + s
 Float values take the same cells with Q = 1 and a_k = t_k as floats, the
 cell adding binom(F+s, F)/(s+1) * [mu^e] R^F.  R^F is a plain list, advanced
 by one slice-and-add per nonzero coefficient of R, highest index first, so
-each float cell adds its terms in one fixed order.
+each float cell adds its terms in one fixed order.  When R is one term
+c*mu^j (one nonzero value), R^F is c^F at index jF, c^F taken by the same
+repeated products, and no list is convolved.
 
-Partial sums (partial_sums), the truncations of the zero that solve prints,
-come from the same cell pass.  Exact ones keep a single running numerator
-over Q^(l // weight(2)): each level multiplies it by a power of Q from the
-same table, adds the level's numerator and reduces the fraction once.
+Partial sums (partial_pairs), the truncations of the zero that solve prints,
+come from the same cell pass as plain ints.  Exact ones keep a single running
+numerator over Q^(l // weight(2)): each level multiplies it by a power of Q
+from the same table and adds the level's numerator.  The pair is reduced
+without a full gcd of two big ints: its denominator is a power of Q, so every
+prime it shares with the numerator divides Q, and gcd(numerator, Q) == 1, one
+gcd with a small int, proves it coprime.  Otherwise the common factor is
+stripped by gcds against the last factor squared, so the passes grow only
+with the logarithm of the shared prime powers.  solve writes its level lines from the pairs, and
+partial_sums wraps them in int, Fraction or float.
 """
 
 from __future__ import annotations
@@ -54,9 +62,9 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from math import isfinite, lcm, perm
-from operator import mul
+from itertools import accumulate, compress
+from math import gcd, isfinite, lcm, perm
+from operator import mul, or_
 
 from .catpow import _poly_text
 from .core import TypeVector
@@ -211,7 +219,7 @@ def build_beta(spec: LayerSpec) -> LayeredPoly:
 
 
 def _level_numerators(spec: LayerSpec, values: dict):
-    """(exact, w2, qpow, [(level, numerator, frac)]): the cell pass of layer_sums and partial_sums.
+    """(exact, w2, qpow, [(level, numerator, frac)]): the cell pass of layer_sums and partial_pairs.
 
     One entry per level that spec admits a type at, in increasing order; the level sum is
     the numerator over qpow[level // w2] (1 for floats), and frac marks a level with a type
@@ -236,37 +244,47 @@ def _level_numerators(spec: LayerSpec, values: dict):
     w2, step = weight(2, spec.measure), weight(3, spec.measure) - weight(2, spec.measure)
     qpow = list(accumulate([q] * (d // w2), mul, initial=1))  # up to Q^(most faces)
     nums = [1] + [0 if exact else 0.0] * d
-    power, central = [1], 1  # R^F and binom(2F, F)
+    power, central, mono = [1], 1, 1  # R^F, binom(2F, F), and c^F when R is one term c*mu^j
     for f in range(1, d // w2 + 1):
         n = len(power) + len(r) - 1
         if step:
             n = min(n, (d - w2 * f) // step + 1)
-        out = [0] * n
-        for j, c in terms:
-            part = power[: n - j]
-            out[j : j + len(part)] = [o + c * x for o, x in zip(out[j : j + len(part)], part)]
-        while out and not out[-1]:
-            out.pop()
-        power = out
+        if len(terms) == 1:  # R^F is the one term c^F * mu^(jF): no convolution
+            j, c = terms[0]
+            mono *= c
+            power = [0] * (j * f) + [mono] if j * f < n else []
+        else:
+            out = [0] * n
+            for j, c in terms:
+                part = power[: n - j]
+                out[j : j + len(part)] = [o + c * x for o, x in zip(out[j : j + len(part)], part)]
+            while out and not out[-1]:
+                out.pop()
+            power = out
         central = central * (4 * f - 2) // f
-        b = central  # binom(F + s, F) with s = F + e
-        for e, c in enumerate(power):
-            if e:
-                b = b * (2 * f + e) // (f + e)
-            if c:
-                lvl = w2 * f + step * e
-                if exact:
-                    nums[lvl] += b * c // (f + e + 1) * qpow[lvl // w2 - f]
-                else:
-                    nums[lvl] += b / (f + e + 1) * c
-    fracs = [w for k, w in ks if exact and isinstance(values[k], Fraction)]
-    levels = []
-    for lvl in range(d + 1):
-        if reach[lvl]:
-            num = nums[lvl]
-            if not (exact or isfinite(num)):
+        # binom(F + s, F) with s = F + e, advanced by ratios; the cell divides by s + 1
+        b, f2, f1, lvl = central, 2 * f, f + 1, w2 * f
+        if exact:  # the cell's numerator over Q^F, rescaled to the level's Q^(lvl // w2)
+            for e, c in enumerate(power):
+                if e:
+                    b = b * (f2 + e) // (f + e)
+                if c:
+                    nums[lvl + step * e] += b * c // (f1 + e) * qpow[step * e // w2]
+        else:
+            for e, c in enumerate(power):
+                if e:
+                    b = b * (f2 + e) // (f + e)
+                if c:
+                    nums[lvl + step * e] += b / (f1 + e) * c
+    # frac[l]: a type at level l uses a Fraction value, one t_k of weight w on a type at l - w
+    frac = [False] * (d + 1)
+    for w in {w for k, w in ks if exact and isinstance(values[k], Fraction)}:
+        frac[w:] = map(or_, frac[w:], reach)
+    levels = list(compress(zip(range(d + 1), nums, frac), reach))
+    if not exact:
+        for lvl, num, _ in levels:
+            if not isfinite(num):
                 raise OverflowError(f"level {lvl} sum is {num}")
-            levels.append((lvl, num, any(w <= lvl and reach[lvl - w] for w in fracs)))
     return exact, w2, qpow, levels
 
 
@@ -286,27 +304,49 @@ def layer_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
             for lvl, num, frac in levels}
 
 
-def partial_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
-    """{level: sum of the layer_sums up to that level}, the truncations of the zero.
+def partial_pairs(spec: LayerSpec, values: dict):
+    """Yield (level, numerator, denominator) of each partial sum, the truncations of the zero.
 
-    Exact values keep one running numerator over Q^(l // weight(2)), rescaled by a power
-    of Q at each level and normalized once per level.  A partial sum is an int until the
-    first level whose level sum is a Fraction, and a Fraction from there on.  Float values
-    add the float level sums left to right.
+    The partial sum at a level is the sum of the layer_sums up to it.  Exact values keep one
+    running numerator over Q^(l // weight(2)), rescaled by a power of Q at each level.  The
+    denominator is None while the partial sum is an int (before the first level whose level
+    sum is a Fraction); from there on the pair is reduced, with a positive denominator.
+    Float values yield the float running sums (level 0 is the int 1), denominator None.
     """
     exact, w2, qpow, levels = _level_numerators(spec, values)
-    sums: dict[int, object] = {}
     alpha = 0
     if not exact:
         for lvl, num, _ in levels:
-            alpha = sums[lvl] = alpha + num
-        return sums
+            alpha += num
+            yield lvl, alpha, None
+        return
     top, frac = 0, False  # alpha is a numerator over Q^top
     for lvl, num, frac_here in levels:
         k = lvl // w2
         alpha, top, frac = alpha * qpow[k - top] + num, k, frac or frac_here
-        sums[lvl] = Fraction(alpha, qpow[k]) if frac else alpha // qpow[k]
-    return sums
+        if not frac:
+            yield lvl, alpha // qpow[k], None
+            continue
+        # the denominator Q^k (k >= 1 here) has only primes of Q, so gcd(n, Q) == 1 proves
+        # the pair coprime; otherwise strip the common factor, every prime of which divides
+        # the last g, by gcds against g squared (the module docstring)
+        n, den = alpha, qpow[k]
+        g = gcd(n, qpow[1])
+        while g != 1:
+            n, den = n // g, den // g
+            g = gcd(n, g * g, den)
+        yield lvl, n, den
+
+
+def partial_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
+    """{level: sum of the layer_sums up to that level}, the truncations of the zero.
+
+    A partial sum is an int until the first level whose level sum is a Fraction, and a
+    Fraction from there on; float values add the float level sums left to right.  These
+    are the pairs of partial_pairs as numbers.
+    """
+    return {lvl: n if den is None else Fraction(n, den)
+            for lvl, n, den in partial_pairs(spec, values)}
 
 
 def _counts(key: int, base: int) -> list[int]:

@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -331,6 +333,104 @@ class TestNegativeCoefficients:
         assert "--coeffs=-1/3,1/5" in " ".join(capsys.readouterr().out.split())
 
 
+def _fraction_text(x) -> str:
+    """The text of a solve value as it was printed from Fraction objects: the oracle of the lines."""
+    if isinstance(x, Fraction):
+        return f"{x} ~ {float(x):.12g}"
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
+
+
+def _solve_oracle(coeffs: str, measure: str, d: int, as_float: bool):
+    """(stdout that solve printed from partial_sums' numbers, spec, values)."""
+    values = {k: Fraction(c) for k, c in enumerate(coeffs.split(","), 2)}
+    if as_float:
+        values = {k: float(v) for k, v in values.items()}
+    spec = series.LayerSpec(series.Measure(measure), d, len(values) + 1)
+    partials = series.partial_sums(spec, values)
+    alpha = partials[max(partials)]
+    residual = 1 - alpha + sum(values[k] * alpha**k for k in values)
+    lines = [f"level {lvl:>3}: partial sum = {_fraction_text(a)}" for lvl, a in partials.items()]
+    lines += [f"alpha = {_fraction_text(alpha)}", f"residual = {_fraction_text(residual)}"]
+    return "\n".join(lines) + "\n", spec, values
+
+
+# vertex, edge and face; a denominator Q that the numerators often share (1/12, 1/2^k);
+# negative, zero and integer coefficients; exact and float
+LEVEL_LINE_GRID = [
+    ("1/13", "vertex", 175), ("1/13", "edge", 175), ("1/13,1/13", "face", 30),
+    ("1/12", "vertex", 60), ("1/12,1/8", "edge", 40), ("1/2,1/4,1/8,1/16", "vertex", 20),
+    ("1/4,1/16", "face", 25), ("1/32", "vertex", 40), ("1/12,-1/20", "edge", 40),
+    ("-1/4", "vertex", 30), ("-1/4,1/9", "edge", 30), ("-1/2", "face", 12),
+    ("0", "vertex", 5), ("0,1/4", "edge", 8), ("0,1/4", "vertex", 8), ("0,0", "face", 4),
+    ("2", "vertex", 8), ("1,3", "edge", 10), ("2,-1", "face", 6), ("2/4,0,6", "vertex", 12),
+    ("1/36,1/56,1/60,1/66", "edge", 34),
+]
+
+
+class TestLevelLines:
+    """solve's lines, written from reduced integer pairs, against the Fraction text."""
+
+    @pytest.mark.parametrize("as_float", [False, True], ids=["exact", "float"])
+    @pytest.mark.parametrize("coeffs,measure,d", LEVEL_LINE_GRID,
+                             ids=[f"{c}-{m}-{d}" for c, m, d in LEVEL_LINE_GRID])
+    def test_lines_match_the_fraction_text(self, capsys, coeffs, measure, d, as_float):
+        argv = ["solve", f"--coeffs={coeffs}", "--measure", measure, "--d", str(d)]
+        want, spec, values = _solve_oracle(coeffs, measure, d, as_float)
+        assert run(capsys, *argv, *(["--float"] if as_float else [])) == (0, want)
+        self._assert_reduced(spec, values)
+
+    @staticmethod
+    def _assert_reduced(spec, values):
+        for _, n, den in series.partial_pairs(spec, values):
+            if den is not None:
+                assert den > 0 and math.gcd(n, den) == 1, (spec, values, n, den)
+
+    # float level sums are pinned bit for bit where R is one term c*mu^j, whose powers
+    # c^F are formed by repeated products: the sha256 of stdout
+    @pytest.mark.parametrize("argv,digest", [
+        (["--coeffs", "1/13", "--d", "175"],
+         "a785e04cf1b200c30d5556c237d319930bbee4d84501d0193511e6ec763f63fc"),
+        (["--coeffs=0,-1/4", "--d", "60"],
+         "00f44773e32fb8ce08c4735cd97d58dbe0d5d7da247d1bc998047a00f9a9bcf7"),
+        (["--coeffs=-1/5", "--d", "120", "--measure", "edge"],
+         "1e62d90541d181de79fb447691a0419fec285b9c50cfdf30006cb5b98c51667c"),
+    ], ids=["vertex-1/13", "vertex-0,-1/4", "edge--1/5"])
+    def test_one_term_float_stdout_is_pinned(self, capsys, argv, digest):
+        code, out = run(capsys, "solve", "--float", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @settings(max_examples=80, deadline=None)
+    @given(coeffs=st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=30),
+                           min_size=1, max_size=4),
+           measure=st.sampled_from(["vertex", "edge", "face"]),
+           d=st.integers(min_value=0, max_value=18), as_float=st.booleans())
+    def test_small_fractions(self, coeffs, measure, d, as_float):
+        text = ",".join(map(str, coeffs))
+        argv = ["solve", f"--coeffs={text}", "--measure", measure, "--d", str(d)]
+        want, spec, values = _solve_oracle(text, measure, d, as_float)
+        assert _main_captured(argv + (["--float"] if as_float else [])) == (0, want, "")
+        self._assert_reduced(spec, values)
+
+
+class TestCoefficientText:
+    """A coefficient is read from ASCII text without '_', as a type vector entry is."""
+
+    @pytest.mark.parametrize("text", ["\u0663", "1/\u0663", "1_0", "1/1_0", "\uff11", "1\u00a0"])
+    def test_non_ascii_or_underscore_exits_2(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", f"--coeffs={text}", "--d", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", f"error: bad coefficient {text!r}\n")
+
+    @pytest.mark.parametrize("text,value", [("+1/3", Fraction(1, 3)), (" 1/3", Fraction(1, 3)),
+                                            ("1e-3", Fraction(1, 1000)), ("-1/3", Fraction(-1, 3))])
+    def test_ascii_forms_are_read(self, capsys, text, value):
+        code, out = run(capsys, "solve", f"--coeffs={text}", "--d", "1")
+        assert code == 0
+        assert out.splitlines()[1] == f"level   1: partial sum = {_fraction_text(1 + value)}"
+
+
 class TestSubdigons:
     def test_count_with_split(self, capsys):
         code, out = run(capsys, "subdigons", "--type", "2,1")
@@ -537,6 +637,8 @@ class TestUsageErrors:
             ["coeff", "--type", "8000"],
             ["powers", "--r", "1", "--m", "8000"],
             ["solve", "--coeffs=1/7", "--d", "6000"],
+            # the 4,456-digit denominator 13^4000 of the level lines, all formatted before any print
+            ["solve", "--coeffs", "1/13", "--d", "4000"],
             ["subdigons", "--type", "8000"],
             ["raney", "rank", NINES],
         )],
@@ -552,7 +654,7 @@ class TestUsageErrors:
             "coeff-power-0", "subdigons-list-over-cap", "subdigons-json-over-cap",
             "subdigons-max-faces", "solve-float-coefficient-overflow", "solve-float-term-overflow",
             "solve-float-power-overflow", "coeff-digit-limit", "powers-digit-limit",
-            "solve-digit-limit", "subdigons-digit-limit", "rank-digit-limit", "coeff-huge-type",
+            "solve-digit-limit", "solve-level-line-digit-limit", "subdigons-digit-limit", "rank-digit-limit", "coeff-huge-type",
             "coeff-huge-power", "subdigons-huge-type", "powers-huge-r", "powers-huge-m"])
     def test_exit_2_with_one_line_message(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
