@@ -47,13 +47,9 @@ repeated products, and no list is convolved.
 Partial sums (partial_pairs), the truncations of the zero that solve prints,
 come from the same cell pass as plain ints.  Exact ones keep a single running
 numerator over Q^(l // weight(2)): each level multiplies it by a power of Q
-from the same table and adds the level's numerator.  The pair is reduced
-without a full gcd of two big ints: its denominator is a power of Q, so every
-prime it shares with the numerator divides Q, and gcd(numerator, Q) == 1, one
-gcd with a small int, proves it coprime.  Otherwise the common factor is
-stripped by gcds against the last factor squared, so the passes grow only
-with the logarithm of the shared prime powers.  solve writes its level lines from the pairs, and
-partial_sums wraps them in int, Fraction or float.
+from the same table, adds the level's numerator, and reduces the pair by one
+gcd.  solve writes its level lines from the pairs, and partial_sums wraps them
+in int, Fraction or float.
 """
 
 from __future__ import annotations
@@ -327,15 +323,8 @@ def partial_pairs(spec: LayerSpec, values: dict):
         if not frac:
             yield lvl, alpha // qpow[k], None
             continue
-        # the denominator Q^k (k >= 1 here) has only primes of Q, so gcd(n, Q) == 1 proves
-        # the pair coprime; otherwise strip the common factor, every prime of which divides
-        # the last g, by gcds against g squared (the module docstring)
-        n, den = alpha, qpow[k]
-        g = gcd(n, qpow[1])
-        while g != 1:
-            n, den = n // g, den // g
-            g = gcd(n, g * g, den)
-        yield lvl, n, den
+        g = gcd(alpha, qpow[k])
+        yield lvl, alpha // g, qpow[k] // g
 
 
 def partial_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
