@@ -196,9 +196,11 @@ def cmd_raney(args) -> int:
         _write(text, f"\ntotal {count} (closed form {raney_count(args.n, c)})\n")
         return 0
     sigma = raney.parse_string(args.string)
-    if args.raney_cmd == "rank":
+    if args.raney_cmd != "check":
+        # rank prints the rank; rotations and identify name a rank >= 0 in their error
         with _digit_limit():
             text = str(raney.rank(sigma))
+    if args.raney_cmd == "rank":
         print(text)
         return 0
     if args.raney_cmd == "check":

@@ -2,12 +2,15 @@
 
 A LayerSpec fixes a measure and a maximum level d: vertex level V-2, edge
 level E-1 or face level F, each a sum of one weight per gon.  The run-time
-paths keep every polynomial packed.  The coefficient walk (_walk) emits beta
-as level buckets of packed keys; evaluate_geometric returns the residual as
-{level: {packed key: coefficient}}; table_rows returns the buckets that
-render_table prints; geode_quotient solves over the keys of one bucket.
+paths keep every polynomial packed.  The coefficient walk (_walk) writes each
+type of beta into its level bucket of packed keys as it makes it, holding its
+depth in a list of generators, not in recursion; evaluate_geometric returns the
+residual as {level: {packed key: coefficient}}; table_rows returns the buckets
+that render_table prints; geode_quotient solves over the keys of one bucket.
 Decoding, print order and text come from _printer, behind render_table and
-first_term alike.
+first_term alike: it decodes each key once to its counts and joins a monomial's
+text from a table per gon.  render_table writes its json text itself, as
+json.dumps would.
 
 LayeredPoly, a map from TypeVector to int, is the type-vector form that the
 tests compare the packed paths with, through mul_truncated (which prunes
@@ -58,9 +61,9 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, compress, zip_longest
 from math import gcd, isfinite, lcm, perm
-from operator import mul, or_
+from operator import getitem, mul, or_
 
 from .catpow import _poly_text
 from .core import TypeVector
@@ -143,11 +146,6 @@ class LayeredPoly:
         return len(self.terms)
 
 
-def _mono_text(entries) -> str:
-    """'t2^3t4' for the (k, m_k) pairs ((2, 3), (4, 1))."""
-    return "".join(f"t{k}^{mk}" if mk > 1 else f"t{k}" for k, mk in entries)
-
-
 def mul_truncated(p: LayeredPoly, q: LayeredPoly, spec: LayerSpec) -> LayeredPoly:
     """The terms of p*q that spec admits, pruning partial products eagerly.
 
@@ -178,28 +176,42 @@ Graded = list[dict[int, int]]
 def _walk(spec: LayerSpec) -> Graded:
     """beta for spec graded: {packed key: C_m} per level, each level in lex order.
 
-    A depth-first walk in lex order, bucketed by level, carrying V, E, the
-    level and the packed key.  Adding one (k+1)-gon at count m_k updates
-    C = (E-1)!/((V-1)! m!) exactly:
+    A depth-first walk in lex order that writes each type into its level bucket as it
+    is made, carrying V, E, C, the level and the packed key.  Adding one (k+1)-gon at
+    count m_k updates C = (E-1)!/((V-1)! m!) exactly:
     C * E(E+1)...(E+k-1) / ((m_k+1) * V(V+1)...(V+k-2)).
+    The depth is a list of generators, one per type that has room for a further gon.
     """
-    base = spec.d + 1
-    steps = [(k, weight(k, spec.measure), base ** (k - 2)) for k in range(2, spec.max_gon() + 1)]
-    # the weights never decrease with k, so the steps that fit in a room are a prefix
-    fit = [sum(w <= room for _, w, _ in steps) for room in range(spec.d + 1)]
-    buckets: Graded = [{} for _ in range(spec.d + 1)]
-    stack = [(0, 0, 2, 1, 1, 0)]  # (next step, level, V, E, C, key)
-    while stack:
-        i, lvl, v, e, c, key = stack.pop()
-        buckets[lvl][key] = c
-        children = []
-        for j, (k, w, unit) in enumerate(steps[i : fit[spec.d - lvl]], i + 1):
-            lv, vk, ek, ck, kk = lvl, v, e, c, key
-            for mk in range(1, (spec.d - lvl) // w + 1):
+    d = spec.d
+    steps = [(k, weight(k, spec.measure), (d + 1) ** (k - 2)) for k in range(2, spec.max_gon() + 1)]
+    # the weights never decrease with k, so the steps that fit above a level are a prefix
+    fit = [sum(w <= d - lvl for _, w, _ in steps) for lvl in range(d + 1)]
+    buckets: Graded = [{} for _ in range(d + 1)]
+    buckets[0][0] = 1
+
+    def extend(i, lvl, v, e, c, key):
+        """Write every type that adds gons from step i on to the given one, in lex order.
+
+        Yields the generator of each such type that has room for a further gon, right
+        after writing it, so that its subtree comes before its next sibling.
+        """
+        for j in range(i, fit[lvl]):
+            k, w, unit = steps[j]
+            lk, vk, ek, ck, kk = lvl, v, e, c, key
+            for mk in range(1, (d - lvl) // w + 1):
                 ck = ck * perm(ek + k - 1, k) // (mk * perm(vk + k - 2, k - 1))
-                vk, ek, lv, kk = vk + k - 1, ek + k, lv + w, kk + unit
-                children.append((j, lv, vk, ek, ck, kk))
-        stack.extend(reversed(children))  # popped in lex order
+                vk, ek, lk, kk = vk + k - 1, ek + k, lk + w, kk + unit
+                buckets[lk][kk] = ck
+                if j + 1 < fit[lk]:
+                    yield extend(j + 1, lk, vk, ek, ck, kk)
+
+    stack = [extend(0, 0, 2, 1, 1, 0)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(child)
     return buckets
 
 
@@ -468,14 +480,22 @@ def table_rows(spec: LayerSpec) -> list[tuple[str, dict[int, int]]]:
 def _printer(spec: LayerSpec, buckets, fmt: str):
     """terms(bucket): its nonzero (monomial, coeff) pairs in print order: faces, then entries.
 
-    Keys are decoded and sorted once, for every bucket.  A monomial shows as its counts
-    [m2, m3, ...] in json, as its text 't2^3t4' otherwise.
+    Keys are decoded once, for every bucket, and sorted by (faces, counts with 0 read as
+    the base): one order with (faces, entries), since every count is below the base.  A
+    monomial shows as its counts '[m2, m3, ...]' in json, as its text 't2^3t4' otherwise,
+    joined from a table of '', 'tk' and 'tk^m' per gon.
     """
-    counts = {key: _counts(key, spec.d + 1) for key in set().union(*buckets)}
-    entries = {key: tuple((k, m) for k, m in enumerate(c, 2) if m) for key, c in counts.items()}
-    order = sorted(counts, key=lambda key: (sum(counts[key]), entries[key]))
+    base = spec.d + 1
+    counts = {key: _counts(key, base) for key in set().union(*buckets)}
+    order = sorted(counts, key=lambda key: (sum(counts[key]), [m or base for m in counts[key]]))
     rank = dict(zip(order, range(len(order))))
-    show = counts if fmt == "json" else {key: _mono_text(e) for key, e in entries.items()}
+    if fmt == "json":
+        show = {key: str(c) for key, c in counts.items()}
+    else:
+        tops = map(max, zip_longest(*counts.values(), fillvalue=0))
+        texts = [["", f"t{k}", *(f"t{k}^{m}" for m in range(2, top + 1))]
+                 for k, top in enumerate(tops, 2)]
+        show = {key: "".join(map(getitem, texts, c)) for key, c in counts.items()}
 
     def terms(bucket):
         ranked = sorted(bucket, key=rank.__getitem__)
@@ -485,12 +505,16 @@ def _printer(spec: LayerSpec, buckets, fmt: str):
 
 
 def render_table(spec: LayerSpec, rows: list[tuple[str, dict[int, int]]], fmt: str) -> str:
-    """The rows of table_rows as text, csv or json; zero coefficients are skipped."""
+    """The rows of table_rows as text, csv or json; zero coefficients are skipped.
+
+    The json text is written here, as json.dumps writes it with its default separators.
+    """
     terms = _printer(spec, [b for _, b in rows], fmt)
     if fmt == "json":
-        table = [{"row": label, "terms": [{"type": m, "coeff": str(c)} for m, c in terms(b)]}
-                 for label, b in rows]
-        return json.dumps(table) + "\n"
+        term = '{{"type": {}, "coeff": "{}"}}'.format
+        row = '{{"row": {}, "terms": [{}]}}'.format
+        return "[" + ", ".join([row(json.dumps(label), ", ".join([term(m, c) for m, c in terms(b)]))
+                                for label, b in rows]) + "]\n"
     line = '{},"{}"'.format if fmt == "csv" else "{:>16}  {}".format
     lines = ["row,polynomial"] if fmt == "csv" else []
     lines += [line(label, _poly_text(terms(b))) for label, b in rows]

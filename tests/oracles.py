@@ -468,6 +468,14 @@ def poly_to_json(p: LayeredPoly) -> str:
     return json.dumps([{"type": m.to_counts(), "coeff": str(c)} for m, c in print_order(p)])
 
 
+def table_json(rows) -> str:
+    """(label, LayeredPoly) table rows built as dicts and written by json.dumps, one line."""
+    table = [{"row": label,
+              "terms": [{"type": m.to_counts(), "coeff": str(c)} for m, c in print_order(p)]}
+             for label, p in rows]
+    return json.dumps(table) + "\n"
+
+
 def poly_from_json(text: str) -> LayeredPoly:
     """Inverse of poly_to_json; repeated types add up."""
     out: dict[TypeVector, int] = {}

@@ -641,6 +641,9 @@ class TestUsageErrors:
             ["solve", "--coeffs", "1/13", "--d", "4000"],
             ["subdigons", "--type", "8000"],
             ["raney", "rank", NINES],
+            # the rank that identify and rotations name in their error
+            ["raney", "identify", NINES],
+            ["raney", "rotations", NINES],
         )],
         (["coeff", "--type", HUGE], TOO_LARGE_ERROR),
         (["coeff", "--type", "1", "--power", HUGE], TOO_LARGE_ERROR),
@@ -654,7 +657,8 @@ class TestUsageErrors:
             "coeff-power-0", "subdigons-list-over-cap", "subdigons-json-over-cap",
             "subdigons-max-faces", "solve-float-coefficient-overflow", "solve-float-term-overflow",
             "solve-float-power-overflow", "coeff-digit-limit", "powers-digit-limit",
-            "solve-digit-limit", "solve-level-line-digit-limit", "subdigons-digit-limit", "rank-digit-limit", "coeff-huge-type",
+            "solve-digit-limit", "solve-level-line-digit-limit", "subdigons-digit-limit",
+            "rank-digit-limit", "identify-digit-limit", "rotations-digit-limit", "coeff-huge-type",
             "coeff-huge-power", "subdigons-huge-type", "powers-huge-r", "powers-huge-m"])
     def test_exit_2_with_one_line_message(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -663,16 +667,6 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.err == message + "\n"
         assert captured.out == ""
-
-    @NEEDS_DIGIT_LIMIT
-    @pytest.mark.parametrize("command", ["identify", "rotations"])
-    def test_rank_past_the_digit_limit(self, capsys, command):
-        with pytest.raises(SystemExit) as exc:
-            main(["raney", command, NINES])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestLibraryErrors:

@@ -31,7 +31,7 @@ from hypercatalan.series import (
 )
 
 from oracles import (ONE, add, admits, bumped_walk, count_trees, graded, mul, pack, packed, poly,
-                     poly_from_json, poly_text, poly_to_json, print_order, truncate)
+                     poly_from_json, poly_text, poly_to_json, print_order, table_json, truncate)
 
 
 def tv(*counts):
@@ -327,8 +327,7 @@ def _oracle_render(spec, fmt):
     """The table as LayeredPoly rows of the oracle chain, each printed on its own."""
     rows = _oracle_table_rows(spec)
     if fmt == "json":
-        return json.dumps([{"row": label, "terms": json.loads(poly_to_json(p))}
-                           for label, p in rows]) + "\n"
+        return table_json(rows)
     if fmt == "csv":
         return "row,polynomial\n" + "".join(f'{label},"{poly_text(p)}"\n' for label, p in rows)
     return "".join(f"{label:>16}  {poly_text(p)}\n" for label, p in rows)
@@ -358,6 +357,28 @@ class TestRenderTable:
         assert first_term(spec, bucket) == "1"
         assert first_term(spec, {0: -1}) == "-1"
         assert render_table(spec, [("p", {})], "csv") == 'row,polynomial\np,"0"\n'
+
+    def test_json_matches_json_dumps(self):
+        # the json text is written directly: it must be json.dumps's, byte for byte
+        spec = LayerSpec(Measure.VERTEX, 4)
+        rows = [("empty", {}), ("all zero", {0: 0, 1: 0}), ("zeros", {0: 0, 1: 0, 5: 3}),
+                ("signs", {0: -1, 1: -12, 25: 7, 6: -1}), ('a "quote" and a \\ back\tslash\n', {1: 2}),
+                ("β ∑ 𝛼 ü", {0: 1}), ("", {2: -10**40})]
+        want = table_json([(label, _poly(bucket, spec)) for label, bucket in rows])
+        assert render_table(spec, rows, "json") == want
+        assert render_table(spec, [], "json") == table_json([]) == "[]\n"
+
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
+    def test_print_order_is_faces_then_entries(self, spec):
+        # every key the spec admits, and random keys across levels, in one bucket
+        base = spec.d + 1
+        keys = [key for bucket in _walk(spec) for key in bucket]
+        rng = random.Random(_spec_id(spec))
+        keys += [rng.randrange(base ** 6) for _ in range(200)]
+        bucket = dict.fromkeys(keys, 1)
+        shown = [m for m, _ in series._printer(spec, [bucket], "json")(bucket)]
+        want = sorted({_unpack(key, base) for key in keys}, key=lambda m: (m.faces(), m.entries))
+        assert shown == [json.dumps(m.to_counts()) for m in want]
 
     def test_zero_coefficients_are_skipped(self):
         spec = LayerSpec(Measure.VERTEX, 2)
