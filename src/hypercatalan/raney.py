@@ -3,26 +3,36 @@
 A string is a finite sequence of naturals; its rank is the sum of
 (symbol - 1).  A word is a single 0 or a symbol n > 0 followed by n
 words.  Every string of rank -n has exactly n cyclic rotations that
-split into n words; the identification algorithm finds those words in
-place by grouping a symbol i with the i identified words following it
-(``group_words``).  Those i words are adjacent, so an identified word is
-a contiguous slice of the string: its symbols are the preorder arities
-of a plane tree, and no tree object is built.  ``lists_text`` lists the
-n-word lists of a composition as one newline-joined text, grown from
-blocks of suffix text by ``str.replace``; ``enumerate_lists`` is its
-split.  ``format_string`` is the text form of a string, and
-``rotations_text`` writes every list rotation of a string in it.
+split into n words (cycle lemma).  Its prefix ranks fall by at most 1
+per symbol, so they pass every value from 0 down to their minimum m,
+and the list rotations start where they first reach m + n - 1, ..., m;
+the word started at one of those offsets ends at the next
+(``_list_starts``).  So ``list_rotations`` and cyclic ``identify_words``
+cut the string with ``list.index`` on one list of prefix ranks, and
+``rotations_text`` slices each rotation from one text of the string.
+Linear identification groups a symbol i with the i identified words
+following it (``group_words``), which also reports unidentified
+symbols.  An identified word is a contiguous slice of the string: its
+symbols are the preorder arities of a plane tree, and no tree object is
+built.  ``lists_text`` lists the n-word lists of a composition as one
+newline-joined text, grown from blocks of suffix text by
+``str.replace``; ``enumerate_lists`` is its split.  ``format_string``
+is the text form of a string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import sub
 from typing import Sequence
 
 from .core import Composition
 
 Symbols = tuple[int, ...]
+
+_DECODE = bytes.maketrans(b"0123456789", bytes(range(10)))  # digit characters -> symbols
+_ENCODE = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def parse_string(text: str) -> Symbols:
@@ -40,21 +50,44 @@ def parse_string(text: str) -> Symbols:
         return tuple(map(int, parts))
     if not (text.isascii() and text.isdigit()):  # str.isdigit alone admits '²' and '٣'
         raise ValueError(f"not a digit string: {text!r}")
-    return tuple(map(int, text))
+    return tuple(text.encode().translate(_DECODE))
 
 
 def _separator(symbols: Sequence[int]) -> str:
     """What ``format_string`` writes between symbols: nothing if all are digits, else a comma."""
-    return "" if all(0 <= a <= 9 for a in symbols) else ","
+    return "" if not symbols or 0 <= min(symbols) and max(symbols) <= 9 else ","
 
 
 def format_string(sigma: Sequence[int]) -> str:
     """Compact digit form when possible, else comma-separated."""
-    return _separator(sigma).join(map(str, sigma))
+    if _separator(sigma):
+        return ",".join(map(str, sigma))
+    return bytes(sigma).translate(_ENCODE).decode()
 
 
 def rank(sigma: Sequence[int]) -> int:
     return sum(sigma) - len(sigma)
+
+
+def _prefix_ranks(sigma: Sequence[int]) -> list[int]:
+    """P(0..len-1): the rank of each proper prefix of a nonempty sigma, the empty one first."""
+    return list(accumulate(map(sub, sigma[:-1], repeat(1)), initial=0))
+
+
+def _list_starts(sigma: Sequence[int], n: int) -> list[int]:
+    """The offsets of the n rotations of sigma that are lists of n words, ascending.
+
+    sigma has rank -n and no negative symbol, so its prefix ranks P pass every
+    value from 0 down to their minimum m, and the offsets are where P first
+    reaches m + n - 1, ..., m (a strict prefix minimum below m + n).
+    """
+    prefix = _prefix_ranks(sigma)
+    low = min(prefix)
+    starts, at = [], 0
+    for value in range(low + n - 1, low - 1, -1):
+        at = prefix.index(value, at)
+        starts.append(at)
+    return starts
 
 
 def group_words(sigma: Sequence[int]) -> list[tuple[int, int | None]]:
@@ -94,17 +127,12 @@ def is_word_list(sigma: Sequence[int], n: int) -> bool:
     """
     if n < 1:
         raise ValueError(f"word count {n} < 1")
-    if not sigma:
-        return False
-    cum = 0
-    for a in sigma[:-1]:
-        cum += a - 1
-        if cum <= -n:
-            return False
-    return cum + sigma[-1] - 1 == -n
+    return bool(sigma) and rank(sigma) == -n and min(_prefix_ranks(sigma)) > -n
 
 
 def rotate(sigma: Sequence[int], offset: int) -> Symbols:
+    if not sigma:
+        return ()
     offset %= len(sigma)
     return tuple(sigma[offset:]) + tuple(sigma[:offset])
 
@@ -112,14 +140,17 @@ def rotate(sigma: Sequence[int], offset: int) -> Symbols:
 def list_rotations(sigma: Sequence[int]) -> set[int]:
     """Offsets whose rotation is a list of n words, n = -rank(sigma).
 
-    Cycle lemma, in one pass over the prefix ranks P(0..len-1): offset i
-    qualifies iff P(i) is below every earlier P (a new minimum) and
-    P(i) - n is below every later one, i.e. P(i) < min(P) + n.
+    Cycle lemma: offset i qualifies iff the prefix rank P(i) is below every
+    earlier P (a new minimum) and P(i) - n is below every later one, i.e.
+    P(i) < min(P) + n.  Without negative symbols these are ``_list_starts``;
+    a negative symbol can skip values, so its string takes one scan of P.
     """
     n = -rank(sigma)
     if n < 1:
         raise ValueError(f"rank {-n} is not negative")
-    prefix = list(accumulate((a - 1 for a in sigma[:-1]), initial=0))
+    if min(sigma) >= 0:
+        return set(_list_starts(sigma, n))
+    prefix = _prefix_ranks(sigma)
     bound = min(prefix) + n
     offsets, low = set(), 1
     for i, p in enumerate(prefix):
@@ -135,12 +166,19 @@ def list_rotations(sigma: Sequence[int]) -> set[int]:
 def rotations_text(sigma: Sequence[int]) -> str:
     """Each offset of ``list_rotations``, ascending, and its rotation in ``format_string`` form.
 
-    One ``"offset: rotation"`` line per offset; the symbol texts are
-    made once and every rotation is sliced from them.
+    One ``"offset: rotation"`` line per offset.  The text of sigma is made
+    once, and each rotation is one slice of that text twice over, cut where
+    the offset's symbol starts: character i in the digit form, after the i
+    symbols and commas before it in the comma form.
     """
-    texts, sep = list(map(str, sigma)), _separator(sigma)
-    return "\n".join(f"{off}: {sep.join(texts[off:] + texts[:off])}"
-                     for off in sorted(list_rotations(sigma)))
+    offsets = sorted(list_rotations(sigma))
+    text = format_string(sigma)
+    sep, cuts = "", offsets  # the digit form: symbol i is character i
+    if len(text) > len(sigma):  # the comma form: symbol i follows i symbol texts and commas
+        sep, starts = ",", list(accumulate(map(len, text.split(",")), initial=0))
+        cuts = [starts[off] + off for off in offsets]
+    ring, size = text + sep + text, len(text)
+    return "\n".join(f"{off}: {ring[cut:cut + size]}" for off, cut in zip(offsets, cuts))
 
 
 def render(word: Sequence[int]) -> str:
@@ -185,18 +223,24 @@ def identify_words(sigma: Sequence[int], cyclic: bool = True) -> Bracketing:
     """Group every symbol i >= 0 with the i identified words after it.
 
     Moves commute, so any order of moves ends in the same bracketing.
-    Linear: one pass of ``group_words``.  Cyclic: the rotation starting
-    at the first minimum of the prefix rank is a list of n words (cycle
-    lemma), so one pass over it identifies n words, each a slice of that
-    rotation, whose starts are mapped back onto sigma.
+    Linear: one pass of ``group_words``.  Cyclic: the n words start at the
+    offsets of ``_list_starts`` (cycle lemma), each ends where the next
+    starts, and the last wraps round to the first.  A string with a negative
+    symbol is grouped instead by one pass over its rotation at the first
+    minimum of the prefix rank, which leaves that symbol unidentified.
     """
     sigma = tuple(sigma)
     n = -rank(sigma)
     if n < 1:
         raise ValueError(f"rank {-n} is not negative")
+    if cyclic and min(sigma) >= 0:
+        starts = _list_starts(sigma, n)
+        items = [(i, sigma[i:end]) for i, end in zip(starts, starts[1:])]
+        items.append((starts[-1], sigma[starts[-1]:] + sigma[: starts[0]]))
+        return Bracketing(sigma, tuple(items))
     offset = 0
     if cyclic:
-        prefix = list(accumulate((a - 1 for a in sigma[:-1]), initial=0))
+        prefix = _prefix_ranks(sigma)
         offset = prefix.index(min(prefix))
     rotated = rotate(sigma, offset)
     items = sorted(

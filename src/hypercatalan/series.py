@@ -45,7 +45,9 @@ cell adding binom(F+s, F)/(s+1) * [mu^e] R^F.  R^F is a plain list, advanced
 by one slice-and-add per nonzero coefficient of R, highest index first, so
 each float cell adds its terms in one fixed order.  When R is one term
 c*mu^j (one nonzero value), R^F is c^F at index jF, c^F taken by the same
-repeated products, and no list is convolved.
+repeated products, and no list is convolved.  R^F is zero below jF for the
+first nonzero index j of R, so each F's cells start at e = jF, with the
+binomial from math.comb just below it when jF > 0.
 
 Partial sums (partial_pairs), the truncations of the zero that solve prints,
 come from the same cell pass as plain ints.  Exact ones keep a single running
@@ -62,7 +64,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, zip_longest
-from math import gcd, isfinite, lcm, perm
+from math import comb, gcd, isfinite, lcm, perm
 from operator import getitem, mul, or_
 
 from .catpow import _poly_text
@@ -248,6 +250,7 @@ def _level_numerators(spec: LayerSpec, values: dict):
     # R's nonzero terms, highest index first: each cell of R^F then adds its terms
     # in increasing index of R^(F-1), the order that keeps float sums reproducible
     terms = [(j, r[j]) for j in reversed(range(len(r))) if r[j]]
+    j0 = terms[-1][0] if terms else 0  # R's first nonzero index: R^F starts at j0*F
     # the cell (F, e) sits at level w2*F + step*e; R^F is cut at the largest e that fits
     w2, step = weight(2, spec.measure), weight(3, spec.measure) - weight(2, spec.measure)
     qpow = list(accumulate([q] * (d // w2), mul, initial=1))  # up to Q^(most faces)
@@ -270,19 +273,24 @@ def _level_numerators(spec: LayerSpec, values: dict):
                 out.pop()
             power = out
         central = central * (4 * f - 2) // f
-        # binom(F + s, F) with s = F + e, advanced by ratios; the cell divides by s + 1
-        b, f2, f1, lvl = central, 2 * f, f + 1, w2 * f
+        # binom(F + s, F) with s = F + e, advanced by ratios; the cell divides by s + 1.
+        # R^F is zero below e0 = j0*F, so the cells start there, b one ratio before it
+        f2, f1, lvl, e0 = 2 * f, f + 1, w2 * f, j0 * f
+        if e0 >= len(power):  # no cell of this F fits
+            continue
+        b = comb(f2 + e0 - 1, f) if e0 else central
+        cells = enumerate(power[e0:], e0) if e0 else enumerate(power)
         if exact:  # the cell's numerator over Q^F, rescaled to the level's Q^(lvl // w2)
-            for e, c in enumerate(power):
+            for e, c in cells:
                 if e:
                     b = b * (f2 + e) // (f + e)
                 if c:
                     nums[lvl + step * e] += b * c // (f1 + e) * qpow[step * e // w2]
         else:
-            for e, c in enumerate(power):
+            for e, c in cells:
                 if e:
                     b = b * (f2 + e) // (f + e)
-                if c:
+                if c:  # a float c^F can underflow to 0.0
                     nums[lvl + step * e] += b / (f1 + e) * c
     # frac[l]: a type at level l uses a Fraction value, one t_k of weight w on a type at l - w
     frac = [False] * (d + 1)

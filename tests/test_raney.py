@@ -182,6 +182,10 @@ class TestRotations:
         want = [f"{off}: {format_string(rotate(sigma, off))}" for off in sorted(list_rotations(sigma))]
         assert rotations_text(sigma) == "\n".join(want)
 
+    def test_rotate_empty_string(self):
+        assert rotate((), 0) == () and rotate([], 3) == ()
+        assert rotate((1, 2, 0), 4) == (2, 0, 1)
+
     def test_lemma_violation_raises(self):
         # a negative symbol breaks Raney's lemma: rank -3 but only 2 rotations
         with pytest.raises(ArithmeticError):
@@ -402,6 +406,62 @@ class TestAgainstOracles:
                 sigma = heads + [0] * (n + sum(a - 1 for a in heads))
                 rng.shuffle(sigma)
                 assert list_rotations(sigma) == list_rotations_scan(sigma), sigma
+
+
+    def test_digit_decode_equals_int_per_character(self):
+        rng = random.Random(23)
+        texts = ["".join(map(str, s)) for length in range(1, 5) for s in itertools.product(range(10), repeat=length)]
+        texts += ["".join(rng.choice("0123456789") for _ in range(rng.randint(5, 400))) for _ in range(300)]
+        for text in texts:
+            sigma = parse_string(text)
+            assert sigma == tuple(map(int, text)), text
+            assert format_string(sigma) == text
+
+    def test_comma_form_rotations_equal_the_scan(self):
+        # symbols of 10 and above: each rotation is cut after the texts and commas before it
+        rng = random.Random(29)
+        for n in range(1, 6):
+            for _ in range(60):
+                heads = [rng.choice((10, 11, 25, 100))]
+                heads += [rng.choice((1, 2, 3, 10, 12)) for _ in range(rng.randint(0, 5))]
+                sigma = heads + [0] * (n + sum(a - 1 for a in heads))
+                rng.shuffle(sigma)
+                want = [f"{off}: {format_string(rotate(sigma, off))}"
+                        for off in sorted(list_rotations_scan(sigma))]
+                assert rotations_text(sigma) == "\n".join(want), sigma
+                assert all("," in line for line in want)
+
+    def test_cyclic_identify_equals_grouping_the_rotation(self):
+        # unary 1s and up to 5 words: the cut words against group_words on a list rotation
+        rng = random.Random(31)
+        for n in range(1, 6):
+            for _ in range(150):
+                heads = [rng.choice((1, 1, 1, 2, 3, 4, 12)) for _ in range(rng.randint(0, 12))]
+                sigma = heads + [0] * (n + sum(a - 1 for a in heads))
+                rng.shuffle(sigma)
+                off = min(list_rotations_scan(sigma))
+                rotated = rotate(sigma, off)
+                want = sorted(((i + off) % len(sigma), rotated[i:end]) for i, end in group_words(rotated))
+                assert identify_words(sigma, cyclic=True).items == tuple(want), sigma
+
+    def test_identify_every_short_string(self):
+        # every string over -1..3 of rank < 0: cyclic words are the grouped list rotation, and
+        # a string with a -1 is grouped from the first minimum of its prefix rank, incomplete
+        for length in range(1, 8):
+            for sigma in itertools.product(range(-1, 4), repeat=length):
+                if rank(sigma) >= 0:
+                    continue
+                if min(sigma) < 0:
+                    prefix = list(itertools.accumulate((a - 1 for a in sigma[:-1]), initial=0))
+                    off = prefix.index(min(prefix))
+                else:
+                    off = min(list_rotations_scan(sigma))
+                rotated = rotate(sigma, off)
+                want = sorted(((i + off) % length, None if end is None else rotated[i:end])
+                              for i, end in group_words(rotated))
+                got = identify_words(sigma)
+                assert got.items == tuple(want), sigma
+                assert got.complete == (min(sigma) >= 0), sigma
 
 
 class TestTreeBijection:

@@ -639,6 +639,38 @@ class TestExactLevelSums:
             1, "0x1.c71c71c71c71cp-4", "0x1.febc5d8cf5412p-4", "0x1.9d2ff29a06dc8p-4",
             "0x1.56d69f1196a39p-4", "0x1.56469eaf12f3ap-4"]
 
+    def test_zero_leading_values_match_the_oracle(self):
+        # t2 = 0 (and t3 = 0): R^F is zero below j0*F, where each F's cells start
+        for meas, d, q in ((Measure.VERTEX, 24, 5), (Measure.EDGE, 30, 6), (Measure.FACE, 9, 5)):
+            spec = LayerSpec(meas, d, q)
+            types = _oracle_types(spec)
+            for lead in (1, 2, 3):
+                values = {k: Fraction(0) if k < 2 + lead else Fraction(3 - k, 2 * k + 5)
+                          for k in range(2, q + 1)}
+                got, want = layer_sums(spec, values), _oracle_layer_sums(types, spec, values)
+                assert list(got.items()) == list(want.items()), (spec, values)
+                _assert_partial_sums(spec, values, want)
+                floats = {k: float(v) for k, v in values.items()}
+                got = layer_sums(spec, floats)
+                _assert_float_sums_close(got, types, spec, floats)
+                _assert_partial_sums(spec, floats, got)
+
+    def test_zero_leading_float_cells_keep_their_bits(self):
+        # pinned bits of the cell pass that started every F's cells at e = 0
+        sums = layer_sums(LayerSpec(Measure.VERTEX, 9, 5), {2: 0, 3: 1 / 9, 4: 1 / 10, 5: 1 / 26})
+        assert [sums[0]] + [v.hex() for v in list(sums.values())[1:]] == [
+            1, "0x0.0p+0", "0x1.c71c71c71c71cp-4", "0x1.999999999999ap-4", "0x1.353dfe8a9353ep-4",
+            "0x1.3e93e93e93e94p-4", "0x1.734c4d6bb67ecp-4", "0x1.7157157157158p-4",
+            "0x1.a5e9ec1604495p-4", "0x1.e1dca99c957d1p-4"]
+        sums = layer_sums(LayerSpec(Measure.EDGE, 12, 4), {2: 0, 3: 0, 4: 1 / 7})
+        assert [lvl for lvl, v in sums.items() if v] == [0, 4, 8, 12]
+        assert [sums[4], sums[8], sums[12]] == [1 / 7, 0.08163265306122448, 0.06413994169096209]
+
+    def test_zero_leading_underflowed_cells_are_skipped(self):
+        # 0.1**F is 0.0 from F = 324 on, while binom(3F, F) / (2F + 1) is past the float range
+        sums = layer_sums(LayerSpec(Measure.VERTEX, 1400, 3), {2: 0, 3: 0.1})
+        assert sums[2] == 0.1 and sums[700] == sums[1400] == 0.0
+
     def test_vertex_60_seven_gons_under_a_second(self):
         # walking every admitted type took 3.4 s (2-core Xeon VM, Python 3.11)
         spec = LayerSpec(Measure.VERTEX, 60, 8)
