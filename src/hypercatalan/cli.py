@@ -229,7 +229,7 @@ def cmd_powers(args) -> int:
         return 0
     residual = catpow.verify_power_identity(args.identity, args.order)
     if residual:
-        print(f"NONZERO residual: {residual}")
+        print(f"NONZERO residual: {catpow.residual_text(residual)}")
         return 1
     print("ZERO")
     return 0

@@ -42,12 +42,12 @@ Q^F (exact: it is sum C_m * prod_k a_k^m_k).  Its level is s (vertex), F + s
 (edge) or F (face), weight(2)*F + (weight(3) - weight(2))*e in each case.
 Float values take the same cells with Q = 1 and a_k = t_k as floats, the
 cell adding binom(F+s, F)/(s+1) * [mu^e] R^F.  R^F is a plain list, advanced
-by one slice-and-add per nonzero coefficient of R, highest index first, so
-each float cell adds its terms in one fixed order.  When R is one term
-c*mu^j (one nonzero value), R^F is c^F at index jF, c^F taken by the same
-repeated products, and no list is convolved.  R^F is zero below jF for the
-first nonzero index j of R, so each F's cells start at e = jF, with the
-binomial from math.comb just below it when jF > 0.
+by catpow._mul_cut, which adds one slice per nonzero coefficient of R in the
+order given: highest index first, so each float cell adds its terms in one
+fixed order.  When R is one term c*mu^j (one nonzero value), R^F is c^F at
+index jF, c^F taken by the same repeated products, and no list is convolved.
+R^F is zero below jF for the first nonzero index j of R, so each F's cells
+start at e = jF, with the binomial from math.comb just below it when jF > 0.
 
 Partial sums (partial_pairs), the truncations of the zero that solve prints,
 come from the same cell pass as plain ints.  Exact ones keep a single running
@@ -67,7 +67,7 @@ from itertools import accumulate, compress, zip_longest
 from math import comb, gcd, isfinite, lcm, perm
 from operator import getitem, mul, or_
 
-from .catpow import _poly_text
+from .catpow import _mul_cut, _poly_text
 from .core import TypeVector
 
 
@@ -265,13 +265,7 @@ def _level_numerators(spec: LayerSpec, values: dict):
             mono *= c
             power = [0] * (j * f) + [mono] if j * f < n else []
         else:
-            out = [0] * n
-            for j, c in terms:
-                part = power[: n - j]
-                out[j : j + len(part)] = [o + c * x for o, x in zip(out[j : j + len(part)], part)]
-            while out and not out[-1]:
-                out.pop()
-            power = out
+            power = _mul_cut(terms, power, n)
         central = central * (4 * f - 2) // f
         # binom(F + s, F) with s = F + e, advanced by ratios; the cell divides by s + 1.
         # R^F is zero below e0 = j0*F, so the cells start there, b one ratio before it

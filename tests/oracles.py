@@ -8,7 +8,10 @@ Raney lists by depth-first search over prefixes, rotations by testing
 every offset, the structural helpers that only tests use, the
 hyper-Catalan number, central split and power coefficient by the
 paper's factorial forms, the Catalan power coefficients by their
-factorial form and recurrence, and
+factorial form and recurrence, the univariate ``UniPoly`` with the
+Catalan series and the reduction polynomials P_r and Q_r that
+``catpow.verify_power_identity`` is checked against, a univariate product
+that adds in the float order the cell pass keeps for R^F, and
 ``LayeredPoly`` admission to a spec, truncation, arithmetic, packing and
 text and JSON forms term by term.
 """
@@ -24,7 +27,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
-from hypercatalan.catpow import catalan_power
+from hypercatalan.catpow import catalan, catalan_power, residual_text
 from hypercatalan.core import VEF, Composition, TypeVector, unit_type, vef
 from hypercatalan.raney import is_word_list, rank, rotate
 from hypercatalan.series import LayeredPoly, LayerSpec, level
@@ -354,6 +357,111 @@ def power_coeff_factorial(m: TypeVector, r: int) -> int:
 
 
 # -- Catalan powers -------------------------------------------------------------
+
+
+class UniPoly:
+    """Dense univariate polynomial with integer coefficients."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def zero(cls) -> "UniPoly":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "UniPoly":
+        return cls((1,))
+
+    @property
+    def degree(self) -> int | None:
+        """Degree, or None for the zero polynomial."""
+        return len(self.coeffs) - 1 if self.coeffs else None
+
+    def coeff(self, k: int) -> int:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+
+    def __add__(self, other: "UniPoly") -> "UniPoly":
+        n = max(len(self.coeffs), len(other.coeffs))
+        return UniPoly(self.coeff(k) + other.coeff(k) for k in range(n))
+
+    def __sub__(self, other: "UniPoly") -> "UniPoly":
+        n = max(len(self.coeffs), len(other.coeffs))
+        return UniPoly(self.coeff(k) - other.coeff(k) for k in range(n))
+
+    def __neg__(self) -> "UniPoly":
+        return UniPoly(-c for c in self.coeffs)
+
+    def __mul__(self, other: "UniPoly") -> "UniPoly":
+        """The full product, coefficient by coefficient."""
+        out = [0] * (len(self.coeffs) + len(other.coeffs))
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return UniPoly(out)
+
+    def shift(self, k: int) -> "UniPoly":
+        """Multiply by t^k."""
+        return UniPoly((0,) * k + self.coeffs)
+
+    def truncated(self, order: int) -> "UniPoly":
+        """Drop all terms of degree above order."""
+        return UniPoly(self.coeffs[: order + 1])
+
+    def __str__(self):
+        return residual_text(self.coeffs)
+
+
+def catalan_series(order: int) -> UniPoly:
+    """T truncated at the given order."""
+    return UniPoly(catalan(n) for n in range(order + 1))
+
+
+def _p_pair(r: int) -> tuple[UniPoly, UniPoly]:
+    """(P_{r-1}, P_r) for r >= 1, from one pass of P_r = P_{r-1} - t P_{r-2}."""
+    prev, cur = UniPoly.zero(), UniPoly.one()
+    for _ in range(r - 1):
+        prev, cur = cur, cur - prev.shift(1)
+    return prev, cur
+
+
+def p_poly(r: int) -> UniPoly:
+    """P_0 = 0, P_1 = 1, P_r = P_{r-1} - t P_{r-2}."""
+    if r < 0:
+        raise ValueError(f"negative index {r}")
+    return _p_pair(r)[1] if r else UniPoly.zero()
+
+
+def q_poly(r: int) -> UniPoly:
+    """Q_1 = 0 and Q_{r+1} = -P_r."""
+    if r < 1:
+        raise ValueError(f"power {r} < 1")
+    return -_p_pair(r)[0]
+
+
+def mul_from_top(a: list, b: list) -> list:
+    """The full product of two coefficient lists, each coefficient adding a's terms
+    from its highest index down, starting from the int 0: the float add order of R^F."""
+    out = []
+    for e in range(len(a) + len(b) - 1):
+        acc = 0
+        for j in reversed(range(len(a))):
+            if a[j] and 0 <= e - j < len(b):
+                acc = acc + a[j] * b[e - j]
+        out.append(acc)
+    return out
+
 
 
 def catalan_power_factorial(r: int, m: int) -> int:

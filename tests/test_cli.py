@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hypercatalan
-from hypercatalan import cli, series, subdigon
+from hypercatalan import catpow, cli, series, subdigon
 from hypercatalan.cli import build_parser, main
 from hypercatalan.core import Composition, TypeVector, central_count, raney_count
 from hypercatalan.raney import format_string, parse_string, rotate
@@ -590,6 +590,13 @@ class TestPowers:
     def test_coefficient(self, capsys):
         code, out = run(capsys, "powers", "--r", "2", "--m", "2")
         assert code == 0 and out.strip() == "5"
+
+    def test_identity_nonzero_residual(self, capsys, monkeypatch):
+        # C_3 raised by 1; the line is the one the UniPoly form of the residual printed
+        catalan = catpow.catalan
+        monkeypatch.setattr(catpow, "catalan", lambda n: catalan(n) + (n == 3))
+        code, out = run(capsys, "powers", "--identity", "3", "--order", "6")
+        assert code == 1 and out == "NONZERO residual: -t^3 + t^4 + 3t^5 + 6t^6\n"
 
 
 # Python 3.11 (and 3.10.7 on) refuse to print an int of more than 4300 digits

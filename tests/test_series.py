@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hypercatalan import series
-from hypercatalan.catpow import catalan
+from hypercatalan.catpow import _mul_cut, catalan
 from hypercatalan.core import TypeVector, hyper_catalan, power_coeff, unit_type, vef
 from hypercatalan.series import (
     LayeredPoly,
@@ -30,8 +30,9 @@ from hypercatalan.series import (
     table_rows,
 )
 
-from oracles import (ONE, add, admits, bumped_walk, count_trees, graded, mul, pack, packed, poly,
-                     poly_from_json, poly_text, poly_to_json, print_order, table_json, truncate)
+from oracles import (ONE, add, admits, bumped_walk, count_trees, graded, mul, mul_from_top, pack,
+                     packed, poly, poly_from_json, poly_text, poly_to_json, print_order, table_json,
+                     truncate)
 
 
 def tv(*counts):
@@ -638,6 +639,24 @@ class TestExactLevelSums:
         assert [sums[0]] + [v.hex() for v in list(sums.values())[1:]] == [
             1, "0x1.c71c71c71c71cp-4", "0x1.febc5d8cf5412p-4", "0x1.9d2ff29a06dc8p-4",
             "0x1.56d69f1196a39p-4", "0x1.56469eaf12f3ap-4"]
+
+    def test_float_powers_add_highest_index_first(self, monkeypatch):
+        # every R^F that the cell pass takes from the kernel, bit for bit against the oracle
+        powers = []
+
+        def kernel(terms, b, n):
+            powers.append((n, _mul_cut(terms, b, n)))
+            return powers[-1][1]
+
+        monkeypatch.setattr(series, "_mul_cut", kernel)
+        r = [1 / 9, 1 / 10, 1 / 26]
+        layer_sums(LayerSpec(Measure.VERTEX, 40, 4), dict(zip((2, 3, 4), r)))
+        assert len(powers) == 40
+        want = [1]
+        for f, (n, got) in enumerate(powers, 1):
+            want = mul_from_top(r, want)
+            assert len(got) == min(n, len(want)), f
+            assert [x.hex() for x in got] == [x.hex() for x in want[:n]], f
 
     def test_zero_leading_values_match_the_oracle(self):
         # t2 = 0 (and t3 = 0): R^F is zero below j0*F, where each F's cells start
