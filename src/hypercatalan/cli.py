@@ -144,7 +144,10 @@ def cmd_solve(args) -> int:
         partials = list(series.partial_pairs(spec, values))
         _, n, den = partials[-1]
         alpha = n if den is None else Fraction(n, den)
-        residual = 1 - alpha + sum(values[k] * alpha**k for k in values)
+        try:
+            residual = 1 - alpha + sum(values[k] * alpha**k for k in values)
+        except OverflowError:  # a float alpha**k, whose message is an errno pair
+            raise OverflowError(f"alpha^{q} in the residual, alpha = {alpha:.12g}") from None
         with _digit_limit():
             if args.float:
                 lines = [f"level {lvl:>3}: partial sum = {x:.12g}" for lvl, x, _ in partials]
@@ -257,7 +260,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.
 
     for name, func in (("table", cmd_table), ("verify", cmd_verify)):
         p = sub.add_parser(name)
-        p.add_argument("--measure", choices=["vertex", "edge", "face"], required=True)
+        p.add_argument("--measure", choices=[m.value for m in Measure], required=True)
         p.add_argument("--d", type=int, required=True, help="max level")
         p.add_argument("--q", type=int, help="gon bound (required for face)")
         if name == "table":
@@ -267,7 +270,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.
     p = sub.add_parser("solve", help="numeric root from the layered series")
     p.add_argument("--coeffs", default="", help="comma list of t2,t3,... values; "
                    "write --coeffs=-1/3,1/5 when t2 is negative")
-    p.add_argument("--measure", choices=["vertex", "edge", "face"], default="vertex")
+    p.add_argument("--measure", choices=[m.value for m in Measure], default="vertex")
     p.add_argument("--d", type=int, required=True, help="max level")
     p.add_argument("--float", action="store_true",
                    help="float level sums instead of exact rationals, each within 1e-13 of "
@@ -334,9 +337,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # the library's argument checks, made before any output: these are the usage errors
         _usage_error(str(exc))
-    except OverflowError as exc:
-        # a closed form past math.factorial's range (sys.maxsize), before any output
-        _usage_error(f"input too large to compute: {exc}")
+    except (OverflowError, MemoryError) as exc:
+        # past math.factorial's range (sys.maxsize), or an allocation refused at once: no output
+        _usage_error(f"input too large to compute: {str(exc) or 'not enough memory'}")
     except BrokenPipeError:
         # stdout closed early (`| head`): devnull keeps the exit flush quiet (signal docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

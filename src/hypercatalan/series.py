@@ -1,7 +1,9 @@
 """Layered truncations of the series zero, on packed keys.
 
-A LayerSpec fixes a measure and a maximum level d: vertex level V-2, edge
-level E-1 or face level F, each a sum of one weight per gon.  The run-time
+A LayerSpec fixes a measure and a maximum level d: vertex level V-2, edge level
+E-1 or face level F.  Each is an affine grading (b, a), kept only in _GRADING:
+a type with F faces and excess e = sum_k (k-2) m_k sits at b*F + a*e, one gon
+t_k weighing b + a*(k-2), with (b, a) = (1, 1), (2, 1) and (1, 0).  The run-time
 paths keep every polynomial packed.  The coefficient walk (_walk) writes each
 type of beta into its level bucket of packed keys as it makes it, holding its
 depth in a list of generators, not in recursion; evaluate_geometric returns the
@@ -25,7 +27,7 @@ build_beta, enumerate_types and layer_slice.
 - Level buckets: terms sit in one dict per level, and bucket pairs whose
   levels add up to more than the bound are never visited.
 - Tight truncation: t_n * beta^n is cut at d, so beta^n is computed only
-  up to level d - weight(n).  The weights grow with n, so each power
+  up to level d - weight(n).  No weight falls as n grows, so each power
   needs its factors only up to its own bound: beta^n is (beta^(n/2))^2
   for even n and beta^(n-1) * beta for odd n.  Level 0 holds only the
   empty monomial, so a product scales a copy of each side by the other's
@@ -36,11 +38,10 @@ Level sums (layer_sums) need no walk.  Group the types by F = sum_k m_k
 and s = sum_k (k-1) m_k: V - 1 = s + 1 and E - 1 = F + s, so C_m =
 binom(F+s, F)/(s+1) * F!/m!, and by the multinomial theorem the sum of
 F!/m! * t^m over one (F, s) is [mu^s] (sum_k t_k mu^(k-1))^F.  With
-t_k = a_k/Q over one denominator, R(mu) = sum_k a_k mu^(k-2) and the excess
-e = s - F, the cell (F, e) adds binom(F+s, F) * [mu^e] R^F // (s+1) over
-Q^F (exact: it is sum C_m * prod_k a_k^m_k).  Its level is s (vertex), F + s
-(edge) or F (face), weight(2)*F + (weight(3) - weight(2))*e in each case.
-Float values take the same cells with Q = 1 and a_k = t_k as floats, the
+t_k = n_k/Q over one denominator, R(mu) = sum_k n_k mu^(k-2) and the excess
+e = s - F, the cell (F, e) at level b*F + a*e adds binom(F+s, F) * [mu^e] R^F
+// (s+1) over Q^F (exact: it is sum C_m * prod_k n_k^m_k).
+Float values take the same cells with Q = 1 and n_k = t_k as floats, the
 cell adding binom(F+s, F)/(s+1) * [mu^e] R^F.  R^F is a plain list, advanced
 by catpow._mul_cut, which adds one slice per nonzero coefficient of R in the
 order given: highest index first, so each float cell adds its terms in one
@@ -51,10 +52,10 @@ start at e = jF, with the binomial from math.comb just below it when jF > 0.
 
 Partial sums (partial_pairs), the truncations of the zero that solve prints,
 come from the same cell pass as plain ints.  Exact ones keep a single running
-numerator over Q^(l // weight(2)): each level multiplies it by a power of Q
-from the same table, adds the level's numerator, and reduces the pair by one
-gcd.  solve writes its level lines from the pairs, and partial_sums wraps them
-in int, Fraction or float.
+numerator over Q^(l // b): each level multiplies it by a power of Q from the
+same table, adds the level's numerator, and reduces the pair by one gcd.  solve
+writes its level lines from the pairs, and partial_sums wraps them in int,
+Fraction or float.
 """
 
 from __future__ import annotations
@@ -77,17 +78,17 @@ class Measure(enum.Enum):
     FACE = "face"
 
 
+_GRADING = {Measure.VERTEX: (1, 1), Measure.EDGE: (2, 1), Measure.FACE: (1, 0)}  # (b, a)
+
+
 def weight(k: int, measure: Measure) -> int:
-    """Level of one (k+1)-gon t_k: k-1 (vertex), k (edge) or 1 (face)."""
-    if measure is Measure.VERTEX:
-        return k - 1
-    if measure is Measure.EDGE:
-        return k
-    return 1
+    """Level of one (k+1)-gon t_k, b + a*(k-2): k-1 (vertex), k (edge) or 1 (face)."""
+    b, a = _GRADING[measure]
+    return b + a * (k - 2)
 
 
 def level(m: TypeVector, measure: Measure) -> int:
-    """Shifted level of a monomial: V-2, E-1 or F depending on measure."""
+    """Shifted level of a monomial, b*F + a*e: V-2, E-1 or F depending on measure."""
     return sum(weight(k, measure) * mk for k, mk in m.items())
 
 
@@ -95,10 +96,8 @@ def level(m: TypeVector, measure: Measure) -> int:
 class LayerSpec:
     """A measure with a maximum level d and an optional gon bound q.
 
-    The spec admits a monomial whose level is at most d and whose gon
-    indices are at most q.  Face layering without a gon bound has
-    infinite support and is rejected.  For vertex/edge layering the level
-    bound alone forces a finite gon range (k <= d+1 resp. k <= d).
+    The spec admits a monomial of level at most d with no gon index above q.  A grading
+    with a = 0 (face) needs q; with a >= 1 the level bound caps the gon index by itself.
     """
 
     measure: Measure
@@ -110,16 +109,14 @@ class LayerSpec:
             raise ValueError(f"negative level bound {self.d}")
         if self.gon_bound is not None and self.gon_bound < 2:
             raise ValueError(f"gon bound {self.gon_bound} < 2")
-        if self.measure is Measure.FACE and self.gon_bound is None:
+        if not _GRADING[self.measure][1] and self.gon_bound is None:
             raise ValueError("face layering requires a gon bound")
 
     def max_gon(self) -> int:
-        """Largest gon index any admitted monomial can mention, 1 if none."""
-        # unbounded specs are vertex or edge, where weight(k) >= k - 1 > d for k > d + 1
-        k = self.gon_bound if self.gon_bound is not None else self.d + 1
-        while k > 1 and weight(k, self.measure) > self.d:
-            k -= 1
-        return k
+        """Largest gon index k an admitted monomial can mention, b + a*(k-2) <= d; 1 if none."""
+        b, a = _GRADING[self.measure]
+        top = 2 + (self.d - b) // a if a else self.gon_bound  # a = 0 has a gon bound
+        return min(top, self.gon_bound or top) if self.d >= b else 1
 
 
 class NonzeroRemainder(ArithmeticError):
@@ -252,7 +249,7 @@ def _level_numerators(spec: LayerSpec, values: dict):
     terms = [(j, r[j]) for j in reversed(range(len(r))) if r[j]]
     j0 = terms[-1][0] if terms else 0  # R's first nonzero index: R^F starts at j0*F
     # the cell (F, e) sits at level w2*F + step*e; R^F is cut at the largest e that fits
-    w2, step = weight(2, spec.measure), weight(3, spec.measure) - weight(2, spec.measure)
+    w2, step = _GRADING[spec.measure]  # (b, a)
     qpow = list(accumulate([q] * (d // w2), mul, initial=1))  # up to Q^(most faces)
     nums = [1] + [0 if exact else 0.0] * d
     power, central, mono = [1], 1, 1  # R^F, binom(2F, F), and c^F when R is one term c*mu^j
@@ -303,7 +300,7 @@ def layer_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
 
     Summed by the cells (F, e) of the module docstring.  A level is present iff
     spec admits a type at it, and level 0 is the int 1.  Int and Fraction values
-    give exact sums: one numerator per level l over Q^(l // weight(2)), the most
+    give exact sums: one numerator per level l over Q^(l // b), the most
     faces at l, and an int unless a type at l uses a Fraction value.  Other
     values are taken as floats; a level sum that is not finite raises OverflowError.
     """
@@ -318,7 +315,7 @@ def partial_pairs(spec: LayerSpec, values: dict):
     """Yield (level, numerator, denominator) of each partial sum, the truncations of the zero.
 
     The partial sum at a level is the sum of the layer_sums up to it.  Exact values keep one
-    running numerator over Q^(l // weight(2)), rescaled by a power of Q at each level.  The
+    running numerator over Q^(l // b), rescaled by a power of Q at each level.  The
     denominator is None while the partial sum is an int (before the first level whose level
     sum is a Fraction); from there on the pair is reduced, with a positive denominator.
     Float values yield the float running sums (level 0 is the int 1), denominator None.

@@ -640,6 +640,13 @@ class TestUsageErrors:
          "error: out of float range at level bound 700: integer division result too large for a float"),
         (["solve", "--float", "--d", "2", "--coeffs=1e300"],
          "error: out of float range at level bound 2: level 2 sum is inf"),
+        # every level sum is finite, but alpha^6, alpha^7 and alpha^8 of the residual are not
+        (["solve", "--float", "--coeffs=1/9,1/11,1/13,1/17,1/19,1/23,1/29", "--d", "300"],
+         "error: out of float range at level bound 300: "
+         "alpha^8 in the residual, alpha = 3.58029560155e+61"),
+        # the level list of 10^17 entries is refused at once
+        (["solve", "--coeffs", "1/5", "--d", "99999999999999999"],
+         "error: input too large to compute: not enough memory"),
         *[pytest.param(argv, DIGIT_LIMIT_ERROR, marks=NEEDS_DIGIT_LIMIT) for argv in (
             ["coeff", "--type", "8000"],
             ["powers", "--r", "1", "--m", "8000"],
@@ -663,7 +670,8 @@ class TestUsageErrors:
             "check-negative-symbol", "identify-negative-symbol", "rotations-negative-symbol",
             "coeff-power-0", "subdigons-list-over-cap", "subdigons-json-over-cap",
             "subdigons-max-faces", "solve-float-coefficient-overflow", "solve-float-term-overflow",
-            "solve-float-power-overflow", "coeff-digit-limit", "powers-digit-limit",
+            "solve-float-power-overflow", "solve-float-residual-overflow",
+            "solve-huge-level-bound", "coeff-digit-limit", "powers-digit-limit",
             "solve-digit-limit", "solve-level-line-digit-limit", "subdigons-digit-limit",
             "rank-digit-limit", "identify-digit-limit", "rotations-digit-limit", "coeff-huge-type",
             "coeff-huge-power", "subdigons-huge-type", "powers-huge-r", "powers-huge-m"])

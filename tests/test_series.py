@@ -2,6 +2,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
@@ -748,3 +749,62 @@ class TestPackedWalk:
         monkeypatch.setattr(series, "_walk", lambda s: [dict(b) for b in wrong])
         assert evaluate_geometric(spec)
         assert table_rows(spec) != rows
+
+
+# gradings (b, a) beyond the three measures': one gon t_k weighs b + a*(k-2), b >= 1, a >= 0
+GRADINGS = [(1, 0), (2, 0), (1, 1), (2, 1), (1, 2), (3, 1), (2, 3), (3, 2), (5, 1), (1, 3)]
+
+
+class TestAffineGradings:
+    """Every site reads the grading from series._GRADING, so any (b, a) layers the zero."""
+
+    @pytest.mark.parametrize("b,a", GRADINGS)
+    def test_grading_layers_the_zero(self, b, a, monkeypatch):
+        monkeypatch.setattr(series, "_GRADING", {meas: (b, a) for meas in Measure})
+        rng = random.Random(10 * b + a)
+        for d in (0, 1, 3, 6, 10, 14):
+            if a:
+                LayerSpec(Measure.VERTEX, d)
+            else:
+                with pytest.raises(ValueError, match="face layering requires a gon bound"):
+                    LayerSpec(Measure.VERTEX, d)
+            for q in (2, 3, 5, None) if a else (2, 3, 5):
+                spec = LayerSpec(Measure.VERTEX, d, q)
+                types = _oracle_types(spec)  # its gons reach d + 1 unbounded: t_k weighs >= k - 1
+                assert enumerate_types(spec) == types, (d, q)
+                assert [level(m, spec.measure) for m in types] == [
+                    sum((b + a * (k - 2)) * mk for k, mk in m.items()) for m in types]
+                units = [k for k in range(2, 20) if admits(spec, unit_type(k))]
+                assert spec.max_gon() == max(units, default=1), (d, q)
+                assert evaluate_geometric(spec) == {}, (d, q)
+                values = {k: Fraction(rng.randint(-7, 7), rng.randint(1, 12))
+                          for k in range(2, max(spec.max_gon(), 2) + 1)}
+                term = lambda key: prod(values[k] ** mk for k, mk in _unpack(key, d + 1).items())
+                walked = [(lvl, sum(c * term(key) for key, c in bucket.items()))
+                          for lvl, bucket in enumerate(_walk(spec)) if bucket]
+                assert list(layer_sums(spec, values).items()) == walked, (d, q, values)
+
+
+class TestLiteratureSequences:
+    """Level sums at t_k = 1 against sequences from their binomial sums, not from C_m."""
+
+    def test_vertex_level_sums_are_little_schroeder_numbers(self):
+        # dissections of a (d+2)-gon: (1/n) sum_k binom(n, k) binom(n+k, k-1) at n = d >= 1
+        # (Stanley, "Hipparchus, Plutarch, Schroder, and Hough", Amer. Math. Monthly 104, 1997)
+        want = [1] + [Fraction(sum(comb(n, k) * comb(n + k, k - 1) for k in range(1, n + 1)), n)
+                      for n in range(1, 11)]
+        assert want == [1, 1, 3, 11, 45, 197, 903, 4279, 20793, 103049, 518859]
+        spec = LayerSpec(Measure.VERTEX, 10)
+        sums = layer_sums(spec, {k: 1 for k in range(2, spec.max_gon() + 1)})
+        assert list(sums.items()) == list(enumerate(want))
+
+    def test_edge_level_sums_are_riordan_numbers(self):
+        # (1/(n+1)) sum_{k>=1} binom(n+1, k) binom(n-k-1, k-1) at n = d >= 1
+        # (Bernhart, "Catalan, Motzkin, and Riordan numbers", Discrete Math. 204, 1999)
+        want = [1] + [Fraction(sum(comb(n + 1, k) * comb(n - k - 1, k - 1)
+                                   for k in range(1, n // 2 + 1)), n + 1) for n in range(1, 13)]
+        assert want == [1, 0, 1, 1, 3, 6, 15, 36, 91, 232, 603, 1585, 4213]
+        spec = LayerSpec(Measure.EDGE, 12)
+        sums = layer_sums(spec, {k: 1 for k in range(2, spec.max_gon() + 1)})
+        assert 1 not in sums  # edge level 1 has no type: t2 alone weighs 2
+        assert list(sums.items()) == [(d, r) for d, r in enumerate(want) if d != 1]
