@@ -11,7 +11,7 @@ from .core import (
     unit_type,
     vef,
 )
-from .raney import lists_text
+from .raney import list_blocks, lists_text
 from .series import (
     LayeredPoly,
     LayerSpec,
@@ -48,6 +48,7 @@ __all__ = [
     "layer_slice",
     "level",
     "mul_truncated",
+    "list_blocks",
     "lists_text",
     "subdigons_text",
 ]

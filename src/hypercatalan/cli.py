@@ -12,7 +12,7 @@ import functools
 import os
 import sys
 from fractions import Fraction
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 from . import catpow, raney, series, subdigon
 from .core import (
@@ -45,8 +45,8 @@ def _digit_limit():
 _CHUNK = 1 << 20  # characters encoded and written at a time
 
 
-def _write(*texts: str) -> None:
-    """Write the texts to stdout in full, or raise BrokenPipeError if the reader has left.
+def _writer() -> Callable[[str], None]:
+    """A function that writes a text to stdout in full, or raises BrokenPipeError if it closed.
 
     Each text is encoded and written _CHUNK characters at a time, so a
     listing never holds a whole encoded copy beside its text.  An
@@ -56,16 +56,23 @@ def _write(*texts: str) -> None:
     """
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:  # a text-only stream, such as io.StringIO
-        for text in texts:
-            sys.stdout.write(text)
-        return
-    sys.stdout.flush()
-    for text in texts:
+        return sys.stdout.write
+    sys.stdout.flush()  # what print wrote so far goes first
+    encoding, errors = sys.stdout.encoding, sys.stdout.errors
+
+    def write(text: str) -> None:
         for start in range(0, len(text), _CHUNK):
-            chunk = text[start : start + _CHUNK].encode(sys.stdout.encoding, sys.stdout.errors)
-            data = memoryview(chunk)
+            data = memoryview(text[start : start + _CHUNK].encode(encoding, errors))
             while data:
                 data = data[buffer.write(data):]
+    return write
+
+
+def _write(*texts: str) -> None:
+    """Write the texts to stdout by one ``_writer``."""
+    write = _writer()
+    for text in texts:
+        write(text)
 
 
 def _parse_type(text: str) -> TypeVector:
@@ -194,9 +201,11 @@ def cmd_raney(args) -> int:
         if any(v < 0 for v in counts.values()):
             _usage_error("negative symbol count")
         c = Composition(counts.pop(1), TypeVector.of(counts))
-        text = raney.lists_text(args.n, c)
-        count = text.count("\n") + 1
-        _write(text, f"\ntotal {count} (closed form {raney_count(args.n, c)})\n")
+        write, count = _writer(), 1  # the lists: one more than the newlines between them
+        for block in raney.list_blocks(args.n, c):  # written as they come, never held whole
+            write(block)
+            count += block.count("\n")
+        write(f"\ntotal {count} (closed form {raney_count(args.n, c)})\n")
         return 0
     sigma = raney.parse_string(args.string)
     if args.raney_cmd != "check":

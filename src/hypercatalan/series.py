@@ -45,8 +45,10 @@ Float values take the same cells with Q = 1 and n_k = t_k as floats, the
 cell adding binom(F+s, F)/(s+1) * [mu^e] R^F.  R^F is a plain list, advanced
 by catpow._mul_cut, which adds one slice per nonzero coefficient of R in the
 order given: highest index first, so each float cell adds its terms in one
-fixed order.  When R is one term c*mu^j (one nonzero value), R^F is c^F at
-index jF, c^F taken by the same repeated products, and no list is convolved.
+fixed order; a quotient past the float range restarts the pass on 4 R(2 mu)
+(``_level_numerators``).  When R is one term c*mu^j (one nonzero value), R^F
+is c^F at index jF, c^F taken by the same repeated products, and no list is
+convolved.
 R^F is zero below jF for the first nonzero index j of R, so each F's cells
 start at e = jF, with the binomial from math.comb just below it when jF > 0.
 
@@ -65,7 +67,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, zip_longest
-from math import comb, gcd, isfinite, lcm, perm
+from math import comb, gcd, isfinite, lcm, ldexp, perm
 from operator import getitem, mul, or_
 
 from .catpow import _mul_cut, _poly_text
@@ -225,12 +227,17 @@ def build_beta(spec: LayerSpec) -> LayeredPoly:
                         for key, c in bucket.items()})
 
 
-def _level_numerators(spec: LayerSpec, values: dict):
+def _level_numerators(spec: LayerSpec, values: dict, scaled: bool = False):
     """(exact, w2, qpow, [(level, numerator, frac)]): the cell pass of layer_sums and partial_pairs.
 
     One entry per level that spec admits a type at, in increasing order; the level sum is
     the numerator over qpow[level // w2] (1 for floats), and frac marks a level with a type
     that uses a Fraction value.  A float numerator that is not finite raises OverflowError.
+    A float cell whose binomial quotient passes the float range starts the pass again
+    scaled: R(mu) becomes 4 R(2 mu) and R^0 becomes 2^-64, so c is scaled by 4^F 2^e / 2^64
+    and the quotient by 2^64 / 2^(2F + e), which bounds it by 2^64.  Near the radius of
+    convergence that keeps both in range, where c alone falls below the smallest float
+    (0.26^F at F = 554), and a level sum past the float range overflows before c does.
     """
     d, ks = spec.d, [(k, weight(k, spec.measure)) for k in range(2, spec.max_gon() + 1)]
     # reach[l]: spec admits a type at level l (an unbounded knapsack over the weights)
@@ -244,6 +251,8 @@ def _level_numerators(spec: LayerSpec, values: dict):
         r = [values[k].numerator * (q // values[k].denominator) for k, _ in ks]
     else:
         q, r = 1, [float(values[k]) for k, _ in ks]
+        if scaled:
+            r = [ldexp(x, j + 2) for j, x in enumerate(r)]
     # R's nonzero terms, highest index first: each cell of R^F then adds its terms
     # in increasing index of R^(F-1), the order that keeps float sums reproducible
     terms = [(j, r[j]) for j in reversed(range(len(r))) if r[j]]
@@ -252,7 +261,8 @@ def _level_numerators(spec: LayerSpec, values: dict):
     w2, step = _GRADING[spec.measure]  # (b, a)
     qpow = list(accumulate([q] * (d // w2), mul, initial=1))  # up to Q^(most faces)
     nums = [1] + [0 if exact else 0.0] * d
-    power, central, mono = [1], 1, 1  # R^F, binom(2F, F), and c^F when R is one term c*mu^j
+    unit = ldexp(1.0, -64) if scaled else 1  # R^0: see the docstring
+    power, central, mono = [unit], 1, unit  # R^F, binom(2F, F), and c^F when R is one term c*mu^j
     for f in range(1, d // w2 + 1):
         n = len(power) + len(r) - 1
         if step:
@@ -277,12 +287,21 @@ def _level_numerators(spec: LayerSpec, values: dict):
                     b = b * (f2 + e) // (f + e)
                 if c:
                     nums[lvl + step * e] += b * c // (f1 + e) * qpow[step * e // w2]
+        elif scaled:
+            for e, c in cells:
+                if e:
+                    b = b * (f2 + e) // (f + e)
+                if c:
+                    nums[lvl + step * e] += (b << 64) / ((f1 + e) << (f2 + e)) * c
         else:
             for e, c in cells:
                 if e:
                     b = b * (f2 + e) // (f + e)
                 if c:  # a float c^F can underflow to 0.0
-                    nums[lvl + step * e] += b / (f1 + e) * c
+                    try:
+                        nums[lvl + step * e] += b / (f1 + e) * c
+                    except OverflowError:  # b / (f1 + e) is past the float range
+                        return _level_numerators(spec, values, scaled=True)
     # frac[l]: a type at level l uses a Fraction value, one t_k of weight w on a type at l - w
     frac = [False] * (d + 1)
     for w in {w for k, w in ks if exact and isinstance(values[k], Fraction)}:

@@ -524,7 +524,7 @@ class TestRaney:
 
     @pytest.mark.parametrize("n,counts", [
         (1, {}), (3, {1: 1, 2: 1}), (1, {2: 2, 3: 1}), (2, {1: 3, 2: 2, 3: 1}),
-        (1, {2: 1, 9: 1}), (4, {1: 2, 5: 1}),
+        (1, {2: 1, 9: 1}), (4, {1: 2, 5: 1}), (2, {1: 1, 2: 1, 4: 1, 9: 1}),
     ])
     def test_enumerate_writes_every_list_then_the_total(self, capsys, n, counts):
         c = Composition(counts.get(1, 0), TypeVector.of({k: v for k, v in counts.items() if k > 1}))
@@ -635,9 +635,10 @@ class TestUsageErrors:
          "error: face count 3 exceeds cap 2"),
         (["solve", "--float", "--d", "2", "--coeffs=1e400"],
          "error: out of float range at level bound 2: integer division result too large for a float"),
-        # binom(2F, F)/(F+1) outgrows a float (level ~515) before 3.0^F does (level ~646)
+        # binom(2F, F)/(F+1) outgrows a float (level ~515) before 3.0^F does (level ~646), and
+        # the scaled pass names level 290, the first whose exact sum C_F 3^F is past 1.8e308
         (["solve", "--float", "--d", "700", "--coeffs=3"],
-         "error: out of float range at level bound 700: integer division result too large for a float"),
+         "error: out of float range at level bound 700: level 290 sum is inf"),
         (["solve", "--float", "--d", "2", "--coeffs=1e300"],
          "error: out of float range at level bound 2: level 2 sum is inf"),
         # every level sum is finite, but alpha^6, alpha^7 and alpha^8 of the residual are not

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from hypercatalan.raney import (
     is_word,
     is_word_list,
     list_rotations,
+    list_blocks,
     lists_text,
     parse_string,
     rank,
@@ -365,11 +367,43 @@ def _oracle_compositions():
                     yield n, c
 
 
+def _wide_compositions():
+    """n <= 3, m1 <= 2, <= 3 faces over arities 2-9, at most 5,000 lists.
+
+    Symbols up to 9, up to 5 kinds of them, and lists from 1 symbol long, some
+    shorter than ``list_blocks``' prefixes.
+    """
+    for n in range(1, 4):
+        for m1 in range(3):
+            for faces in range(4):
+                for arities in itertools.combinations_with_replacement(range(2, 10), faces):
+                    c = Composition(m1, TypeVector.of(collections.Counter(arities)))
+                    if raney_count(n, c) <= 5000:
+                        yield n, c
+
+
 class TestAgainstOracles:
     def test_lists_equal_the_search_oracle_in_order(self):
         for n, c in _oracle_compositions():
             want = [format_string(s) for s in enumerate_lists_dfs(n, c)]
             assert lists_text(n, c) == "\n".join(want), (n, c)
+
+    def test_many_symbol_kinds_equal_the_search_oracle(self):
+        for n, c in _wide_compositions():
+            want = [format_string(s) for s in enumerate_lists_dfs(n, c)]
+            assert lists_text(n, c) == "\n".join(want), (n, c)
+
+    def test_blocks_join_to_the_listing_and_end_at_lists(self):
+        for n, c in _oracle_compositions():
+            blocks = list(list_blocks(n, c))
+            assert "".join(blocks) == lists_text(n, c), (n, c)
+            # each later block starts a list, so a block's newlines count the lists it adds
+            assert blocks[0][:1] not in ("", "\n") and all(b[:1] == "\n" for b in blocks[1:])
+
+    def test_blocks_reject_a_word_count_below_one_before_any_block(self):
+        blocks = list_blocks(0, Composition(1, TypeVector.of({2: 1})))
+        with pytest.raises(ValueError, match="word count 0 < 1"):
+            next(blocks)
 
     def test_symbols_of_10_and_above_use_the_comma_form(self):
         for tail in ({10: 1}, {12: 1}, {2: 1, 10: 1}, {3: 1, 11: 1}):

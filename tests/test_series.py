@@ -691,6 +691,22 @@ class TestExactLevelSums:
         sums = layer_sums(LayerSpec(Measure.VERTEX, 1400, 3), {2: 0, 3: 0.1})
         assert sums[2] == 0.1 and sums[700] == sums[1400] == 0.0
 
+    @pytest.mark.parametrize("d,q,values", [
+        (600, 2, {2: 0.26}), (600, 3, {2: 0.25, 3: -1 / 128}), (1000, 2, {2: 0.25}),
+    ])
+    def test_float_cells_past_the_float_range_are_scaled(self, d, q, values):
+        # binom(2F, F) / (F + 1) passes the float range at F = 515, where t2**F is near or
+        # below the smallest normal float, yet every level sum is finite
+        spec = LayerSpec(Measure.VERTEX, d, q)
+        got = layer_sums(spec, values)
+        want = layer_sums(spec, {k: Fraction(v) for k, v in values.items()})
+        scale = layer_sums(spec, {k: abs(Fraction(v)) for k, v in values.items()})
+        assert list(got) == list(want)
+        assert [type(v) for v in got.values()] == [int] + [float] * (len(got) - 1)
+        for lvl, v in got.items():
+            assert abs(Fraction(v) - want[lvl]) <= FLOAT_TOLERANCE * scale[lvl], lvl
+        _assert_partial_sums(spec, values, got)
+
     def test_vertex_60_seven_gons_under_a_second(self):
         # walking every admitted type took 3.4 s (2-core Xeon VM, Python 3.11)
         spec = LayerSpec(Measure.VERTEX, 60, 8)
