@@ -222,11 +222,11 @@ def cmd_raney(args) -> int:
     if args.raney_cmd == "rotations":
         print(raney.rotations_text(sigma))
         return 0
-    bracketing = raney.identify_words(sigma, cyclic=args.cyclic)  # identify
-    if not bracketing.complete:
+    words = [word for _, word in raney.identify_words(sigma, cyclic=args.cyclic)]  # identify
+    if None in words:
         print("INCOMPLETE: unidentified symbols remain")
         return 1
-    print("\n".join(bracketing.render_words()))
+    print("\n".join(map(raney.render, words)))
     return 0
 
 

@@ -3,16 +3,20 @@
 A string is a finite sequence of naturals; its rank is the sum of
 (symbol - 1).  A word is a single 0 or a symbol n > 0 followed by n
 words.  Every string of rank -n has exactly n cyclic rotations that
-split into n words (cycle lemma).  Its prefix ranks fall by at most 1
-per symbol, so they pass every value from 0 down to their minimum m,
-and the list rotations start where they first reach m + n - 1, ..., m;
-the word started at one of those offsets ends at the next
-(``_list_starts``).  So ``list_rotations`` and cyclic ``identify_words``
-cut the string with ``list.index`` on one list of prefix ranks, and
-``rotations_text`` slices each rotation from one text of the string.
-Linear identification groups a symbol i with the i identified words
-following it (``group_words``), which also reports unidentified
-symbols.  An identified word is a contiguous slice of the string: its
+split into n words (cycle lemma).  ``is_word_list``, ``list_rotations``
+and ``identify_words`` share one domain check (``_word_count``): a
+negative symbol is a ValueError, as ``parse_string`` words it, and the
+last two also need n >= 1 (``_list_count``).  The prefix ranks of such a string fall by
+at most 1 per symbol, so they pass every value from 0 down to their
+minimum m, and the list rotations start where they first reach
+m + n - 1, ..., m; the word started at one of those offsets ends at the
+next (``_list_starts``).  So ``list_rotations`` and cyclic
+``identify_words`` cut the string with ``list.index`` on one list of
+prefix ranks, and ``rotations_text`` slices each rotation from one text
+of the string.  ``group_words`` groups a symbol i with the i identified
+words following it and reports the symbols left unidentified; linear
+identification and the grammar ``is_word`` are that one pass, over any
+ints.  An identified word is a contiguous slice of the string: its
 symbols are the preorder arities of a plane tree, and no tree object is
 built.  ``lists_text`` lists the n-word lists of a composition as one
 newline-joined text, met in the middle: a table of suffix blocks, grown
@@ -25,7 +29,6 @@ text.  ``format_string`` is the text form of a string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul, sub
 from typing import Iterator, Sequence
@@ -39,12 +42,15 @@ _ENCODE = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def parse_string(text: str) -> Symbols:
-    """Whitespace/comma-separated naturals, or compact digit form, in ASCII digits 0-9."""
+    """Whitespace/comma-separated naturals, or compact digit form, in ASCII digits 0-9.
+
+    An empty comma field is a bad symbol ''.
+    """
     text = text.strip()
     if not text:
         return ()
     if any(ch in text for ch in ", \t"):
-        parts = text.replace(",", " ").split()
+        parts = [p for field in text.split(",") for p in field.split() or [""]]
         for p in parts:
             if not (p.isascii() and p.isdigit()):
                 if p[:1] == "-" and p[1:].isascii() and p[1:].isdigit() and int(p) < 0:
@@ -58,7 +64,7 @@ def parse_string(text: str) -> Symbols:
 
 def _separator(symbols: Sequence[int]) -> str:
     """What ``format_string`` writes between symbols: nothing if all are digits, else a comma."""
-    return "" if not symbols or 0 <= min(symbols) and max(symbols) <= 9 else ","
+    return "" if max(symbols, default=0) <= 9 else ","
 
 
 def format_string(sigma: Sequence[int]) -> str:
@@ -77,12 +83,33 @@ def _prefix_ranks(sigma: Sequence[int]) -> list[int]:
     return list(accumulate(map(sub, sigma[:-1], repeat(1)), initial=0))
 
 
+def _word_count(sigma: Sequence[int]) -> int:
+    """n = -rank(sigma) of a string of naturals, the domain of the cycle lemma.
+
+    The one domain check: a negative symbol is a ValueError, worded as
+    ``parse_string`` words it.
+    """
+    low = min(sigma, default=0)
+    if low < 0:
+        raise ValueError(f"negative symbol {low}")
+    return len(sigma) - sum(sigma)
+
+
+def _list_count(sigma: Sequence[int]) -> int:
+    """``_word_count`` of a string with list rotations: a rank >= 0 is a ValueError."""
+    n = _word_count(sigma)
+    if n < 1:
+        raise ValueError(f"rank {-n} is not negative")
+    return n
+
+
 def _list_starts(sigma: Sequence[int], n: int) -> list[int]:
     """The offsets of the n rotations of sigma that are lists of n words, ascending.
 
-    sigma has rank -n and no negative symbol, so its prefix ranks P pass every
-    value from 0 down to their minimum m, and the offsets are where P first
-    reaches m + n - 1, ..., m (a strict prefix minimum below m + n).
+    sigma is a string of naturals of rank -n (``_list_count``), so its prefix
+    ranks P pass every value from 0 down to their minimum m, and the offsets
+    are where P first reaches m + n - 1, ..., m (a strict prefix minimum below
+    m + n).
     """
     prefix = _prefix_ranks(sigma)
     low = min(prefix)
@@ -130,40 +157,12 @@ def is_word_list(sigma: Sequence[int], n: int) -> bool:
     """
     if n < 1:
         raise ValueError(f"word count {n} < 1")
-    return bool(sigma) and rank(sigma) == -n and min(_prefix_ranks(sigma)) > -n
-
-
-def rotate(sigma: Sequence[int], offset: int) -> Symbols:
-    if not sigma:
-        return ()
-    offset %= len(sigma)
-    return tuple(sigma[offset:]) + tuple(sigma[:offset])
+    return _word_count(sigma) == n and min(_prefix_ranks(sigma)) > -n
 
 
 def list_rotations(sigma: Sequence[int]) -> set[int]:
-    """Offsets whose rotation is a list of n words, n = -rank(sigma).
-
-    Cycle lemma: offset i qualifies iff the prefix rank P(i) is below every
-    earlier P (a new minimum) and P(i) - n is below every later one, i.e.
-    P(i) < min(P) + n.  Without negative symbols these are ``_list_starts``;
-    a negative symbol can skip values, so its string takes one scan of P.
-    """
-    n = -rank(sigma)
-    if n < 1:
-        raise ValueError(f"rank {-n} is not negative")
-    if min(sigma) >= 0:
-        return set(_list_starts(sigma, n))
-    prefix = _prefix_ranks(sigma)
-    bound = min(prefix) + n
-    offsets, low = set(), 1
-    for i, p in enumerate(prefix):
-        if p < low:
-            low = p
-            if p < bound:
-                offsets.add(i)
-    if len(offsets) != n:
-        raise ArithmeticError(f"expected {n} rotations, found {len(offsets)}")
-    return offsets
+    """Offsets whose rotation is a list of n words, n = -rank(sigma): ``_list_starts``."""
+    return set(_list_starts(sigma, _list_count(sigma)))
 
 
 def rotations_text(sigma: Sequence[int]) -> str:
@@ -201,56 +200,25 @@ def render(word: Sequence[int]) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
-class Bracketing:
-    """Result of running the identification algorithm."""
+def identify_words(sigma: Sequence[int], cyclic: bool = True) -> list[tuple[int, Symbols | None]]:
+    """Group every symbol i with the i identified words after it.
 
-    symbols: Symbols
-    items: tuple[tuple[int, Symbols | None], ...]  # (start, word?); symbols[start] heads it
-
-    @property
-    def complete(self) -> bool:
-        return all(w is not None for _, w in self.items)
-
-    @property
-    def words(self) -> list[Symbols]:
-        if not self.complete:
-            raise ValueError("identification incomplete: unidentified symbols remain")
-        return [w for _, w in self.items]
-
-    def render_words(self) -> list[str]:
-        return [render(w) for w in self.words]
-
-
-def identify_words(sigma: Sequence[int], cyclic: bool = True) -> Bracketing:
-    """Group every symbol i >= 0 with the i identified words after it.
-
+    Returns (start, word) for every item left, in position order: sigma[start]
+    heads the word, and the word is None for a symbol left unidentified.
     Moves commute, so any order of moves ends in the same bracketing.
     Linear: one pass of ``group_words``.  Cyclic: the n words start at the
     offsets of ``_list_starts`` (cycle lemma), each ends where the next
-    starts, and the last wraps round to the first.  A string with a negative
-    symbol is grouped instead by one pass over its rotation at the first
-    minimum of the prefix rank, which leaves that symbol unidentified.
+    starts, and the last wraps round to the first, so every symbol is
+    identified.
     """
     sigma = tuple(sigma)
-    n = -rank(sigma)
-    if n < 1:
-        raise ValueError(f"rank {-n} is not negative")
-    if cyclic and min(sigma) >= 0:
-        starts = _list_starts(sigma, n)
-        items = [(i, sigma[i:end]) for i, end in zip(starts, starts[1:])]
-        items.append((starts[-1], sigma[starts[-1]:] + sigma[: starts[0]]))
-        return Bracketing(sigma, tuple(items))
-    offset = 0
-    if cyclic:
-        prefix = _prefix_ranks(sigma)
-        offset = prefix.index(min(prefix))
-    rotated = rotate(sigma, offset)
-    items = sorted(
-        ((i + offset) % len(sigma), None if end is None else rotated[i:end])
-        for i, end in group_words(rotated)
-    )
-    return Bracketing(sigma, tuple(items))
+    n = _list_count(sigma)
+    if not cyclic:
+        return [(i, None if end is None else sigma[i:end]) for i, end in group_words(sigma)]
+    starts = _list_starts(sigma, n)
+    items = [(i, sigma[i:end]) for i, end in zip(starts, starts[1:])]
+    items.append((starts[-1], sigma[starts[-1]:] + sigma[: starts[0]]))
+    return items
 
 
 _PREFIX_LENGTH = 4

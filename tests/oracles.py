@@ -29,7 +29,7 @@ from typing import Sequence
 
 from hypercatalan.catpow import catalan, catalan_power, residual_text
 from hypercatalan.core import VEF, Composition, TypeVector, unit_type, vef
-from hypercatalan.raney import is_word_list, rank, rotate
+from hypercatalan.raney import is_word_list, rank
 from hypercatalan.series import LayeredPoly, LayerSpec, level
 from hypercatalan.subdigon import serialize
 
@@ -259,6 +259,13 @@ def _count_tuple(m: TypeVector, parts: int) -> int:
 
 
 # -- Raney strings --------------------------------------------------------------
+
+
+def rotate(sigma: Sequence[int], offset: int) -> Symbols:
+    if not sigma:
+        return ()
+    offset %= len(sigma)
+    return tuple(sigma[offset:]) + tuple(sigma[:offset])
 
 
 def split_words(sigma: Sequence[int]) -> list[Symbols] | None:

@@ -29,7 +29,7 @@ from hypercatalan.raney import (
     list_rotations,
     parse_string,
     rank,
-    rotate,
+    render,
 )
 from hypercatalan.series import (
     LayerSpec,
@@ -42,7 +42,7 @@ from hypercatalan.series import (
 )
 from hypercatalan.subdigon import count_subdigons, enumerate_subdigons
 from oracles import (UniPoly, catalan_power_factorial, catalan_series, central_arity, count_trees,
-                     poly, tree_of)
+                     poly, rotate, tree_of)
 
 
 def tv(*counts):
@@ -222,15 +222,15 @@ def test_criterion_6_raney_lemma_and_identification():
             assert is_word_list(rotate(sigma, off), n) == (off in offsets)
         checked += 1
 
-    bracketing = identify_words(parse_string("0030130010001000420"), cyclic=True)
-    words = bracketing.render_words()
+    items = identify_words(parse_string("0030130010001000420"), cyclic=True)
+    words = [render(w) for _, w in items]
     assert len(words) == 4
     assert words[:3] == ["(10)", "0", "0"]
     # the fourth word: 4 followed by (200) [wrapping], 0, the 9-symbol
     # triquad word, 0; the bracketing invariant (head i, then i identified
     # words) pins the closing parens
     assert words[3] == "(4(200)0(30(1(300(10)))0)0)"
-    assert bracketing.words[3] == (4, 2, 0, 0, 0, 3, 0, 1, 3, 0, 0, 1, 0, 0, 0)
+    assert items[3][1] == (4, 2, 0, 0, 0, 3, 0, 1, 3, 0, 0, 1, 0, 0, 0)
     report(6, "Raney lemma on 500 random strings; 4-word identification exact")
 
 

@@ -17,8 +17,8 @@ import hypercatalan
 from hypercatalan import catpow, cli, series, subdigon
 from hypercatalan.cli import build_parser, main
 from hypercatalan.core import Composition, TypeVector, central_count, raney_count
-from hypercatalan.raney import format_string, parse_string, rotate
-from oracles import bumped_walk, count_trees, enumerate_lists_dfs, list_rotations_scan, tree_of
+from hypercatalan.raney import format_string, parse_string
+from oracles import bumped_walk, count_trees, enumerate_lists_dfs, list_rotations_scan, rotate, tree_of
 
 
 def run(capsys, *argv):
@@ -495,6 +495,7 @@ class TestRaney:
     def test_rank(self, capsys):
         code, out = run(capsys, "raney", "rank", "0")
         assert code == 0 and out.strip() == "-1"
+        assert run(capsys, "raney", "rank", "2 , 0 ,0") == (0, "-1\n")
 
     def test_check(self, capsys):
         code, out = run(capsys, "raney", "check", "202030100")
@@ -507,6 +508,10 @@ class TestRaney:
                         "--cyclic")
         assert code == 0
         assert out.split() == ["(10)", "0", "0", "(4(200)0(30(1(300(10)))0)0)"]
+
+    def test_identify_linear_leaves_the_wrapped_head(self, capsys):
+        out = "INCOMPLETE: unidentified symbols remain\n"
+        assert run(capsys, "raney", "identify", "0030130010001000420") == (1, out)
 
     def test_enumerate(self, capsys):
         code, out = run(capsys, "raney", "enumerate", "--n", "1",
@@ -628,6 +633,9 @@ class TestUsageErrors:
         (["raney", "check", "2,-1,0"], "error: negative symbol -1"),
         (["raney", "identify", "0,-1,0"], "error: negative symbol -1"),
         (["raney", "rotations", "0,-1,0"], "error: negative symbol -1"),
+        (["raney", "rank", ",0"], "error: bad symbol ''"),
+        (["raney", "rank", "0,,0"], "error: bad symbol ''"),
+        (["raney", "rank", "2,0,0,"], "error: bad symbol ''"),
         (["coeff", "--type", "1", "--power", "0"], "error: power 0 < 1"),
         (["subdigons", "--type", "9", "--format", "list"], "error: face count 9 exceeds cap 8"),
         (["subdigons", "--type", "9", "--format", "json"], "error: face count 9 exceeds cap 8"),
@@ -669,6 +677,7 @@ class TestUsageErrors:
             "identify-rank-0", "check-n-0", "enumerate-negative-count", "rank-bad-digits",
             "powers-r-0", "powers-m-negative", "identity-0", "identity-negative-order",
             "check-negative-symbol", "identify-negative-symbol", "rotations-negative-symbol",
+            "rank-empty-first-field", "rank-empty-inner-field", "rank-empty-last-field",
             "coeff-power-0", "subdigons-list-over-cap", "subdigons-json-over-cap",
             "subdigons-max-faces", "solve-float-coefficient-overflow", "solve-float-term-overflow",
             "solve-float-power-overflow", "solve-float-residual-overflow",

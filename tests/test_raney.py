@@ -18,7 +18,7 @@ from hypercatalan.raney import (
     lists_text,
     parse_string,
     rank,
-    rotate,
+    render,
     rotations_text,
 )
 from hypercatalan.subdigon import enumerate_subdigons, serialize
@@ -31,6 +31,7 @@ from oracles import (
     group_trees,
     list_rotations_scan,
     render_tree,
+    rotate,
     split_words,
     to_word,
     tree_of,
@@ -67,6 +68,8 @@ class TestParsing:
         assert parse_string("2, 0, 12") == (2, 0, 12)
         assert parse_string("3 1 0") == (3, 1, 0)
         assert parse_string("") == ()
+        assert parse_string("2 , 0 ,0") == (2, 0, 0)
+        assert parse_string("2 0,1") == (2, 0, 1)
 
     @pytest.mark.parametrize("text,message", [
         ("\u00b2", "not a digit string: '\u00b2'"),  # superscript two: str.isdigit admits it
@@ -79,6 +82,10 @@ class TestParsing:
         ("2,-0", "bad symbol '-0'"),
         ("2,-1,0", "negative symbol -1"),
         ("0 -12", "negative symbol -12"),
+        (",0", "bad symbol ''"),
+        ("0,,0", "bad symbol ''"),
+        ("2,0,0,", "bad symbol ''"),
+        ("2, ,0", "bad symbol ''"),
     ])
     def test_only_ascii_digits_are_symbols(self, text, message):
         with pytest.raises(ValueError) as exc:
@@ -147,6 +154,12 @@ class TestWordLists:
                     expected = words is not None and len(words) == n
                     assert is_word_list(sigma, n) == expected, (sigma, n)
 
+    def test_negative_symbol_is_rejected_not_misread(self):
+        # rank -1 and no proper prefix at -1, yet no word: the rank test holds for naturals only
+        assert not is_word((3, -1, 0))
+        with pytest.raises(ValueError, match="^negative symbol -1$"):
+            is_word_list((3, -1, 0), 1)
+
     def test_split_segments_are_words(self):
         rng = random.Random(3)
         for n in range(1, 5):
@@ -189,9 +202,27 @@ class TestRotations:
         assert rotate((1, 2, 0), 4) == (2, 0, 1)
 
     def test_lemma_violation_raises(self):
-        # a negative symbol breaks Raney's lemma: rank -3 but only 2 rotations
-        with pytest.raises(ArithmeticError):
+        # a negative symbol would break Raney's lemma (rank -3 but only 2 rotations): out of domain
+        with pytest.raises(ValueError, match="^negative symbol -1$"):
             list_rotations((-1, 0))
+
+
+# the entry points that take strings of naturals only, identify_words in both modes
+NATURALS_ONLY = {
+    "is_word_list": lambda sigma: is_word_list(sigma, 1),
+    "list_rotations": list_rotations,
+    "rotations_text": rotations_text,
+    "identify_linear": lambda sigma: identify_words(sigma, cyclic=False),
+    "identify_cyclic": lambda sigma: identify_words(sigma, cyclic=True),
+}
+
+
+@pytest.mark.parametrize("sigma", [(3, -1, 0), (-1, 0), (0, 0, -2), (5, -1)],
+                         ids=lambda sigma: ",".join(map(str, sigma)))
+@pytest.mark.parametrize("entry", NATURALS_ONLY)
+def test_negative_symbol_is_a_value_error(entry, sigma):
+    with pytest.raises(ValueError, match=f"^negative symbol {min(sigma)}$"):
+        NATURALS_ONLY[entry](sigma)
 
 
 class TestGroupWords:
@@ -212,36 +243,49 @@ class TestGroupWords:
             heads = [rng.choice((2, 2, 3, 3, 4, 5)) for _ in range(rng.randint(60, 80))]
             sigma = heads + [0] * (n + sum(a - 1 for a in heads))
             rng.shuffle(sigma)
-            br = identify_words(sigma, cyclic=True)
+            items = identify_words(sigma, cyclic=True)
             off = min(list_rotations(sigma))
             trees = sorted(((i + off) % len(sigma), t) for i, t in group_trees(rotate(sigma, off)))
-            assert [start for start, _ in br.items] == [start for start, _ in trees]
-            assert br.render_words() == [render_tree(t) for _, t in trees]
+            assert [start for start, _ in items] == [start for start, _ in trees]
+            assert [render(w) for _, w in items] == [render_tree(t) for _, t in trees]
+
+
+def _words(items):
+    """The words of a complete identification, in position order."""
+    words = [w for _, w in items]
+    assert None not in words, items
+    return words
 
 
 class TestIdentifyWords:
     def test_all_zeros(self):
-        br = identify_words((0, 0, 0))
-        assert br.render_words() == ["0", "0", "0"]
+        assert list(map(render, _words(identify_words((0, 0, 0))))) == ["0", "0", "0"]
 
     def test_paper_walkthrough(self):
-        br = identify_words(parse_string("0030130010001000420"), cyclic=True)
-        assert len(br.words) == 4
+        words = _words(identify_words(parse_string("0030130010001000420"), cyclic=True))
+        assert len(words) == 4
         # in position order: (10) at 12, 0, 0, then the wrapped word at 16
-        assert br.render_words() == [
+        assert list(map(render, words)) == [
             "(10)", "0", "0", "(4(200)0(30(1(300(10)))0)0)"
         ]
         # every identified word is a slice of the circular symbols
-        big = br.words[-1]
+        big = words[-1]
         assert big == (4, 2, 0, 0, 0, 3, 0, 1, 3, 0, 0, 1, 0, 0, 0)
+
+    def test_linear_paper_strings(self):
+        # linear identification leaves the wrapped word's head unidentified in place
+        items = identify_words(parse_string("0030130010001000420"), cyclic=False)
+        assert [start for start, w in items if w is None] == [16, 17]
+        words = _words(identify_words(parse_string("4200030130010001000"), cyclic=False))
+        assert list(map(render, words)) == ["(4(200)0(30(1(300(10)))0)0)", "(10)", "0", "0"]
 
     def test_whole_word_single_group(self):
         for text in ["0", "200", "202030100", "302000"]:
             sigma = parse_string(text)
             assert is_word(sigma)
-            br = identify_words(sigma, cyclic=False)
-            assert len(br.words) == 1
-            assert br.words[0] == sigma
+            words = _words(identify_words(sigma, cyclic=False))
+            assert len(words) == 1
+            assert words[0] == sigma
 
     def test_rejects_nonnegative_rank(self):
         with pytest.raises(ValueError):
@@ -253,32 +297,30 @@ class TestIdentifyWords:
             for sigma in strings_of_rank(-n, rng=rng, count=40):
                 for off in list_rotations(sigma):
                     rotated = rotate(sigma, off)
-                    br = identify_words(rotated, cyclic=False)
-                    assert br.words == split_words(rotated)
+                    assert _words(identify_words(rotated, cyclic=False)) == split_words(rotated)
 
     def test_word_starts_are_the_rotations(self):
         # the n identified words tile the circle; each start begins a list of n words
         rng = random.Random(11)
         for n in range(1, 5):
             for sigma in strings_of_rank(-n, rng=rng, count=60):
-                br = identify_words(sigma, cyclic=True)
-                assert br.complete
-                assert {start for start, _ in br.items} == list_rotations(sigma)
+                items = identify_words(sigma, cyclic=True)
+                assert None not in [w for _, w in items]
+                assert {start for start, _ in items} == list_rotations(sigma)
 
     def test_deep_string_does_not_recurse(self):
         sigma = (2,) * 1200 + (0,) * 1201
         for cyclic in (False, True):
-            br = identify_words(sigma, cyclic=cyclic)
-            assert br.words == [sigma]
-        assert identify_words(rotate(sigma, 7)).items[0][0] == len(sigma) - 7
+            assert _words(identify_words(sigma, cyclic=cyclic)) == [sigma]
+        assert identify_words(rotate(sigma, 7))[0][0] == len(sigma) - 7
 
     def test_randomized_move_order_same_words(self):
         # grouping is order independent: compare against right-to-left scan
         rng = random.Random(9)
         for sigma in strings_of_rank(-3, rng=rng, count=30):
-            left = identify_words(sigma, cyclic=True)
+            left = _words(identify_words(sigma, cyclic=True))
             right = _identify_reversed(sigma)
-            assert sorted(left.words) == sorted(right)
+            assert sorted(left) == sorted(right)
 
 
 def _identify_reversed(sigma):
@@ -424,12 +466,11 @@ class TestAgainstOracles:
         assert enumerate_lists(1, c) == ["1" * 1200 + "0"]
 
     def test_rotations_equal_the_scan_every_short_string(self):
-        # symbols from -1 on, so a broken cycle lemma must raise as the scan does
-        for length in range(1, 7):
-            for sigma in itertools.product(range(-1, 5), repeat=length):
-                if rank(sigma) < 0:
-                    want = _outcome(list_rotations_scan, sigma)
-                    assert _outcome(list_rotations, sigma) == want, sigma
+        # every string of naturals up to 4, up to 7 long: a rank >= 0 raises as the scan does
+        for length in range(1, 8):
+            for sigma in itertools.product(range(5), repeat=length):
+                want = _outcome(list_rotations_scan, sigma)
+                assert _outcome(list_rotations, sigma) == want, sigma
 
     def test_rotations_equal_the_scan_random(self):
         # shuffled strings of rank -n with symbols up to 12, up to 60 long
@@ -476,26 +517,22 @@ class TestAgainstOracles:
                 off = min(list_rotations_scan(sigma))
                 rotated = rotate(sigma, off)
                 want = sorted(((i + off) % len(sigma), rotated[i:end]) for i, end in group_words(rotated))
-                assert identify_words(sigma, cyclic=True).items == tuple(want), sigma
+                assert identify_words(sigma, cyclic=True) == want, sigma
 
     def test_identify_every_short_string(self):
-        # every string over -1..3 of rank < 0: cyclic words are the grouped list rotation, and
-        # a string with a -1 is grouped from the first minimum of its prefix rank, incomplete
-        for length in range(1, 8):
-            for sigma in itertools.product(range(-1, 4), repeat=length):
+        # every string over 0..3 of rank < 0, up to 8 long: cyclic words are the grouped
+        # list rotation, and every symbol is identified
+        for length in range(1, 9):
+            for sigma in itertools.product(range(4), repeat=length):
                 if rank(sigma) >= 0:
                     continue
-                if min(sigma) < 0:
-                    prefix = list(itertools.accumulate((a - 1 for a in sigma[:-1]), initial=0))
-                    off = prefix.index(min(prefix))
-                else:
-                    off = min(list_rotations_scan(sigma))
+                off = min(list_rotations_scan(sigma))
                 rotated = rotate(sigma, off)
                 want = sorted(((i + off) % length, None if end is None else rotated[i:end])
                               for i, end in group_words(rotated))
                 got = identify_words(sigma)
-                assert got.items == tuple(want), sigma
-                assert got.complete == (min(sigma) >= 0), sigma
+                assert got == want, sigma
+                assert None not in [w for _, w in got], sigma
 
 
 class TestTreeBijection:
