@@ -184,10 +184,15 @@ def rotations_text(sigma: Sequence[int]) -> str:
 
 
 def render(word: Sequence[int]) -> str:
-    """Bracketed form of an identified word: 0, or (i w_1 ... w_i)."""
+    """Bracketed form of an identified word: 0, or (i w_1 ... w_i).
+
+    Items are written back to back if every symbol is a digit, else with a
+    space before each item but the first, as in (10 0 0 ...).
+    """
+    sep = " " if _separator(word) else ""
     out, due = [], []  # due: children still due inside each open bracket
     for k in word:
-        out.append(f"({k}" if k else "0")
+        out.append(f"{sep}({k}" if k else f"{sep}0")
         if k:
             due.append(k)
             continue
@@ -197,7 +202,7 @@ def render(word: Sequence[int]) -> str:
                 break
             due.pop()
             out.append(")")
-    return "".join(out)
+    return "".join(out)[len(sep):]
 
 
 def identify_words(sigma: Sequence[int], cyclic: bool = True) -> list[tuple[int, Symbols | None]]:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,7 +28,7 @@ from typing import Sequence
 
 from hypercatalan.catpow import catalan, catalan_power, residual_text
 from hypercatalan.core import VEF, Composition, TypeVector, unit_type, vef
-from hypercatalan.raney import is_word_list, rank
+from hypercatalan.raney import is_word_list, parse_string, rank
 from hypercatalan.series import LayeredPoly, LayerSpec, level
 from hypercatalan.subdigon import serialize
 
@@ -119,10 +118,8 @@ def from_word(word) -> PlaneTree:
 
 
 def tokens(text: str) -> Symbols:
-    """The arities of a word in ``serialize`` form: digits, and [k] above 9."""
-    if text.isascii() and text.isdigit():
-        return tuple(map(int, text))
-    word = tuple(int(big or digit) for big, digit in re.findall(r"\[([0-9]+)\]|([0-9])", text))
+    """The arities of a word in ``serialize`` form: digits, or commas between them above 9."""
+    word = parse_string(text)
     if serialize(word) != text:
         raise ValueError(f"not in serialize form: {text!r}")
     return word

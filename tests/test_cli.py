@@ -458,8 +458,7 @@ class TestSubdigons:
     def test_count_from_empty_memo(self, capsys, counts):
         # a first count in a process needs none of the program's caches, even at 150
         # faces of one arity (a count memo filled from empty once ran out of stack there)
-        subdigon._enumerate.cache_clear()
-        subdigon._splits.cache_clear()
+        subdigon._listing.cache_clear()
         m = TypeVector.from_counts(int(c) for c in counts.split(","))
         split = [f"central-{r + 1}:{central_count(m, r)}" for r, _ in m.items()]
         assert sum(central_count(m, r) for r, _ in m.items()) == count_trees(m)
@@ -468,21 +467,20 @@ class TestSubdigons:
 
     @pytest.mark.parametrize("fmt", ["list", "json"])
     def test_list_after_a_parent_equals_a_fresh_list(self, capsys, fmt):
-        # 2,1 is a child type of 2,2,1: building the parent first fills its memo entry
-        subdigon._enumerate.cache_clear()
-        subdigon._splits.cache_clear()
+        # 2,1 is a child type of 2,2,1: listing the parent first leaves its listing as it was
+        subdigon._listing.cache_clear()
         fresh = run(capsys, "subdigons", "--type", "2,1", "--format", fmt)
-        subdigon._enumerate.cache_clear()
-        subdigon._splits.cache_clear()
+        subdigon._listing.cache_clear()
         assert run(capsys, "subdigons", "--type", "2,2,1", "--format", fmt)[0] == 0
         assert run(capsys, "subdigons", "--type", "2,1", "--format", fmt) == fresh
 
-    def test_arity_above_9_is_bracketed(self, capsys):
+    def test_arity_above_9_is_comma_separated(self, capsys):
         code, out = run(capsys, "subdigons", "--type", "0,0,0,0,0,0,0,0,0,0,1", "--format", "list")
-        assert (code, out) == (0, "[12]000000000000\n")
+        assert (code, out) == (0, "12,0,0,0,0,0,0,0,0,0,0,0,0\n")
+        assert run(capsys, "raney", "check", out.strip(), "--n", "1") == (0, "yes\n")
 
     def test_list_and_json_write_the_library_words(self, capsys):
-        # every type of <= 5 faces over arities 2-5, and one with a bracketed arity, 10
+        # every type of <= 5 faces over arities 2-5, and one in the comma form, arity 10
         types = [counts for counts in itertools.product(range(6), repeat=4) if sum(counts) <= 5]
         for counts in [*types, (0,) * 8 + (1,)]:
             words = subdigon.enumerate_subdigons(TypeVector.from_counts(counts))
@@ -508,6 +506,10 @@ class TestRaney:
                         "--cyclic")
         assert code == 0
         assert out.split() == ["(10)", "0", "0", "(4(200)0(30(1(300(10)))0)0)"]
+
+    def test_identify_separates_the_items_of_a_wide_word(self, capsys):
+        out = "(10 0 0 0 0 0 0 0 0 0 0)\n"
+        assert run(capsys, "raney", "identify", ",".join(["10"] + ["0"] * 10)) == (0, out)
 
     def test_identify_linear_leaves_the_wrapped_head(self, capsys):
         out = "INCOMPLETE: unidentified symbols remain\n"

@@ -323,6 +323,27 @@ class TestIdentifyWords:
             assert sorted(left) == sorted(right)
 
 
+class TestRender:
+    def test_digit_words_keep_their_bytes(self):
+        assert render((0,)) == "0"
+        assert render((9,) + (0,) * 9) == "(9000000000)"
+        word = (4, 2, 0, 0, 0, 3, 0, 1, 3, 0, 0, 1, 0, 0, 0)
+        assert render(word) == "(4(200)0(30(1(300(10)))0)0)" == render_tree(from_word(word))
+
+    def test_wide_words_parse_back(self):
+        # every word over one symbol of 10-12, m1 <= 1 and up to one more symbol of 2-3
+        assert render((10,) + (0,) * 10) == "(10 0 0 0 0 0 0 0 0 0 0)"
+        for k in (10, 11, 12):
+            for m1 in (0, 1):
+                for extra in ({}, {2: 1}, {3: 1}):
+                    c = Composition(m1, TypeVector.of({k: 1, **extra}))
+                    for word in map(parse_string, enumerate_lists(1, c)):
+                        text = render(word)
+                        assert parse_string(text.replace("(", "").replace(")", "")) == word, text
+                        assert text.replace(" ", "") == render_tree(from_word(word)), text
+                        assert "  " not in text and "( " not in text and " )" not in text, text
+
+
 def _identify_reversed(sigma):
     """Restart-after-every-move grouping around the circle, scanning right-to-left.
 

@@ -8,7 +8,8 @@ import tracemalloc
 import pytest
 
 from hypercatalan import subdigon
-from hypercatalan.core import TypeVector, central_count, hyper_catalan, vef
+from hypercatalan.core import Composition, TypeVector, central_count, hyper_catalan, vef
+from hypercatalan.raney import is_word_list, lists_text, parse_string
 from hypercatalan.series import LayeredPoly
 from hypercatalan.subdigon import count_subdigons, enumerate_subdigons, serialize
 from oracles import (
@@ -211,10 +212,10 @@ class TestSerialization:
             assert serialize(to_word(s)) == w
             assert tree_of(serialize(to_word(s))) == s
 
-    def test_large_arity_bracketed(self):
+    def test_large_arity_comma_separated(self):
         for k in (10, 12):
             s = panel(k, [NULL] * k)
-            assert serialize(to_word(s)) == f"[{k}]" + "0" * k
+            assert serialize(to_word(s)) == f"{k}" + ",0" * k
             assert tree_of(serialize(to_word(s))) == s
         assert serialize(to_word(panel(9, [NULL] * 9))) == "9" + "0" * 9
 
@@ -244,19 +245,32 @@ def _words_of_trees(m):
     return [serialize(to_word(s)) for s in enumerate_trees(m)]
 
 
-# types with an arity of 10 or more, whose words bracket that arity
+# types with an arity of 10 or more, whose words are in the comma form
 WIDE_TYPES = [
     tv(*counts)
     for counts in ([0] * 8 + [1], [1] + [0] * 8 + [1], [0] * 9 + [1], [1, 1] + [0] * 9 + [1])
 ]
 
 
+def _oracle_types():
+    """Every type of <= 6 faces over arities 2-7 with at most 5,000 subdigons, and WIDE_TYPES."""
+    small = [m for m in all_small_types(max_faces=6, max_gon=7) if hyper_catalan(m) <= 5000]
+    return small + WIDE_TYPES
+
+
 class TestAgainstOracles:
-    def test_words_equal_the_tree_oracle_in_order(self):
-        # every type of <= 6 faces over arities 2-7 with at most 5,000 subdigons
-        small = [m for m in all_small_types(max_faces=6, max_gon=7) if hyper_catalan(m) <= 5000]
-        for m in small + WIDE_TYPES:
-            assert enumerate_subdigons(m) == _words_of_trees(m), m
+    def test_words_equal_the_tree_oracle_in_lexicographic_order(self):
+        for m in _oracle_types():
+            assert enumerate_subdigons(m) == sorted(_words_of_trees(m), key=parse_string), m
+
+    def test_listing_is_the_raney_listing_of_one_word(self):
+        for m in _oracle_types():
+            assert subdigon.subdigons_text(m) == lists_text(1, Composition(0, m)), m
+
+    def test_every_word_is_a_raney_word(self):
+        for m in _oracle_types():
+            for w in enumerate_subdigons(m):
+                assert is_word_list(parse_string(w), 1), (m, w)
 
     def test_counts_equal_the_type_vector_oracle(self):
         for m in [*all_small_types(max_faces=6, max_gon=7), *WIDE_TYPES]:
@@ -264,24 +278,23 @@ class TestAgainstOracles:
 
 
 def _clear_memo():
-    subdigon._enumerate.cache_clear()
-    subdigon._splits.cache_clear()
+    subdigon._listing.cache_clear()
 
 
 class TestMemo:
     def test_words_do_not_depend_on_call_order(self):
-        # smallest first lists each type before any parent uses it as a child;
-        # largest first builds each type as a child before it is listed
+        # the memo holds each listed type's finished text, so no listing
+        # depends on which types were listed before it
         types = sorted(all_small_types(max_faces=5, max_gon=5),
                        key=lambda m: (m.faces(), m.to_counts()))
         try:
-            expected = {m: "\n".join(_words_of_trees(m)) for m in types}
+            expected = {m: sorted(_words_of_trees(m), key=parse_string) for m in types}
         finally:
             enumerate_trees.cache_clear()  # 663,021 trees
         for order in (types, types[::-1]):
             _clear_memo()
             for m in order:
-                assert enumerate_subdigons(m) == expected[m].split("\n"), m
+                assert enumerate_subdigons(m) == expected[m], m
 
     def test_retention_is_bounded_by_the_listing(self):
         _clear_memo()
@@ -295,11 +308,12 @@ class TestMemo:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert retained <= 3 * text_bytes, (retained, text_bytes)
+        assert retained <= 2 * text_bytes, (retained, text_bytes)
 
     def test_build_peak_is_bounded_by_the_listing(self):
-        # each split's words are joined into one block as they are made, so a build
-        # never holds a separate str per word of the type (6.6 times the text if it did)
+        # the suffix table keeps the lists of a sub-multiset as one block of text, so
+        # a build never holds a separate str per word of the type (6.6 times the text
+        # if it did)
         _clear_memo()
         gc.collect()
         tracemalloc.start()
@@ -308,4 +322,4 @@ class TestMemo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * len(text), (peak, len(text))
+        assert peak <= 3 * len(text), (peak, len(text))
