@@ -44,12 +44,13 @@ _ENCODE = bytes.maketrans(bytes(range(10)), b"0123456789")
 def parse_string(text: str) -> Symbols:
     """Whitespace/comma-separated naturals, or compact digit form, in ASCII digits 0-9.
 
-    An empty comma field is a bad symbol ''.
+    Text with a comma, or with whitespace that str.split splits on, is the separated form;
+    an empty comma field there is a bad symbol ''.
     """
     text = text.strip()
     if not text:
         return ()
-    if any(ch in text for ch in ", \t"):
+    if "," in text or len(text.split(maxsplit=1)) > 1:
         parts = [p for field in text.split(",") for p in field.split() or [""]]
         for p in parts:
             if not (p.isascii() and p.isdigit()):

@@ -4,11 +4,11 @@ A LayerSpec fixes a measure and a maximum level d: vertex level V-2, edge level
 E-1 or face level F.  Each is an affine grading (b, a), kept only in _GRADING:
 a type with F faces and excess e = sum_k (k-2) m_k sits at b*F + a*e, one gon
 t_k weighing b + a*(k-2), with (b, a) = (1, 1), (2, 1) and (1, 0).  The run-time
-paths keep every polynomial packed.  The coefficient walk (_walk) writes each
-type of beta into its level bucket of packed keys as it makes it, holding its
-depth in a list of generators, not in recursion; evaluate_geometric returns the
-residual as {level: {packed key: coefficient}}; table_rows returns the buckets
-that render_table prints; geode_quotient solves over the keys of one bucket.
+paths keep every polynomial packed.  The coefficient walk (_walk) makes the
+types of beta one gon at a time, writing each into its level bucket of packed
+keys; evaluate_geometric returns the residual as {level: {packed key:
+coefficient}}, and geode_quotient its quotient of one bucket; table_rows
+returns the buckets that render_table prints.
 Decoding, print order and text come from _printer, behind render_table and
 first_term alike: it decodes each key once to its counts and joins a monomial's
 text from a table per gon.  render_table writes its json text itself, as
@@ -175,50 +175,38 @@ Graded = list[dict[int, int]]
 
 
 def _walk(spec: LayerSpec) -> Graded:
-    """beta for spec graded: {packed key: C_m} per level, each level in lex order.
+    """beta for spec graded: {packed key: C_m} per level.
 
-    A depth-first walk in lex order that writes each type into its level bucket as it
-    is made, carrying V, E, C, the level and the packed key.  Adding one (k+1)-gon at
-    count m_k updates C = (E-1)!/((V-1)! m!) exactly:
-    C * E(E+1)...(E+k-1) / ((m_k+1) * V(V+1)...(V+k-2)).
-    The depth is a list of generators, one per type that has room for a further gon.
+    One pass per gon k = 2 .. max_gon: each type made so far that still has room takes
+    1, 2, ... (k+1)-gons, each new type written into its level bucket as it is made.  A
+    type carries its level, V, E, C and packed key; one more (k+1)-gon at count m_k updates
+    C = (E-1)!/((V-1)! m!) exactly: C * E(E+1)...(E+k-1) / ((m_k+1) * V(V+1)...(V+k-2)).
+    A type goes on to gon k+1 only while its level is at most d - weight(k+1): the
+    weights never decrease with k, so a type that fails has no room for any later gon.
     """
-    d = spec.d
-    steps = [(k, weight(k, spec.measure), (d + 1) ** (k - 2)) for k in range(2, spec.max_gon() + 1)]
-    # the weights never decrease with k, so the steps that fit above a level are a prefix
-    fit = [sum(w <= d - lvl for _, w, _ in steps) for lvl in range(d + 1)]
+    d, top = spec.d, spec.max_gon()
     buckets: Graded = [{} for _ in range(d + 1)]
     buckets[0][0] = 1
-
-    def extend(i, lvl, v, e, c, key):
-        """Write every type that adds gons from step i on to the given one, in lex order.
-
-        Yields the generator of each such type that has room for a further gon, right
-        after writing it, so that its subtree comes before its next sibling.
-        """
-        for j in range(i, fit[lvl]):
-            k, w, unit = steps[j]
-            lk, vk, ek, ck, kk = lvl, v, e, c, key
+    live = [(0, 2, 1, 1, 0)]  # (level, V, E, C, key) of each type with room for gon k
+    for k in range(2, top + 1):
+        w, unit = weight(k, spec.measure), (d + 1) ** (k - 2)
+        room = d - weight(k + 1, spec.measure) if k < top else -1
+        grown = [t for t in live if t[0] <= room]  # the types that take no (k+1)-gon
+        for lvl, v, e, c, key in live:
             for mk in range(1, (d - lvl) // w + 1):
-                ck = ck * perm(ek + k - 1, k) // (mk * perm(vk + k - 2, k - 1))
-                vk, ek, lk, kk = vk + k - 1, ek + k, lk + w, kk + unit
-                buckets[lk][kk] = ck
-                if j + 1 < fit[lk]:
-                    yield extend(j + 1, lk, vk, ek, ck, kk)
-
-    stack = [extend(0, 0, 2, 1, 1, 0)]
-    while stack:
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-        else:
-            stack.append(child)
+                c = c * perm(e + k - 1, k) // (mk * perm(v + k - 2, k - 1))
+                lvl, v, e, key = lvl + w, v + k - 1, e + k, key + unit
+                buckets[lvl][key] = c
+                if lvl <= room:
+                    grown.append((lvl, v, e, c, key))
+        live = grown
     return buckets
 
 
 def enumerate_types(spec: LayerSpec) -> list[TypeVector]:
     """All type vectors admitted by spec, graded by level then lex."""
-    return [_unpack(key, spec.d + 1) for bucket in _walk(spec) for key in bucket]
+    return [m for bucket in _walk(spec)
+            for m in sorted((_unpack(key, spec.d + 1) for key in bucket), key=lambda m: m.entries)]
 
 
 def build_beta(spec: LayerSpec) -> LayeredPoly:
@@ -381,10 +369,6 @@ def _unpack(key: int, base: int) -> TypeVector:
     return TypeVector(tuple((k, mk) for k, mk in enumerate(_counts(key, base), 2) if mk))
 
 
-def _poly(bucket: dict[int, int], spec: LayerSpec) -> LayeredPoly:
-    return LayeredPoly({_unpack(key, spec.d + 1): c for key, c in bucket.items()})
-
-
 def _mul_graded(a: Graded, b: Graded, bound: int) -> Graded:
     """a*b truncated at level bound; a and b both have buckets up to bound.
 
@@ -451,19 +435,19 @@ def layer_slice(p: LayeredPoly, measure: Measure, n: int) -> LayeredPoly:
     return LayeredPoly({m: c for m, c in p.terms.items() if level(m, measure) == n})
 
 
-def geode_quotient(d: int, q: int) -> LayeredPoly:
-    """Face-layer-d slice of beta - 1 divided exactly by t_2 + ... + t_q.
+def geode_quotient(d: int, q: int) -> dict[int, dict[int, int]]:
+    """Face-layer-d slice of beta - 1 divided exactly by t_2 + ... + t_q, packed.
 
+    {d - 1: {packed key: coefficient}} with keys at base d + 1, evaluate_geometric's form.
     A triangular solve over packed keys, most t_2 first: the slice S is G * (t_2 + ...
     + t_q), so G[n] = S[n + t_2] - sum_{k >= 3, n_k >= 1} G[n + t_2 - t_k], each G on
     the right having one t_2 more than n.  G times the divisor must give S back.
     """
     if d < 1:
         raise ValueError(f"face level {d} < 1")
-    spec = LayerSpec(Measure.FACE, d, q)  # rejects q < 2
     base = d + 1
+    sliced = _walk(LayerSpec(Measure.FACE, d, q))[d]  # rejects q < 2; d >= 1: no constant term
     units = [base ** (k - 2) for k in range(3, q + 1)]  # the keys of t_3 .. t_q
-    sliced = _walk(spec)[d]  # d >= 1, so the constant term is not in it
     quotient: dict[int, int] = {}
     for key in sorted((key for key in sliced if key % base), key=lambda key: -(key % base)):
         known = (quotient.get(key - u, 0) for u, mk in zip(units, _counts(key, base)[1:]) if mk)
@@ -474,7 +458,7 @@ def geode_quotient(d: int, q: int) -> LayeredPoly:
             product[key + u] = product.get(key + u, 0) + c
     if {key: c for key, c in product.items() if c} != {key: c for key, c in sliced.items() if c}:
         raise NonzeroRemainder(f"face level {d} slice is not a multiple of t2 + ... + t{q}")
-    return _poly(quotient, spec)
+    return {d - 1: {key: c for key, c in quotient.items() if c}}
 
 
 def table_rows(spec: LayerSpec) -> list[tuple[str, dict[int, int]]]:

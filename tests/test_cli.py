@@ -494,12 +494,14 @@ class TestRaney:
         code, out = run(capsys, "raney", "rank", "0")
         assert code == 0 and out.strip() == "-1"
         assert run(capsys, "raney", "rank", "2 , 0 ,0") == (0, "-1\n")
+        assert run(capsys, "raney", "rank", "1\n0") == (0, "-1\n")
 
     def test_check(self, capsys):
         code, out = run(capsys, "raney", "check", "202030100")
         assert code == 0 and out.strip() == "yes"
         code, out = run(capsys, "raney", "check", "020")
         assert code == 1 and out.strip() == "no"
+        assert run(capsys, "raney", "check", "2\n0\n0") == (0, "yes\n")
 
     def test_identify_paper_example(self, capsys):
         code, out = run(capsys, "raney", "identify", "0030130010001000420",

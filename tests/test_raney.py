@@ -70,6 +70,8 @@ class TestParsing:
         assert parse_string("") == ()
         assert parse_string("2 , 0 ,0") == (2, 0, 0)
         assert parse_string("2 0,1") == (2, 0, 1)
+        assert parse_string("2\n0\r\n0") == (2, 0, 0)
+        assert parse_string("1\x0b0\f0\u00a0 0") == (1, 0, 0, 0)  # every separator str.split knows
 
     @pytest.mark.parametrize("text,message", [
         ("\u00b2", "not a digit string: '\u00b2'"),  # superscript two: str.isdigit admits it

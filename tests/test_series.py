@@ -14,8 +14,6 @@ from hypercatalan.series import (
     LayerSpec,
     Measure,
     NonzeroRemainder,
-    _poly,
-    _unpack,
     _walk,
     build_beta,
     enumerate_types,
@@ -31,9 +29,9 @@ from hypercatalan.series import (
     table_rows,
 )
 
-from oracles import (ONE, add, admits, bumped_walk, count_trees, graded, mul, mul_from_top, pack,
-                     packed, poly, poly_from_json, poly_text, poly_to_json, print_order, table_json,
-                     truncate)
+from oracles import (ONE, add, admits, bumped_walk, count_trees, geode, graded, mul, mul_from_top,
+                     pack, packed, poly, poly_from_json, poly_text, poly_to_json, print_order,
+                     table_json, truncate, unpack, unpacked)
 
 
 def tv(*counts):
@@ -296,7 +294,7 @@ class TestPackedKernel:
         # a random beta on the walk's keys: the kernel drops every product term past the spec
         rng = random.Random(spec.d * 31 + (spec.gon_bound or 0))
         buckets = [{key: rng.choice((-1, 1)) * rng.randint(1, 9) for key in b} for b in _walk(spec)]
-        beta = _poly({key: c for b in buckets for key, c in b.items()}, spec)
+        beta = unpacked({key: c for b in buckets for key, c in b.items()}, spec)
         if spec.max_gon() >= 2:
             assert any(not admits(spec, m) for m in mul(beta, beta).terms)
         monkeypatch.setattr(series, "_walk", lambda s: [dict(b) for b in buckets])
@@ -314,14 +312,14 @@ class TestPackedKernel:
             bound = rng.randint(0, spec.d)
             square = series._mul_graded(a, a, bound)
             assert square == series._mul_graded(a, [dict(bucket) for bucket in a], bound)
-            p = _poly({key: c for bucket in a for key, c in bucket.items()}, spec)
+            p = unpacked({key: c for bucket in a for key, c in bucket.items()}, spec)
             oracle = mul_truncated(p, p, LayerSpec(spec.measure, bound, spec.gon_bound))
-            assert _poly({key: c for bucket in square for key, c in bucket.items()}, spec) == oracle
+            assert unpacked({key: c for bucket in square for key, c in bucket.items()}, spec) == oracle
             assert len(square) == bound + 1
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
     def test_table_rows_match_oracle(self, spec):
-        rows = [(label, _poly(bucket, spec)) for label, bucket in table_rows(spec)]
+        rows = [(label, unpacked(bucket, spec)) for label, bucket in table_rows(spec)]
         assert rows == _oracle_table_rows(spec)
 
 
@@ -366,7 +364,7 @@ class TestRenderTable:
         rows = [("empty", {}), ("all zero", {0: 0, 1: 0}), ("zeros", {0: 0, 1: 0, 5: 3}),
                 ("signs", {0: -1, 1: -12, 25: 7, 6: -1}), ('a "quote" and a \\ back\tslash\n', {1: 2}),
                 ("β ∑ 𝛼 ü", {0: 1}), ("", {2: -10**40})]
-        want = table_json([(label, _poly(bucket, spec)) for label, bucket in rows])
+        want = table_json([(label, unpacked(bucket, spec)) for label, bucket in rows])
         assert render_table(spec, rows, "json") == want
         assert render_table(spec, [], "json") == table_json([]) == "[]\n"
 
@@ -379,7 +377,7 @@ class TestRenderTable:
         keys += [rng.randrange(base ** 6) for _ in range(200)]
         bucket = dict.fromkeys(keys, 1)
         shown = [m for m, _ in series._printer(spec, [bucket], "json")(bucket)]
-        want = sorted({_unpack(key, base) for key in keys}, key=lambda m: (m.faces(), m.entries))
+        want = sorted({unpack(key, base) for key in keys}, key=lambda m: (m.faces(), m.entries))
         assert shown == [json.dumps(m.to_counts()) for m in want]
 
     def test_zero_coefficients_are_skipped(self):
@@ -410,11 +408,11 @@ class TestPowers:
 
 class TestGeode:
     def test_trivial_quotients(self):
-        assert geode_quotient(1, 3) == ONE
-        assert geode_quotient(2, 2) == poly((2, [1]))
+        assert geode(1, 3) == ONE
+        assert geode(2, 2) == poly((2, [1]))
 
     def test_table_row_quotient(self):
-        assert geode_quotient(2, 3) == poly((2, [1]), (3, [0, 1]))
+        assert geode(2, 3) == poly((2, [1]), (3, [0, 1]))
 
     def test_zero_remainder_over_sweep(self):
         for q in range(2, 7):
@@ -422,14 +420,14 @@ class TestGeode:
                 spec = LayerSpec(Measure.FACE, d, q)
                 divisor = LayeredPoly({unit_type(k): 1 for k in range(2, q + 1)})
                 sliced = layer_slice(build_beta(spec), Measure.FACE, d)
-                assert mul_truncated(geode_quotient(d, q), divisor, spec) == sliced
+                assert mul_truncated(geode(d, q), divisor, spec) == sliced
 
     def test_nonzero_remainder_raises(self, monkeypatch):
         # no single monomial is a multiple of t2 + t3 + ..., so every bumped coefficient raises
         for q in range(3, 6):
             for d in range(1, 6):
                 for key in _walk(LayerSpec(Measure.FACE, d, q))[d]:
-                    bumps = [(d, _unpack(key, d + 1), 1)]
+                    bumps = [(d, unpack(key, d + 1), 1)]
                     monkeypatch.setattr(series, "_walk", bumped_walk(_walk, bumps))
                     with pytest.raises(NonzeroRemainder):
                         geode_quotient(d, q)
@@ -442,7 +440,7 @@ class TestSerialization:
 
     def test_table_rows_sum_to_total(self):
         for spec in (LayerSpec(Measure.VERTEX, 5), LayerSpec(Measure.FACE, 4, 3)):
-            rows = [(label, _poly(bucket, spec)) for label, bucket in table_rows(spec)]
+            rows = [(label, unpacked(bucket, spec)) for label, bucket in table_rows(spec)]
             acc = LayeredPoly()
             for label, p in rows:
                 if label.endswith("total"):
@@ -743,11 +741,23 @@ class TestPackedWalk:
 
     @pytest.mark.parametrize("spec", WALK_SPECS, ids=_spec_id)
     def test_buckets_match_oracle(self, spec):
-        walked = _walk(spec)
-        assert walked == _oracle_graded(spec)
-        for bucket in walked:
-            entries = [_unpack(key, spec.d + 1).entries for key in bucket]
-            assert entries == sorted(entries)  # lex within each level
+        assert _walk(spec) == _oracle_graded(spec)
+
+    def test_catalan_column_far_past_the_sweeps(self):
+        # S(t2) is the Catalan series: the face level F of q = 2 is C_F t2^F, key F
+        walked = _walk(LayerSpec(Measure.FACE, 2000, 2))
+        assert len(walked) == 2001
+        for f, bucket in enumerate(walked):
+            assert bucket == {f: comb(2 * f, f) // (f + 1)}, f
+
+    def test_two_gons_under_a_gon_bound(self):
+        # vertex level m2 + 2*m3 <= 40 with no gon past t3: every type goes on to t3 that has room
+        d = 40
+        want = [{} for _ in range(d + 1)]
+        for m2 in range(d + 1):
+            for m3 in range((d - m2) // 2 + 1):
+                want[m2 + 2 * m3][m2 + (d + 1) * m3] = hyper_catalan(tv(m2, m3))
+        assert _walk(LayerSpec(Measure.VERTEX, d, 3)) == want
 
     @pytest.mark.parametrize("spec", WALK_SPECS, ids=_spec_id)
     def test_walked_residual_matches_build_beta(self, spec, monkeypatch):
@@ -795,7 +805,7 @@ class TestAffineGradings:
                 assert evaluate_geometric(spec) == {}, (d, q)
                 values = {k: Fraction(rng.randint(-7, 7), rng.randint(1, 12))
                           for k in range(2, max(spec.max_gon(), 2) + 1)}
-                term = lambda key: prod(values[k] ** mk for k, mk in _unpack(key, d + 1).items())
+                term = lambda key: prod(values[k] ** mk for k, mk in unpack(key, d + 1).items())
                 walked = [(lvl, sum(c * term(key) for key, c in bucket.items()))
                           for lvl, bucket in enumerate(_walk(spec)) if bucket]
                 assert list(layer_sums(spec, values).items()) == walked, (d, q, values)
