@@ -5,9 +5,8 @@ combination P_r T + Q_r with polynomial coefficients; this module
 holds the closed form for the power coefficients and a finite
 truncated check of that reduction.  A univariate polynomial is a plain
 list of coefficients, lowest degree first, and [] is zero.  _mul_cut is
-the one truncated product, shared with series for R^F.  The check forms
-T^r by repeated squaring, each product cut at the order it needs, and
-takes P_r and Q_r = -P_{r-1} from one pass of the recurrence.
+the one truncated product, shared with series for R^F.  The check takes
+T^r from Raney's count, and T, P_r and Q_r = -P_{r-1} from binomials.
 """
 
 from __future__ import annotations
@@ -63,35 +62,26 @@ def catalan_power(r: int, m: int) -> int:
     return power_coeff(TypeVector.of({2: m}), r)
 
 
+def _reduction_poly(n: int, d: int) -> list[int]:
+    """P_n cut at order d: (-1)^j binom(n-1-j, j) at t^j, solving P_n = P_{n-1} - t P_{n-2}."""
+    return [(-1) ** j * comb(n - 1 - j, j) for j in range(min(d, (n - 1) // 2) + 1)]
+
+
 def verify_power_identity(r: int, d: int) -> list[int]:
     """Residual of t^{r-1} T^r = P_r T + Q_r, truncated at order d.
 
-    T is truncated at order d, and T^r, formed by repeated squaring, at
-    d - r + 1, the order that the shift by t^{r-1} moves to d; every
-    product is cut there.  The contract is [], the zero polynomial.
+    T^r is catalan_power (none of t^{r-1} T^r is left once r - 1 > d), T is
+    catalan, P_r and Q_r = -P_{r-1} are _reduction_poly: P_r T, cut at d, is
+    the one product.  The contract is [], the zero polynomial.
     """
     if r < 1:
         raise ValueError(f"power {r} < 1")
     if d < 0:
         raise ValueError(f"negative order {d}")
-    T, keep = [catalan(k) for k in range(d + 1)], d - r + 2  # T^r keeps indices below d - r + 2
-
-    def mul(a, b, n):
-        return _mul_cut([(j, x) for j, x in enumerate(a) if x], b, n)
-
-    lhs, square, bits = [1], T, r
-    while bits:
-        if bits & 1:
-            lhs = mul(lhs, square, keep)
-        bits >>= 1
-        if bits:
-            square = mul(square, square, keep)
-    prev, p = [], [1]  # P_{r-1} and P_r, from P_r = P_{r-1} - t P_{r-2}
-    for _ in range(r - 1):
-        prev, p = p, [x - y for x, y in zip_longest(p, [0] + prev, fillvalue=0)]
+    lhs = [0] * min(r - 1, d + 1) + [catalan_power(r, m) for m in range(d - r + 2)]
+    rhs = _mul_cut(enumerate(_reduction_poly(r, d)), [catalan(k) for k in range(d + 1)], d + 1)
     # Q_r = -P_{r-1}, so the residual is t^{r-1} T^r - P_r T + P_{r-1}
-    out = [x - y + z for x, y, z in
-           zip_longest([0] * (r - 1) + lhs, mul(p, T, d + 1), prev, fillvalue=0)][: d + 1]
+    out = [x - y + z for x, y, z in zip_longest(lhs, rhs, _reduction_poly(r - 1, d), fillvalue=0)]
     while out and not out[-1]:
         out.pop()
     return out

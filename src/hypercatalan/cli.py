@@ -347,7 +347,8 @@ def main(argv=None) -> int:
         # the library's argument checks, made before any output: these are the usage errors
         _usage_error(str(exc))
     except (OverflowError, MemoryError) as exc:
-        # past math.factorial's range (sys.maxsize), or an allocation refused at once: no output
+        # past math.perm's range (a falling factorial of over sys.maxsize factors), or an
+        # allocation refused at once: no output
         _usage_error(f"input too large to compute: {str(exc) or 'not enough memory'}")
     except BrokenPipeError:
         # stdout closed early (`| head`): devnull keeps the exit flush quiet (signal docs)

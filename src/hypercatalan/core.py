@@ -13,7 +13,7 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, perm
 from typing import Iterable, Iterator, Mapping
 
 
@@ -163,9 +163,15 @@ class Composition:
 
 
 def _list_count(n: int, c: Composition) -> int:
-    """Raney's count of the lists of n words over c: n*(L-1)!/(m_0! m_1! m!), L = c.length(n)."""
-    num = n * factorial(c.length(n) - 1)
-    return _exact_div(num, factorial(c.zeros(n)) * factorial(c.m1) * c.tail.type_factorial())
+    """Raney's count of the lists of n words over c: n*(L-1)!/(m_0! m_1! m!), L = c.length(n).
+
+    Formed as n*(L!/m_0!)/(L m_1! m!): the falling factorial L!/m_0! has
+    m_1 + faces factors however many words there are, and it starts at L!
+    because L - 1 < m_0 for the empty type.
+    """
+    length = c.length(n)
+    num = n * perm(length, length - c.zeros(n))
+    return _exact_div(num, length * factorial(c.m1) * c.tail.type_factorial())
 
 
 def hyper_catalan(m: TypeVector) -> int:

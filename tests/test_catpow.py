@@ -1,7 +1,9 @@
 import random
+from math import comb
 
 import pytest
 
+from hypercatalan import catpow
 from hypercatalan.catpow import _mul_cut, catalan, catalan_power, verify_power_identity
 from hypercatalan.core import TypeVector, hyper_catalan, power_coeff
 from oracles import (
@@ -141,6 +143,55 @@ class TestPowerIdentity:
 
     def test_r2_is_defining_quadratic(self):
         assert verify_power_identity(2, 10) == []
+
+    def test_power_far_past_the_order(self):
+        assert verify_power_identity(10**12, 20) == []
+
+    def test_left_side_empty_matches_oracle_chain(self):
+        # for r > d + 1 nothing of t^{r-1} T^r is left, and the residual is -(P_r T + Q_r)
+        T = catalan_series(60)
+        for r in range(3, 301):
+            rhs = p_poly(r) * T + q_poly(r)
+            for d in range(min(r - 1, 61)):
+                assert verify_power_identity(r, d) == list((-rhs).truncated(d).coeffs), (r, d)
+
+
+class TestCorruptedForms:
+    """A wrong coefficient on either side leaves the residual the closed forms predict."""
+
+    @pytest.mark.parametrize("r,n", [(1, 0), (3, 3), (4, 0), (6, 5), (9, 2)])
+    def test_bumped_catalan(self, monkeypatch, r, n):
+        # T gains t^n, which only P_r T reads: the residual is -P_r t^n
+        monkeypatch.setattr(catpow, "catalan", lambda k: catalan(k) + (k == n))
+        for d in range(16):
+            got = verify_power_identity(r, d)
+            assert got == list((-p_poly(r).shift(n)).truncated(d).coeffs), (r, n, d)
+            if n <= d:  # first seen at order n, since P_r(0) = 1
+                assert got[: n + 1] == [0] * n + [-1]
+
+    @pytest.mark.parametrize("r,m", [(1, 0), (2, 3), (5, 0), (7, 4)])
+    def test_bumped_catalan_power(self, monkeypatch, r, m):
+        # [t^m] T^r raised by 1 raises the left side by t^{r-1+m}
+        monkeypatch.setattr(catpow, "catalan_power", lambda s, k: catalan_power(s, k) + (k == m))
+        for d in range(16):
+            want = [0] * (r - 1 + m) + [1] if r - 1 + m <= d else []
+            assert verify_power_identity(r, d) == want, (r, m, d)
+
+    def test_bumped_reduction_binomial(self, monkeypatch):
+        # binom(n-1-j, j) is |[t^j] P_n|, and catalan reads only binom(2k, k), so a pair with
+        # n-1-j != 2j is P_n's alone.  Raising it by 1 adds (-1)^j t^j to P_n: for n = r the
+        # residual gains -(-1)^j t^j T, for n = r - 1 (P_{r-1} = -Q_r) it gains (-1)^j t^j
+        T = catalan_series(12)
+        for r in range(2, 14):
+            for n, sign in ((r, -1), (r - 1, 1)):
+                for j in range((n - 1) // 2 + 1):
+                    if n - 1 - j == 2 * j:
+                        continue
+                    bumped = (n - 1 - j, j)
+                    monkeypatch.setattr(catpow, "comb", lambda a, b: comb(a, b) + ((a, b) == bumped))
+                    term = UniPoly([0] * j + [sign * (-1) ** j])
+                    want = (term * T if n == r else term).truncated(12)
+                    assert verify_power_identity(r, 12) == list(want.coeffs), (r, n, j)
 
 
 class TestRecurrence:

@@ -21,6 +21,9 @@ from hypercatalan.raney import format_string, parse_string
 from oracles import bumped_walk, count_trees, enumerate_lists_dfs, list_rotations_scan, rotate, tree_of
 
 
+HUGE = "99999999999999999999"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -601,11 +604,21 @@ class TestPowers:
         assert code == 0 and out.strip() == "5"
 
     def test_identity_nonzero_residual(self, capsys, monkeypatch):
-        # C_3 raised by 1; the line is the one the UniPoly form of the residual printed
+        # C_3 raised by 1 raises T by t^3, and only P_3 T reads T: t^{r-1} T^r comes from
+        # catalan_power, so the residual is -P_3 t^3 = -(1 - t) t^3, cut at order 6
         catalan = catpow.catalan
         monkeypatch.setattr(catpow, "catalan", lambda n: catalan(n) + (n == 3))
         code, out = run(capsys, "powers", "--identity", "3", "--order", "6")
-        assert code == 1 and out == "NONZERO residual: -t^3 + t^4 + 3t^5 + 6t^6\n"
+        assert code == 1 and out == "NONZERO residual: -t^3 + t^4\n"
+
+    @pytest.mark.parametrize("argv,stdout", [
+        (["coeff", "--type", "1", "--power", HUGE],
+         f"type [m2=1]\nC = 1\nV = 3, E = 3, F = 1\nC^({HUGE}) = {HUGE}\n"),
+        (["powers", "--r", HUGE, "--m", "1"], f"{HUGE}\n"),
+    ], ids=["coeff-huge-power", "powers-huge-r"])
+    def test_huge_power_of_one_triangle(self, capsys, argv, stdout):
+        # r words over one triangle: a falling factorial of one factor, however large r is
+        assert run(capsys, *argv) == (0, stdout)
 
 
 # Python 3.11 (and 3.10.7 on) refuse to print an int of more than 4300 digits
@@ -613,10 +626,8 @@ NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"
                                        reason="no int-to-str digit limit")
 DIGIT_LIMIT_ERROR = ("error: result has more than 4300 digits, Python's int-to-str limit "
                      "(PYTHONINTMAXSTRDIGITS=0 lifts it)")
-# math.factorial takes no argument above sys.maxsize (2^63 - 1 on 64-bit builds)
-TOO_LARGE_ERROR = ("error: input too large to compute: "
-                   f"factorial() argument should not exceed {sys.maxsize}")
-HUGE = "99999999999999999999"
+# math.perm forms no falling factorial of more than sys.maxsize (2^63 - 1 on 64-bit builds) factors
+TOO_LARGE_ERROR = f"error: input too large to compute: k must not exceed {sys.maxsize}"
 # a Raney string of two 4300-digit symbols, whose rank has 4301 digits
 NINES = "9" * 4300 + "," + "9" * 4300
 
@@ -673,9 +684,7 @@ class TestUsageErrors:
             ["raney", "rotations", NINES],
         )],
         (["coeff", "--type", HUGE], TOO_LARGE_ERROR),
-        (["coeff", "--type", "1", "--power", HUGE], TOO_LARGE_ERROR),
         (["subdigons", "--type", HUGE], TOO_LARGE_ERROR),
-        (["powers", "--r", HUGE, "--m", "1"], TOO_LARGE_ERROR),
         (["powers", "--r", "1", "--m", HUGE], TOO_LARGE_ERROR),
     ], ids=["powers-without-arguments", "rotations-rank-0", "enumerate-n-0",
             "identify-rank-0", "check-n-0", "enumerate-negative-count", "rank-bad-digits",
@@ -688,7 +697,7 @@ class TestUsageErrors:
             "solve-huge-level-bound", "coeff-digit-limit", "powers-digit-limit",
             "solve-digit-limit", "solve-level-line-digit-limit", "subdigons-digit-limit",
             "rank-digit-limit", "identify-digit-limit", "rotations-digit-limit", "coeff-huge-type",
-            "coeff-huge-power", "subdigons-huge-type", "powers-huge-r", "powers-huge-m"])
+            "subdigons-huge-type", "powers-huge-m"])
     def test_exit_2_with_one_line_message(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)

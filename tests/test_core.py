@@ -4,7 +4,7 @@ from pathlib import Path
 
 import hypercatalan
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hypercatalan.core import (
     Composition,
@@ -126,6 +126,13 @@ class TestPowerCoeff:
         # [t2] S^3 = 3 and [t2^2] S^2 = 5, from expanding the truncations
         assert power_coeff(tv(1), 3) == 3
         assert power_coeff(tv(2), 2) == 5
+
+    @given(st.integers(min_value=2, max_value=40), st.integers(min_value=1, max_value=10**30))
+    @example(2, 10**30)
+    @example(17, 10**30)
+    def test_one_polygon_any_power(self, k, r):
+        # r*(r-2+E)!/((r-2+V)! m!) with E = k + 1 = V: the gon sits in one of the r words
+        assert power_coeff(unit_type(k), r) == r
 
     @given(type_vectors, st.integers(min_value=2, max_value=6))
     def test_equals_central_count_of_bumped_type(self, m, r):
