@@ -5,8 +5,9 @@ combination P_r T + Q_r with polynomial coefficients; this module
 holds the closed form for the power coefficients and a finite
 truncated check of that reduction.  A univariate polynomial is a plain
 list of coefficients, lowest degree first, and [] is zero.  _mul_cut is
-the one truncated product, shared with series for R^F.  The check takes
-T^r from Raney's count, and T, P_r and Q_r = -P_{r-1} from binomials.
+the one truncated product, shared with series for R^F.  The check advances
+the coefficients of T and T^r by the ratio of consecutive ones, and takes
+P_r and Q_r = -P_{r-1} from binomials.
 """
 
 from __future__ import annotations
@@ -62,6 +63,25 @@ def catalan_power(r: int, m: int) -> int:
     return power_coeff(TypeVector.of({2: m}), r)
 
 
+def _catalans(n: int) -> list[int]:
+    """The first n coefficients of T, C_0 .. C_{n-1}, by C_{k+1} = C_k * 2(2k+1) / (k+2)."""
+    row = [1] if n > 0 else []
+    for k in range(n - 1):
+        row.append(row[k] * 2 * (2 * k + 1) // (k + 2))
+    return row
+
+
+def _catalan_powers(r: int, n: int) -> list[int]:
+    """The first n coefficients of T^r, c_0 = 1 and c_{m+1} = c_m (2m+r)(2m+r+1) / ((m+1)(m+r+1)).
+
+    Each division is exact: the ratio of catalan_power(r, m + 1) to catalan_power(r, m).
+    """
+    row = [1] if n > 0 else []
+    for m in range(n - 1):
+        row.append(row[m] * (2 * m + r) * (2 * m + r + 1) // ((m + 1) * (m + r + 1)))
+    return row
+
+
 def _reduction_poly(n: int, d: int) -> list[int]:
     """P_n cut at order d: (-1)^j binom(n-1-j, j) at t^j, solving P_n = P_{n-1} - t P_{n-2}."""
     return [(-1) ** j * comb(n - 1 - j, j) for j in range(min(d, (n - 1) // 2) + 1)]
@@ -70,16 +90,16 @@ def _reduction_poly(n: int, d: int) -> list[int]:
 def verify_power_identity(r: int, d: int) -> list[int]:
     """Residual of t^{r-1} T^r = P_r T + Q_r, truncated at order d.
 
-    T^r is catalan_power (none of t^{r-1} T^r is left once r - 1 > d), T is
-    catalan, P_r and Q_r = -P_{r-1} are _reduction_poly: P_r T, cut at d, is
+    T^r is _catalan_powers (none of t^{r-1} T^r is left once r - 1 > d), T is
+    _catalans, P_r and Q_r = -P_{r-1} are _reduction_poly: P_r T, cut at d, is
     the one product.  The contract is [], the zero polynomial.
     """
     if r < 1:
         raise ValueError(f"power {r} < 1")
     if d < 0:
         raise ValueError(f"negative order {d}")
-    lhs = [0] * min(r - 1, d + 1) + [catalan_power(r, m) for m in range(d - r + 2)]
-    rhs = _mul_cut(enumerate(_reduction_poly(r, d)), [catalan(k) for k in range(d + 1)], d + 1)
+    lhs = [0] * min(r - 1, d + 1) + _catalan_powers(r, d - r + 2)
+    rhs = _mul_cut(enumerate(_reduction_poly(r, d)), _catalans(d + 1), d + 1)
     # Q_r = -P_{r-1}, so the residual is t^{r-1} T^r - P_r T + P_{r-1}
     out = [x - y + z for x, y, z in zip_longest(lhs, rhs, _reduction_poly(r - 1, d), fillvalue=0)]
     while out and not out[-1]:

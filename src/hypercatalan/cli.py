@@ -107,7 +107,9 @@ def cmd_coeff(args) -> int:
 
 def cmd_table(args) -> int:
     spec = LayerSpec(Measure(args.measure), args.d, args.q)
-    _write(series.render_table(spec, series.table_rows(spec), args.format))
+    labels: dict = {}  # the walk labels each key it makes, so the printer decodes none
+    rows = series.table_rows(spec, labels)
+    _write(series.render_table(spec, rows, args.format, labels))
     return 0
 
 

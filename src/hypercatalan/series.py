@@ -8,11 +8,14 @@ paths keep every polynomial packed.  The coefficient walk (_walk) makes the
 types of beta one gon at a time, writing each into its level bucket of packed
 keys; evaluate_geometric returns the residual as {level: {packed key:
 coefficient}}, and geode_quotient its quotient of one bucket; table_rows
-returns the buckets that render_table prints.
-Decoding, print order and text come from _printer, behind render_table and
-first_term alike: it decodes each key once to its counts and joins a monomial's
-text from a table per gon.  render_table writes its json text itself, as
-json.dumps would.
+returns the buckets that render_table prints.  The residual sums
+1 + sum_n t_n beta^n into fresh level buckets and compares each with beta's:
+only a level where they differ is subtracted term by term.
+Print order and text come from _printer, behind render_table and first_term
+alike.  Each key is sorted and spelled by its label (faces, entries), its
+TypeVector's: the walk labels each type it makes when given a dict, which table
+then passes on to render_table, and the printer decodes only the keys it has no
+label for.  render_table writes its json text itself, as json.dumps would.
 
 LayeredPoly, a map from TypeVector to int, is the type-vector form that the
 tests compare the packed paths with, through mul_truncated (which prunes
@@ -30,9 +33,10 @@ build_beta, enumerate_types and layer_slice.
   up to level d - weight(n).  No weight falls as n grows, so each power
   needs its factors only up to its own bound: beta^n is (beta^(n/2))^2
   for even n and beta^(n-1) * beta for odd n.  Level 0 holds only the
-  empty monomial, so a product scales a copy of each side by the other's
-  constant term and multiplies term by term only the pairs of levels
-  >= 1, a square each unordered pair once.
+  empty monomial, so a product's constant-term part is copies: a square's
+  level l is 2*a0*a_l, and any other product's starts as b_l (scaled by a0
+  unless a0 is 1) with b0*a_l added.  Only the pairs of levels >= 1 are
+  multiplied term by term, a square each unordered pair once.
 
 Level sums (layer_sums) need no walk.  Group the types by F = sum_k m_k
 and s = sum_k (k-1) m_k: V - 1 = s + 1 and E - 1 = F + s, so C_m =
@@ -66,9 +70,9 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, zip_longest
+from itertools import accumulate, compress
 from math import comb, gcd, isfinite, lcm, ldexp, perm
-from operator import getitem, mul, or_
+from operator import mul, or_
 
 from .catpow import _mul_cut, _poly_text
 from .core import TypeVector
@@ -174,7 +178,7 @@ def mul_truncated(p: LayeredPoly, q: LayeredPoly, spec: LayerSpec) -> LayeredPol
 Graded = list[dict[int, int]]
 
 
-def _walk(spec: LayerSpec) -> Graded:
+def _walk(spec: LayerSpec, labels: dict | None = None) -> Graded:
     """beta for spec graded: {packed key: C_m} per level.
 
     One pass per gon k = 2 .. max_gon: each type made so far that still has room takes
@@ -183,15 +187,24 @@ def _walk(spec: LayerSpec) -> Graded:
     C = (E-1)!/((V-1)! m!) exactly: C * E(E+1)...(E+k-1) / ((m_k+1) * V(V+1)...(V+k-2)).
     A type goes on to gon k+1 only while its level is at most d - weight(k+1): the
     weights never decrease with k, so a type that fails has no room for any later gon.
+    Given a dict, the walk records labels[key] = (faces, entries) for each type it writes,
+    as the type's TypeVector has them: its parent's label with m_k faces and (k, m_k) added.
     """
     d, top = spec.d, spec.max_gon()
     buckets: Graded = [{} for _ in range(d + 1)]
     buckets[0][0] = 1
+    if labels is not None:
+        labels[0] = (0, ())
     live = [(0, 2, 1, 1, 0)]  # (level, V, E, C, key) of each type with room for gon k
     for k in range(2, top + 1):
         w, unit = weight(k, spec.measure), (d + 1) ** (k - 2)
         room = d - weight(k + 1, spec.measure) if k < top else -1
         grown = [t for t in live if t[0] <= room]  # the types that take no (k+1)-gon
+        if labels is not None:
+            for lvl, _, _, _, key in live:
+                faces, entries = labels[key]
+                for mk in range(1, (d - lvl) // w + 1):
+                    labels[key + mk * unit] = (faces + mk, (*entries, (k, mk)))
         for lvl, v, e, c, key in live:
             for mk in range(1, (d - lvl) // w + 1):
                 c = c * perm(e + k - 1, k) // (mk * perm(v + k - 2, k - 1))
@@ -372,15 +385,23 @@ def _unpack(key: int, base: int) -> TypeVector:
 def _mul_graded(a: Graded, b: Graded, bound: int) -> Graded:
     """a*b truncated at level bound; a and b both have buckets up to bound.
 
-    Each constant term (key 0, the only one at level 0) scales a copy of the other side;
-    a square (a is b) takes each unordered pair of terms once, doubled off the diagonal.
+    Each constant term (key 0, the only one at level 0) scales a copy of the other side:
+    a square's level l >= 1 starts as 2*a0*a_l, any other product's as b_l (copied when
+    a0 is 1) with b0*a_l added.  The pairs of levels >= 1 are then multiplied term by
+    term, a square (a is b) taking each unordered pair once, doubled off the diagonal.
     """
     a0, b0 = a[0].get(0, 0), b[0].get(0, 0)
-    out: Graded = [{k: a0 * c for k, c in bucket.items()} for bucket in b[: bound + 1]]
-    for o, bucket in zip(out[1:], a[1:]):
-        for k, c in bucket.items():
-            o[k] = o.get(k, 0) + b0 * c
     square = a is b
+    if square:
+        twice = 2 * a0
+        out: Graded = [{k: a0 * c for k, c in a[0].items()}]
+        out += [{k: twice * c for k, c in bucket.items()} for bucket in a[1 : bound + 1]]
+    else:
+        out = [dict(bucket) if a0 == 1 else {k: a0 * c for k, c in bucket.items()}
+               for bucket in b[: bound + 1]]
+        for o, bucket in zip(out[1:], a[1:]):
+            for k, c in bucket.items():
+                o[k] = o.get(k, 0) + b0 * c
     for i in range(1, bound // 2 + 1 if square else bound):
         terms_a = list(a[i].items())
         for j in range(i if square else 1, bound + 1 - i):
@@ -417,17 +438,25 @@ def evaluate_geometric(spec: LayerSpec) -> dict[int, dict[int, int]]:
     """The walked series' residual 1 - beta + sum_n t_n * beta^n, cut to spec, packed.
 
     {level: {packed key: coefficient}} of the nonzero terms: {} (zero) for the layered series.
+    1 + sum_n t_n * beta^n is summed into fresh level buckets and each is compared with
+    beta's; only a level where they differ is subtracted term by term.
     """
     beta = _walk(spec)
-    acc = [{key: -c for key, c in bucket.items()} for bucket in beta]
-    acc[0][0] = acc[0].get(0, 0) + 1
+    acc: Graded = [{0: 1}] + [{} for _ in beta[1:]]
     for _, w, shift, power in _graded_powers(beta, spec):
         for out, bucket in zip(acc[w:], power):
             for key, c in bucket.items():
                 key += shift
                 out[key] = out.get(key, 0) + c
-    return {lvl: terms for lvl, bucket in enumerate(acc)
-            if (terms := {key: c for key, c in bucket.items() if c})}
+    residual = {}
+    for lvl, (got, want) in enumerate(zip(acc, beta)):
+        if got != want:
+            diff = {key: -c for key, c in want.items()}
+            for key, c in got.items():
+                diff[key] = diff.get(key, 0) + c
+            if terms := {key: c for key, c in diff.items() if c}:
+                residual[lvl] = terms
+    return residual
 
 
 def layer_slice(p: LayeredPoly, measure: Measure, n: int) -> LayeredPoly:
@@ -461,14 +490,15 @@ def geode_quotient(d: int, q: int) -> dict[int, dict[int, int]]:
     return {d - 1: {key: c for key, c in quotient.items() if c}}
 
 
-def table_rows(spec: LayerSpec) -> list[tuple[str, dict[int, int]]]:
+def table_rows(spec: LayerSpec, labels: dict | None = None) -> list[tuple[str, dict[int, int]]]:
     """Per-level, per-source-term decomposition of the layering identity, packed.
 
     For each level up to d, the level bucket of each contributing source term
     t_n*beta^n, labelled "[v^3] t2 b^2", then that of beta - 1, "[v^3] total".
+    A labels dict is passed to the walk, which labels every key of the rows.
     """
     sym = spec.measure.value[0]
-    beta = _walk(spec)
+    beta = _walk(spec, labels)
     sources = [(n, [{} for _ in range(w)] + [{k + shift: c for k, c in b.items()} for b in power])
                for n, w, shift, power in _graded_powers(beta, spec)]
     beta[0][0] = beta[0].get(0, 0) - 1  # the total rows are beta - 1
@@ -479,25 +509,41 @@ def table_rows(spec: LayerSpec) -> list[tuple[str, dict[int, int]]]:
     return rows
 
 
-def _printer(spec: LayerSpec, buckets, fmt: str):
+def _label(key: int, base: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(faces, entries) of a packed key, as its TypeVector has them: the walk's label."""
+    counts = _counts(key, base)
+    return sum(counts), tuple([(k, mk) for k, mk in enumerate(counts, 2) if mk])
+
+
+class _Pieces(dict):
+    """The text 'tk' or 'tk^m' of each entry (k, m), made when first asked for."""
+
+    def __missing__(self, entry):
+        k, mk = entry
+        text = self[entry] = f"t{k}^{mk}" if mk > 1 else f"t{k}"
+        return text
+
+
+def _printer(spec: LayerSpec, buckets, fmt: str, labels: dict | None = None):
     """terms(bucket): its nonzero (monomial, coeff) pairs in print order: faces, then entries.
 
-    Keys are decoded once, for every bucket, and sorted by (faces, counts with 0 read as
-    the base): one order with (faces, entries), since every count is below the base.  A
-    monomial shows as its counts '[m2, m3, ...]' in json, as its text 't2^3t4' otherwise,
-    joined from a table of '', 'tk' and 'tk^m' per gon.
+    Each key takes its (faces, entries) label from labels, the walk's, and is decoded only
+    when labels lacks it; the keys sort by label.  A monomial shows as its counts
+    '[m2, m3, ...]' in json, as its text 't2^3t4' otherwise, one 'tk' or 'tk^m' per entry.
     """
-    base = spec.d + 1
-    counts = {key: _counts(key, base) for key in set().union(*buckets)}
-    order = sorted(counts, key=lambda key: (sum(counts[key]), [m or base for m in counts[key]]))
-    rank = dict(zip(order, range(len(order))))
+    base, known = spec.d + 1, labels or {}
+    label = {key: known.get(key) or _label(key, base) for key in set().union(*buckets)}
+    rank = dict(zip(sorted(label, key=label.__getitem__), range(len(label))))
     if fmt == "json":
-        show = {key: str(c) for key, c in counts.items()}
+        show = {}
+        for key, (_, entries) in label.items():
+            counts = [0] * (entries[-1][0] - 1) if entries else []
+            for k, mk in entries:
+                counts[k - 2] = mk
+            show[key] = str(counts)
     else:
-        tops = map(max, zip_longest(*counts.values(), fillvalue=0))
-        texts = [["", f"t{k}", *(f"t{k}^{m}" for m in range(2, top + 1))]
-                 for k, top in enumerate(tops, 2)]
-        show = {key: "".join(map(getitem, texts, c)) for key, c in counts.items()}
+        piece = _Pieces().__getitem__
+        show = {key: "".join(map(piece, entries)) for key, (_, entries) in label.items()}
 
     def terms(bucket):
         ranked = sorted(bucket, key=rank.__getitem__)
@@ -506,12 +552,14 @@ def _printer(spec: LayerSpec, buckets, fmt: str):
     return terms
 
 
-def render_table(spec: LayerSpec, rows: list[tuple[str, dict[int, int]]], fmt: str) -> str:
+def render_table(spec: LayerSpec, rows: list[tuple[str, dict[int, int]]], fmt: str,
+                 labels: dict | None = None) -> str:
     """The rows of table_rows as text, csv or json; zero coefficients are skipped.
 
-    The json text is written here, as json.dumps writes it with its default separators.
+    labels, filled by table_rows, spares the printer decoding the keys it has.  The json
+    text is written here, as json.dumps writes it with its default separators.
     """
-    terms = _printer(spec, [b for _, b in rows], fmt)
+    terms = _printer(spec, [b for _, b in rows], fmt, labels)
     if fmt == "json":
         term = '{{"type": {}, "coeff": "{}"}}'.format
         row = '{{"row": {}, "terms": [{}]}}'.format

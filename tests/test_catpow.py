@@ -4,7 +4,8 @@ from math import comb
 import pytest
 
 from hypercatalan import catpow
-from hypercatalan.catpow import _mul_cut, catalan, catalan_power, verify_power_identity
+from hypercatalan.catpow import (_catalan_powers, _catalans, _mul_cut, catalan, catalan_power,
+                                 verify_power_identity)
 from hypercatalan.core import TypeVector, hyper_catalan, power_coeff
 from oracles import (
     UniPoly,
@@ -46,11 +47,21 @@ class TestCatalan:
     def test_series(self):
         assert catalan_series(3) == UniPoly([1, 1, 2, 5])
 
+    def test_ratio_row_matches_closed_form(self):
+        assert _catalans(0) == []
+        assert _catalans(61) == [catalan(k) for k in range(61)]
+
 
 class TestCatalanPower:
     def test_power_one(self):
         for m in range(10):
             assert catalan_power(1, m) == catalan(m)
+
+    def test_ratio_row_matches_closed_form(self):
+        # the power check advances T^r by the ratio of consecutive coefficients
+        for r in range(1, 31):
+            assert _catalan_powers(r, 61) == [catalan_power(r, m) for m in range(61)], r
+            assert _catalan_powers(r, 0) == _catalan_powers(r, -3) == []
 
     def test_examples(self):
         # [t^2] of (1 + t + 2t^2 + 5t^3 + ...)^2
@@ -162,7 +173,8 @@ class TestCorruptedForms:
     @pytest.mark.parametrize("r,n", [(1, 0), (3, 3), (4, 0), (6, 5), (9, 2)])
     def test_bumped_catalan(self, monkeypatch, r, n):
         # T gains t^n, which only P_r T reads: the residual is -P_r t^n
-        monkeypatch.setattr(catpow, "catalan", lambda k: catalan(k) + (k == n))
+        monkeypatch.setattr(catpow, "_catalans",
+                            lambda size: [c + (k == n) for k, c in enumerate(_catalans(size))])
         for d in range(16):
             got = verify_power_identity(r, d)
             assert got == list((-p_poly(r).shift(n)).truncated(d).coeffs), (r, n, d)
@@ -172,7 +184,8 @@ class TestCorruptedForms:
     @pytest.mark.parametrize("r,m", [(1, 0), (2, 3), (5, 0), (7, 4)])
     def test_bumped_catalan_power(self, monkeypatch, r, m):
         # [t^m] T^r raised by 1 raises the left side by t^{r-1+m}
-        monkeypatch.setattr(catpow, "catalan_power", lambda s, k: catalan_power(s, k) + (k == m))
+        monkeypatch.setattr(catpow, "_catalan_powers", lambda s, size: [
+            c + (k == m) for k, c in enumerate(_catalan_powers(s, size))])
         for d in range(16):
             want = [0] * (r - 1 + m) + [1] if r - 1 + m <= d else []
             assert verify_power_identity(r, d) == want, (r, m, d)

@@ -605,9 +605,10 @@ class TestPowers:
 
     def test_identity_nonzero_residual(self, capsys, monkeypatch):
         # C_3 raised by 1 raises T by t^3, and only P_3 T reads T: t^{r-1} T^r comes from
-        # catalan_power, so the residual is -P_3 t^3 = -(1 - t) t^3, cut at order 6
-        catalan = catpow.catalan
-        monkeypatch.setattr(catpow, "catalan", lambda n: catalan(n) + (n == 3))
+        # _catalan_powers, so the residual is -P_3 t^3 = -(1 - t) t^3, cut at order 6
+        catalans = catpow._catalans
+        monkeypatch.setattr(catpow, "_catalans",
+                            lambda n: [c + (k == 3) for k, c in enumerate(catalans(n))])
         code, out = run(capsys, "powers", "--identity", "3", "--order", "6")
         assert code == 1 and out == "NONZERO residual: -t^3 + t^4\n"
 

@@ -297,25 +297,43 @@ class TestPackedKernel:
         beta = unpacked({key: c for b in buckets for key, c in b.items()}, spec)
         if spec.max_gon() >= 2:
             assert any(not admits(spec, m) for m in mul(beta, beta).terms)
-        monkeypatch.setattr(series, "_walk", lambda s: [dict(b) for b in buckets])
+        monkeypatch.setattr(series, "_walk", lambda s, labels=None: [dict(b) for b in buckets])
         assert evaluate_geometric(spec) == packed(_oracle_geometric(beta, spec), spec)
 
     @pytest.mark.parametrize("spec", [s for s in SWEEP_SPECS if s.d >= 1], ids=_spec_id)
     def test_square_matches_product_and_oracle(self, spec):
         # random coefficients on the walk's keys, under each kind of constant term;
-        # the square (a is b) takes its own path through the kernel
+        # the square (a is b) takes its own path through the kernel, and a product of two
+        # operands starts from a copy of b (a0 = 1) or a scaled one (any other a0)
         rng = random.Random(_spec_id(spec))
         keys = _walk(spec)
-        for const in ({0: 1}, {0: 0}, {0: -3}, {}):
-            a = [dict(const)] + [{key: rng.randint(-9, 9) for key in bucket if rng.random() < 0.8}
-                                 for bucket in keys[1:]]
+        consts = ({0: 1}, {0: 0}, {0: -3}, {})
+
+        def operand(const):
+            return [dict(const)] + [{key: rng.randint(-9, 9) for key in bucket if rng.random() < 0.8}
+                                    for bucket in keys[1:]]
+
+        def oracle(a, b, bound):
+            p, q = (unpacked({key: c for bucket in x for key, c in bucket.items()}, spec) for x in (a, b))
+            return mul_truncated(p, q, LayerSpec(spec.measure, bound, spec.gon_bound))
+
+        def unpack_graded(out):
+            return unpacked({key: c for bucket in out for key, c in bucket.items()}, spec)
+
+        for const in consts:
+            a = operand(const)
             bound = rng.randint(0, spec.d)
             square = series._mul_graded(a, a, bound)
             assert square == series._mul_graded(a, [dict(bucket) for bucket in a], bound)
-            p = unpacked({key: c for bucket in a for key, c in bucket.items()}, spec)
-            oracle = mul_truncated(p, p, LayerSpec(spec.measure, bound, spec.gon_bound))
-            assert unpacked({key: c for bucket in square for key, c in bucket.items()}, spec) == oracle
+            assert unpack_graded(square) == oracle(a, a, bound)
             assert len(square) == bound + 1
+        for const_a in consts:
+            for const_b in consts:
+                a, b = operand(const_a), operand(const_b)
+                bound = rng.randint(0, spec.d)
+                product = series._mul_graded(a, b, bound)
+                assert unpack_graded(product) == oracle(a, b, bound), (const_a, const_b)
+                assert len(product) == bound + 1
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
     def test_table_rows_match_oracle(self, spec):
@@ -379,6 +397,30 @@ class TestRenderTable:
         shown = [m for m, _ in series._printer(spec, [bucket], "json")(bucket)]
         want = sorted({unpack(key, base) for key in keys}, key=lambda m: (m.faces(), m.entries))
         assert shown == [json.dumps(m.to_counts()) for m in want]
+
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
+    def test_walk_labels_its_types(self, spec):
+        labels = {}
+        buckets = _walk(spec, labels)
+        assert buckets == _walk(spec)
+        assert labels.keys() == {key for bucket in buckets for key in bucket}
+        for key, label in labels.items():
+            m = unpack(key, spec.d + 1)
+            assert label == (m.faces(), m.entries), key
+
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
+    def test_labels_leave_the_text_unchanged(self, spec):
+        # the walk's labels spare decoding; a key the walk did not make is decoded
+        labels = {}
+        rows = table_rows(spec, labels)
+        assert rows == table_rows(spec)
+        if spec.d:  # at base 1 no key but 0 has digits
+            base, rng = spec.d + 1, random.Random(_spec_id(spec))
+            stray = {base ** (spec.max_gon() - 1): 3}  # one gon past the spec
+            stray.update((key, -2) for key in rng.sample(range(base ** 6), 20) if key not in labels)
+            rows.append(("stray", {0: -1, **rows[-1][1], **stray}))
+        for fmt in ("text", "csv", "json"):
+            assert render_table(spec, rows, fmt, labels) == render_table(spec, rows, fmt), fmt
 
     def test_zero_coefficients_are_skipped(self):
         spec = LayerSpec(Measure.VERTEX, 2)
@@ -763,7 +805,7 @@ class TestPackedWalk:
     def test_walked_residual_matches_build_beta(self, spec, monkeypatch):
         residual = evaluate_geometric(spec)
         beta = graded(build_beta(spec), spec)
-        monkeypatch.setattr(series, "_walk", lambda s: [dict(b) for b in beta])
+        monkeypatch.setattr(series, "_walk", lambda s, labels=None: [dict(b) for b in beta])
         assert residual == evaluate_geometric(spec) == {}
 
     @pytest.mark.parametrize("spec", [s for s in WALK_SPECS if s.max_gon() >= 2], ids=_spec_id)
@@ -772,7 +814,7 @@ class TestPackedWalk:
         wrong = [{key * (spec.d + 1): c for key, c in bucket.items()} for bucket in _walk(spec)]
         assert wrong != _oracle_graded(spec)
         rows = table_rows(spec)
-        monkeypatch.setattr(series, "_walk", lambda s: [dict(b) for b in wrong])
+        monkeypatch.setattr(series, "_walk", lambda s, labels=None: [dict(b) for b in wrong])
         assert evaluate_geometric(spec)
         assert table_rows(spec) != rows
 
