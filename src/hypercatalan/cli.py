@@ -2,6 +2,10 @@
 
 Subcommands: coeff, table, verify, solve, subdigons, raney, powers.
 Exit codes: 0 success/verified, 1 verification failure or stdout closed early, 2 usage error.
+
+Each command's options are written once, in _COMMANDS.  A well-formed command line is
+read by one scan against that table; any other, help and every option error included,
+goes to the argparse tree, built from the same table the first time a call needs it.
 """
 
 from __future__ import annotations
@@ -249,95 +253,137 @@ def cmd_powers(args) -> int:
     return 0
 
 
+_MEASURES = [m.value for m in Measure]
+_LEVEL = {"type": int, "required": True, "help": "max level"}
+_LAYERING = {
+    "--measure": {"choices": _MEASURES, "required": True},
+    "--d": _LEVEL,
+    "--q": {"type": int, "help": "gon bound (required for face)"},
+}
+
+# Each command by its leading words: the keywords of its add_parser call, the function
+# that runs it, and the add_argument keywords of each of its arguments by name.  The
+# parser tree is built from this table, and _scan reads well-formed command lines by it.
+_COMMANDS: dict[tuple[str, ...], tuple[dict, Callable, dict[str, dict]]] = {
+    ("coeff",): ({"help": "closed-form counts for a type vector"}, cmd_coeff, {
+        "--type": {"required": True, "help": "comma list m2,m3,..."},
+        "--central": {"action": "store_true", "help": "central-polygon split"},
+        "--power": {"type": int, "help": "series power r for C^(r)"},
+    }),
+    ("table",): ({}, cmd_table, {
+        **_LAYERING, "--format": {"choices": ["text", "csv", "json"], "default": "text"},
+    }),
+    ("verify",): ({}, cmd_verify, _LAYERING),
+    ("solve",): ({"help": "numeric root from the layered series"}, cmd_solve, {
+        "--coeffs": {"default": "", "help": "comma list of t2,t3,... values; "
+                     "write --coeffs=-1/3,1/5 when t2 is negative"},
+        "--measure": {"choices": _MEASURES, "default": "vertex"},
+        "--d": _LEVEL,
+        "--float": {"action": "store_true",
+                    "help": "float level sums instead of exact rationals, each within 1e-13 "
+                            "of the sum of |terms| of the exact one"},
+    }),
+    ("subdigons",): ({"help": "enumerate or count subdigons of a type"}, cmd_subdigons, {
+        "--type": {"required": True},
+        "--format": {"choices": ["count", "list", "json"], "default": "count"},
+        "--max-faces": {"type": int, "default": subdigon.DEFAULT_FACE_CAP},
+    }),
+    ("raney", "rank"): ({}, cmd_raney, {"string": {}}),
+    ("raney", "rotations"): ({}, cmd_raney, {"string": {}}),
+    ("raney", "check"): ({}, cmd_raney, {"string": {}, "--n": {"type": int, "default": 1}}),
+    ("raney", "identify"): ({}, cmd_raney, {"string": {}, "--cyclic": {"action": "store_true"}}),
+    ("raney", "enumerate"): ({}, cmd_raney, {
+        "--n": {"type": int, "required": True},
+        **{f"--m{k}": {"type": int, "default": 0, "help": f"count of symbol {k}"}
+           for k in range(1, 10)},
+    }),
+    ("powers",): ({"help": "Catalan power queries"}, cmd_powers, {
+        "--r": {"type": int, "help": "power"},
+        "--m": {"type": int, "help": "coefficient index"},
+        "--identity": {"type": int, "help": "verify the reduction identity for r"},
+        "--order": {"type": int, "default": 20, "help": "truncation order"},
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
-    return _parsers()[0]
+    """The argument parser, built from _COMMANDS when first asked for; parsing leaves it unchanged."""
+    return _parsers()
 
 
 @functools.lru_cache(maxsize=1)
-def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]]:
-    """The top parser, and the innermost subparser of each command by its leading words."""
+def _parsers() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypercatalan",
         description="Hyper-Catalan numbers, layered series zeros and Raney words",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coeff", help="closed-form counts for a type vector")
-    p.add_argument("--type", required=True, help="comma list m2,m3,...")
-    p.add_argument("--central", action="store_true", help="central-polygon split")
-    p.add_argument("--power", type=int, help="series power r for C^(r)")
-    p.set_defaults(func=cmd_coeff)
-
-    for name, func in (("table", cmd_table), ("verify", cmd_verify)):
-        p = sub.add_parser(name)
-        p.add_argument("--measure", choices=[m.value for m in Measure], required=True)
-        p.add_argument("--d", type=int, required=True, help="max level")
-        p.add_argument("--q", type=int, help="gon bound (required for face)")
-        if name == "table":
-            p.add_argument("--format", choices=["text", "csv", "json"], default="text")
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, (keywords, func, arguments) in _COMMANDS.items():
+        if words[:-1] not in subparsers:  # the raney group, made where its first command is
+            group = subparsers[()].add_parser(words[0], help="Raney string tools")
+            subparsers[words[:-1]] = group.add_subparsers(dest="raney_cmd", required=True)
+        p = subparsers[words[:-1]].add_parser(words[-1], **keywords)
+        for name, options in arguments.items():
+            p.add_argument(name, **options)
         p.set_defaults(func=func)
+    return parser
 
-    p = sub.add_parser("solve", help="numeric root from the layered series")
-    p.add_argument("--coeffs", default="", help="comma list of t2,t3,... values; "
-                   "write --coeffs=-1/3,1/5 when t2 is negative")
-    p.add_argument("--measure", choices=[m.value for m in Measure], default="vertex")
-    p.add_argument("--d", type=int, required=True, help="max level")
-    p.add_argument("--float", action="store_true",
-                   help="float level sums instead of exact rationals, each within 1e-13 of "
-                        "the sum of |terms| of the exact one")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("subdigons", help="enumerate or count subdigons of a type")
-    p.add_argument("--type", required=True)
-    p.add_argument("--format", choices=["count", "list", "json"], default="count")
-    p.add_argument("--max-faces", type=int, default=subdigon.DEFAULT_FACE_CAP)
-    p.set_defaults(func=cmd_subdigons)
+def _scan(argv: list[str]) -> argparse.Namespace | None:
+    """build_parser().parse_args(argv) read by _COMMANDS alone, or None where argv needs the tree.
 
-    p = sub.add_parser("raney", help="Raney string tools")
-    rsub = p.add_subparsers(dest="raney_cmd", required=True)
-    for name in ("rank", "rotations"):
-        rp = rsub.add_parser(name)
-        rp.add_argument("string")
-    rp = rsub.add_parser("check")
-    rp.add_argument("string")
-    rp.add_argument("--n", type=int, default=1)
-    rp = rsub.add_parser("identify")
-    rp.add_argument("string")
-    rp.add_argument("--cyclic", action="store_true")
-    rp = rsub.add_parser("enumerate")
-    rp.add_argument("--n", type=int, required=True)
-    for k in range(1, 10):
-        rp.add_argument(f"--m{k}", type=int, default=0, help=f"count of symbol {k}")
-    for rp in rsub.choices.values():
-        rp.set_defaults(func=cmd_raney)
-
-    p = sub.add_parser("powers", help="Catalan power queries")
-    p.add_argument("--r", type=int, help="power")
-    p.add_argument("--m", type=int, help="coefficient index")
-    p.add_argument("--identity", type=int, help="verify the reduction identity for r")
-    p.add_argument("--order", type=int, default=20, help="truncation order")
-    p.set_defaults(func=cmd_powers)
-
-    leaves = {(name,): p for name, p in sub.choices.items() if name != "raney"}
-    leaves.update({("raney", name): rp for name, rp in rsub.choices.items()})
-    return parser, leaves
+    After the command's words it takes exact option strings, store_true flags, at most
+    one positional, and values that are non-empty, do not start with '-', pass their
+    type and are in their choices.  Help, abbreviations, --opt=value, negative values,
+    bad values, missing arguments and unknown words are left to the tree, which reports
+    them in argparse's own words.
+    """
+    words = tuple(argv[:2] if argv[:1] == ["raney"] else argv[:1])
+    if words not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[words]
+    positional = next((name for name in arguments if name[0] != "-"), None)
+    given = {}
+    rest = iter(argv[len(words):])
+    for word in rest:
+        if word[:1] == "-":
+            name, options = word, arguments.get(word)
+            if options is None:
+                return None
+            if options.get("action") == "store_true":
+                given[name] = True
+                continue
+            word = next(rest, "")
+        else:
+            name, options = positional, arguments.get(positional)
+            if options is None or name in given:
+                return None
+        if not word or word[0] == "-":
+            return None
+        try:
+            value = options.get("type", str)(word)
+        except ValueError:
+            return None
+        if value not in options.get("choices", (value,)):
+            return None
+        given[name] = value
+    namespace = argparse.Namespace(func=func, **dict(zip(("command", "raney_cmd"), words)))
+    for name, options in arguments.items():
+        if name in given:
+            value = given[name]
+        elif options.get("required") or name == positional:
+            return None
+        else:
+            value = options.get("default", False if options.get("action") == "store_true" else None)
+        setattr(namespace, name.lstrip("-").replace("-", "_"), value)
+    return namespace
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv) in one pass, by the parser of the command argv names.
-
-    The parsers above it would hand it every later word and report its leftovers.
-    """
-    parser, leaves = _parsers()
-    words = tuple(argv[:2] if argv[:1] == ["raney"] else argv[:1])
-    if words not in leaves:
-        return parser.parse_args(argv)
-    args, extras = leaves[words].parse_known_args(argv[len(words):])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    vars(args).update(zip(("command", "raney_cmd"), words))  # what the parsers above set
-    return args
+    """build_parser().parse_args(argv), by _scan when it can read argv, so that a
+    well-formed call never builds the parser tree."""
+    args = _scan(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -370,7 +370,13 @@ def partial_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
 
 
 def _counts(key: int, base: int) -> list[int]:
-    """The exponents [m2, m3, ...] of a packed key, with no trailing zero."""
+    """The exponents [m2, m3, ...] of a packed key, with no trailing zero.
+
+    A key names a monomial only when it is 0, or positive at a base of 2 or more; any
+    other key raises ValueError, as divmod would never bring it to 0.
+    """
+    if key < 0 or (key and base < 2):
+        raise ValueError(f"key {key} names no monomial at base {base}")
     counts = []
     while key:
         key, mk = divmod(key, base)

@@ -890,31 +890,52 @@ def test_powers_fuzz_exit_codes(identity, r, m, order):
         assert out == ""
 
 
-# each command's own words: options with their values, flags, abbreviations, the = form
+# each command's own words: options written in full with values that pass, flags, and
+# its positional; drawn more than once, they repeat an option or give a second positional
 OWN_WORDS = {
     "coeff": [("--type", "2,1"), ("--central",), ("--power", "2")],
-    "table": [("--measure", "edge"), ("--d", "3"), ("--q", "4"), ("--form", "csv"),
-              ("--ma", "face")],
-    "verify": [("--measure", "vertex"), ("--d", "4"), ("--q", "3"), ("--ma", "edge")],
-    "solve": [("--coeffs", "1/3"), ("--coeffs=-1/3",), ("--measure", "face"), ("--d", "2"),
-              ("--float",)],
-    "subdigons": [("--type", "1,1"), ("--format", "list"), ("--form", "json"),
-                  ("--max-faces", "4")],
+    "table": [("--measure", "edge"), ("--d", "3"), ("--q", "4"), ("--format", "csv")],
+    "verify": [("--measure", "vertex"), ("--d", "4"), ("--q", "3")],
+    "solve": [("--coeffs", "1/3"), ("--measure", "face"), ("--d", "2"), ("--float",)],
+    "subdigons": [("--type", "1,1"), ("--format", "list"), ("--max-faces", "4")],
     "powers": [("--r", "2"), ("--m", "3"), ("--identity", "2"), ("--order", "4")],
     "raney rank": [("0030",)],
     "raney rotations": [("0002",)],
     "raney check": [("10",), ("--n", "2")],
     "raney identify": [("200",), ("--cyclic",)],
-    "raney enumerate": [("--n", "1"), ("--m1", "2"), ("--m9", "0")],
+    "raney enumerate": [("--n", "1"), *((f"--m{k}", "2") for k in range(1, 10))],
 }
+# the words just past a well-formed call: abbreviations, values that start with '-', are
+# empty, fail their type or choices or are digits outside ASCII, a flag before a bare
+# word, "--", an option with no value, and the --opt=value form of every option
+EDGE_WORDS = {
+    "coeff": [("--ty", "2"), ("--type", ""), ("--power", "-1"), ("--power", "x"),
+              ("--central", "x"), ("--type",)],
+    "table": [("--form", "csv"), ("--ma", "face"), ("--d", "-3"), ("--q", "٣"), ("--format", ""),
+              ("--format", "xml")],
+    "verify": [("--ma", "edge"), ("--d", "٣"), ("--d", "-3"), ("--measure", "Edge")],
+    "solve": [("--coeffs", "-1/3"), ("--coeffs", ""), ("--float", "1/3"), ("--d", "-3"),
+              ("--coeffs=-1/3",), ("--coeffs",)],
+    "subdigons": [("--form", "json"), ("--max-faces", "-4"), ("--format", ""), ("--type", "-1")],
+    "powers": [("--m", "-3"), ("--order", "٤"), ("--r", "1_0"), ("--ord", "3")],
+    "raney rank": [("-1",), ("",)],
+    "raney rotations": [("-0",), ("--", "0")],
+    "raney check": [("--n", "-2"), ("--n", ""), ("-1",), ("--n",)],
+    "raney identify": [("--cyclic", "0"), ("-200",), ("--cyc",)],
+    "raney enumerate": [("--m3", "-1"), ("--m", "1"), ("--n", "x"), ("--m1", "٣")],
+}
+for _command, _items in OWN_WORDS.items():
+    EDGE_WORDS[_command] += [("=".join((*item, "1")[:2]),) for item in _items if item[0][0] == "-"]
 # what each command requires, so that whole calls are drawn as often as bare names
 REQUIRED = {"coeff": ["--type", "1"], "table": ["--measure", "face", "--d", "2", "--q", "3"],
             "verify": ["--measure", "edge", "--d", "5"], "solve": ["--d", "2"],
             "subdigons": ["--type", "2"], "raney rank": ["0"], "raney rotations": ["00302"],
             "raney check": ["1,0"], "raney identify": ["0 0"], "raney enumerate": ["--n", "2"]}
-# help and its abbreviation, "--", a bad value, and words and options no parser knows
+# help and its abbreviation, "--", a bad value, words and options no parser knows, and
+# options of other commands
 NOISE_WORDS = [("-h",), ("--he",), ("--",), ("--d", "x"), ("--bogus",), ("-x",), ("bogus",),
-               ("verify",), ("enumerate",)]
+               ("verify",), ("enumerate",), ("--cyclic",), ("--max-faces", "3"), ("--n", "1"),
+               ("--type", "2"), ("--float",)]
 # (command, first words of argv): no command, a bare command, or a whole call
 HEADS = [*((None, head) for head in ([], ["-h"], ["--"], ["bogus"], ["raney"],
                                      ["raney", "bogus"], ["raney", "-h"])),
@@ -924,15 +945,41 @@ HEADS = [*((None, head) for head in ([], ["-h"], ["--"], ["bogus"], ["raney"],
 
 def _argv(command, head):
     own = st.sampled_from(OWN_WORDS.get(command, NOISE_WORDS))
-    item = st.one_of(own, own, own, st.sampled_from(NOISE_WORDS))  # own words 3 times in 4
+    edge = st.sampled_from(EDGE_WORDS.get(command, NOISE_WORDS))
+    item = st.one_of(own, own, own, own, edge, st.sampled_from(NOISE_WORDS))  # own 4 times in 6
     return st.lists(item, max_size=6).map(lambda items: head + [w for i in items for w in i])
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=1000, deadline=None)
 @given(argv=st.sampled_from(HEADS).flatmap(lambda head: _argv(*head)))
 def test_one_pass_parse_matches_the_parser_tree(argv):
     # the same Namespace, or the same exit code, stdout and stderr
     assert _main_captured(argv, cli._parse) == _main_captured(argv, build_parser().parse_args)
+
+
+def test_grammar_names_every_option():
+    for words, (_, _, arguments) in cli._COMMANDS.items():
+        named = {item[0] for item in OWN_WORDS[" ".join(words)]}
+        assert {name for name in arguments if name[0] == "-"} <= named, words
+
+
+# well-formed calls: every option written in full, values that pass their type and choices
+WELL_FORMED = [command.split() + words for command, words in REQUIRED.items()] + [
+    ["powers"], ["powers", "--r", "2", "--m", "3", "--order", "4", "--identity", "5"],
+    ["coeff", "--central", "--power", "0", "--type", "2,1"],
+    ["table", "--format", "json", "--q", "4", "--d", "3", "--measure", "edge"],
+    ["solve", "--float", "--coeffs", "1/3,2", "--measure", "face", "--d", "٣"],
+    ["subdigons", "--type", " 1,1", "--format", "list", "--max-faces", "+4"],
+    ["raney", "check", "--n", "2", "10"], ["raney", "identify", "--cyclic", "200"],
+    ["raney", "enumerate", *(w for k in range(1, 10) for w in (f"--m{k}", str(k % 3))), "--n", "1"],
+]
+
+
+def test_well_formed_calls_never_build_the_parser_tree():
+    cli._parsers.cache_clear()
+    namespaces = [cli._parse(argv) for argv in WELL_FORMED]
+    assert cli._parsers.cache_info().currsize == 0
+    assert namespaces == [build_parser().parse_args(argv) for argv in WELL_FORMED]
 
 
 def test_parser_is_built_once():

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import random
+import signal
 import time
 from fractions import Fraction
 from math import comb, prod
@@ -427,6 +429,44 @@ class TestRenderTable:
         rows = [("a", {0: 0, 1: 0}), ("b", {1: 2, 0: -1})]
         assert render_table(spec, rows, "text") == "               a  0\n               b  -1 + 2t2\n"
         assert json.loads(render_table(spec, rows, "json"))[0] == {"row": "a", "terms": []}
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once it has run for seconds, so that a loop that
+    never ends fails the test instead of hanging the run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+class TestKeysThatNameNoMonomial:
+    """A nonzero key at base 1 (d = 0) or a negative key is refused, not decoded forever."""
+
+    @pytest.mark.parametrize("spec, key", [
+        (LayerSpec(Measure.VERTEX, 0), 1), (LayerSpec(Measure.EDGE, 0), 12),
+        (LayerSpec(Measure.FACE, 0, 3), 2), (LayerSpec(Measure.VERTEX, 3), -1),
+        (LayerSpec(Measure.EDGE, 5), -37), (LayerSpec(Measure.FACE, 4, 4), -5 ** 3),
+    ])
+    def test_raises_value_error(self, spec, key):
+        with _deadline(3):
+            with pytest.raises(ValueError, match="names no monomial"):
+                first_term(spec, {key: 1})
+            for fmt in ("text", "csv", "json"):
+                with pytest.raises(ValueError, match="names no monomial"):
+                    render_table(spec, [("stray", {0: 1, key: -2})], fmt)
+
+    def test_constant_term_at_base_one(self):
+        spec = LayerSpec(Measure.VERTEX, 0)
+        with _deadline(3):
+            assert first_term(spec, {0: 2}) == "2"
+            assert render_table(spec, [("one", {0: 1})], "csv") == 'row,polynomial\none,"1"\n'
 
 
 class TestPowers:
