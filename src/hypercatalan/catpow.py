@@ -6,8 +6,8 @@ holds the closed form for the power coefficients and a finite
 truncated check of that reduction.  A univariate polynomial is a plain
 list of coefficients, lowest degree first, and [] is zero.  _mul_cut is
 the one truncated product, shared with series for R^F.  The check advances
-the coefficients of T and T^r by the ratio of consecutive ones, and takes
-P_r and Q_r = -P_{r-1} from binomials.
+the coefficients of T^r, and of T as T^1, by the ratio of consecutive ones,
+and takes P_r and Q_r = -P_{r-1} from binomials.
 """
 
 from __future__ import annotations
@@ -63,14 +63,6 @@ def catalan_power(r: int, m: int) -> int:
     return power_coeff(TypeVector.of({2: m}), r)
 
 
-def _catalans(n: int) -> list[int]:
-    """The first n coefficients of T, C_0 .. C_{n-1}, by C_{k+1} = C_k * 2(2k+1) / (k+2)."""
-    row = [1] if n > 0 else []
-    for k in range(n - 1):
-        row.append(row[k] * 2 * (2 * k + 1) // (k + 2))
-    return row
-
-
 def _catalan_powers(r: int, n: int) -> list[int]:
     """The first n coefficients of T^r, c_0 = 1 and c_{m+1} = c_m (2m+r)(2m+r+1) / ((m+1)(m+r+1)).
 
@@ -91,15 +83,15 @@ def verify_power_identity(r: int, d: int) -> list[int]:
     """Residual of t^{r-1} T^r = P_r T + Q_r, truncated at order d.
 
     T^r is _catalan_powers (none of t^{r-1} T^r is left once r - 1 > d), T is
-    _catalans, P_r and Q_r = -P_{r-1} are _reduction_poly: P_r T, cut at d, is
-    the one product.  The contract is [], the zero polynomial.
+    the same row at r = 1, P_r and Q_r = -P_{r-1} are _reduction_poly: P_r T,
+    cut at d, is the one product.  The contract is [], the zero polynomial.
     """
     if r < 1:
         raise ValueError(f"power {r} < 1")
     if d < 0:
         raise ValueError(f"negative order {d}")
     lhs = [0] * min(r - 1, d + 1) + _catalan_powers(r, d - r + 2)
-    rhs = _mul_cut(enumerate(_reduction_poly(r, d)), _catalans(d + 1), d + 1)
+    rhs = _mul_cut(enumerate(_reduction_poly(r, d)), _catalan_powers(1, d + 1), d + 1)
     # Q_r = -P_{r-1}, so the residual is t^{r-1} T^r - P_r T + P_{r-1}
     out = [x - y + z for x, y, z in zip_longest(lhs, rhs, _reduction_poly(r - 1, d), fillvalue=0)]
     while out and not out[-1]:

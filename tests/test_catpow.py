@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from hypercatalan import catpow
-from hypercatalan.catpow import (_catalan_powers, _catalans, _mul_cut, catalan, catalan_power,
+from hypercatalan.catpow import (_catalan_powers, _mul_cut, catalan, catalan_power,
                                  verify_power_identity)
 from hypercatalan.core import TypeVector, hyper_catalan, power_coeff
 from oracles import (
@@ -48,8 +48,8 @@ class TestCatalan:
         assert catalan_series(3) == UniPoly([1, 1, 2, 5])
 
     def test_ratio_row_matches_closed_form(self):
-        assert _catalans(0) == []
-        assert _catalans(61) == [catalan(k) for k in range(61)]
+        # the power check takes T as T^1
+        assert _catalan_powers(1, 61) == [catalan(k) for k in range(61)]
 
 
 class TestCatalanPower:
@@ -172,22 +172,27 @@ class TestCorruptedForms:
 
     @pytest.mark.parametrize("r,n", [(1, 0), (3, 3), (4, 0), (6, 5), (9, 2)])
     def test_bumped_catalan(self, monkeypatch, r, n):
-        # T gains t^n, which only P_r T reads: the residual is -P_r t^n
-        monkeypatch.setattr(catpow, "_catalans",
-                            lambda size: [c + (k == n) for k, c in enumerate(_catalans(size))])
+        # T = T^1 gains t^n, which only P_r T reads when r > 1: the residual is -P_r t^n.
+        # At r = 1 the left side T^1 gains it too, and P_1 = 1 cancels it
+        monkeypatch.setattr(catpow, "_catalan_powers", lambda s, size: [
+            c + (s == 1 and k == n) for k, c in enumerate(_catalan_powers(s, size))])
         for d in range(16):
             got = verify_power_identity(r, d)
+            if r == 1:
+                assert got == [], (n, d)
+                continue
             assert got == list((-p_poly(r).shift(n)).truncated(d).coeffs), (r, n, d)
             if n <= d:  # first seen at order n, since P_r(0) = 1
                 assert got[: n + 1] == [0] * n + [-1]
 
     @pytest.mark.parametrize("r,m", [(1, 0), (2, 3), (5, 0), (7, 4)])
     def test_bumped_catalan_power(self, monkeypatch, r, m):
-        # [t^m] T^r raised by 1 raises the left side by t^{r-1+m}
+        # [t^m] T^r raised by 1 raises the left side by t^{r-1+m}; at r = 1 it raises T
+        # too, and P_1 T = T cancels it
         monkeypatch.setattr(catpow, "_catalan_powers", lambda s, size: [
-            c + (k == m) for k, c in enumerate(_catalan_powers(s, size))])
+            c + (s == r and k == m) for k, c in enumerate(_catalan_powers(s, size))])
         for d in range(16):
-            want = [0] * (r - 1 + m) + [1] if r - 1 + m <= d else []
+            want = [0] * (r - 1 + m) + [1] if r > 1 and r - 1 + m <= d else []
             assert verify_power_identity(r, d) == want, (r, m, d)
 
     def test_bumped_reduction_binomial(self, monkeypatch):
