@@ -111,9 +111,7 @@ def cmd_coeff(args) -> int:
 
 def cmd_table(args) -> int:
     spec = LayerSpec(Measure(args.measure), args.d, args.q)
-    labels: dict = {}  # the walk labels each key it makes, so the printer decodes none
-    rows = series.table_rows(spec, labels)
-    _write(series.render_table(spec, rows, args.format, labels))
+    _write(series.render_table(spec, series.table_rows(spec), args.format))
     return 0
 
 
@@ -306,13 +304,9 @@ _COMMANDS: dict[tuple[str, ...], tuple[dict, Callable, dict[str, dict]]] = {
 }
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built from _COMMANDS when first asked for; parsing leaves it unchanged."""
-    return _parsers()
-
-
-@functools.lru_cache(maxsize=1)
-def _parsers() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypercatalan",
         description="Hyper-Catalan numbers, layered series zeros and Raney words",

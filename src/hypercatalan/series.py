@@ -12,10 +12,8 @@ returns the buckets that render_table prints.  The residual sums
 1 + sum_n t_n beta^n into fresh level buckets and compares each with beta's:
 only a level where they differ is subtracted term by term.
 Print order and text come from _printer, behind render_table and first_term
-alike.  Each key is sorted and spelled by its label (faces, entries), its
-TypeVector's: the walk labels each type it makes when given a dict, which table
-then passes on to render_table, and the printer decodes only the keys it has no
-label for.  render_table writes its json text itself, as json.dumps would.
+alike: it sorts and spells each key by the (faces, entries) label of _labels.
+render_table writes its json text itself, as json.dumps would.
 
 LayeredPoly, a map from TypeVector to int, is the type-vector form that the
 tests compare the packed paths with, through mul_truncated (which prunes
@@ -178,7 +176,7 @@ def mul_truncated(p: LayeredPoly, q: LayeredPoly, spec: LayerSpec) -> LayeredPol
 Graded = list[dict[int, int]]
 
 
-def _walk(spec: LayerSpec, labels: dict | None = None) -> Graded:
+def _walk(spec: LayerSpec) -> Graded:
     """beta for spec graded: {packed key: C_m} per level.
 
     One pass per gon k = 2 .. max_gon: each type made so far that still has room takes
@@ -187,24 +185,15 @@ def _walk(spec: LayerSpec, labels: dict | None = None) -> Graded:
     C = (E-1)!/((V-1)! m!) exactly: C * E(E+1)...(E+k-1) / ((m_k+1) * V(V+1)...(V+k-2)).
     A type goes on to gon k+1 only while its level is at most d - weight(k+1): the
     weights never decrease with k, so a type that fails has no room for any later gon.
-    Given a dict, the walk records labels[key] = (faces, entries) for each type it writes,
-    as the type's TypeVector has them: its parent's label with m_k faces and (k, m_k) added.
     """
     d, top = spec.d, spec.max_gon()
     buckets: Graded = [{} for _ in range(d + 1)]
     buckets[0][0] = 1
-    if labels is not None:
-        labels[0] = (0, ())
     live = [(0, 2, 1, 1, 0)]  # (level, V, E, C, key) of each type with room for gon k
     for k in range(2, top + 1):
         w, unit = weight(k, spec.measure), (d + 1) ** (k - 2)
         room = d - weight(k + 1, spec.measure) if k < top else -1
         grown = [t for t in live if t[0] <= room]  # the types that take no (k+1)-gon
-        if labels is not None:
-            for lvl, _, _, _, key in live:
-                faces, entries = labels[key]
-                for mk in range(1, (d - lvl) // w + 1):
-                    labels[key + mk * unit] = (faces + mk, (*entries, (k, mk)))
         for lvl, v, e, c, key in live:
             for mk in range(1, (d - lvl) // w + 1):
                 c = c * perm(e + k - 1, k) // (mk * perm(v + k - 2, k - 1))
@@ -496,15 +485,14 @@ def geode_quotient(d: int, q: int) -> dict[int, dict[int, int]]:
     return {d - 1: {key: c for key, c in quotient.items() if c}}
 
 
-def table_rows(spec: LayerSpec, labels: dict | None = None) -> list[tuple[str, dict[int, int]]]:
+def table_rows(spec: LayerSpec) -> list[tuple[str, dict[int, int]]]:
     """Per-level, per-source-term decomposition of the layering identity, packed.
 
     For each level up to d, the level bucket of each contributing source term
     t_n*beta^n, labelled "[v^3] t2 b^2", then that of beta - 1, "[v^3] total".
-    A labels dict is passed to the walk, which labels every key of the rows.
     """
     sym = spec.measure.value[0]
-    beta = _walk(spec, labels)
+    beta = _walk(spec)
     sources = [(n, [{} for _ in range(w)] + [{k + shift: c for k, c in b.items()} for b in power])
                for n, w, shift, power in _graded_powers(beta, spec)]
     beta[0][0] = beta[0].get(0, 0) - 1  # the total rows are beta - 1
@@ -515,10 +503,29 @@ def table_rows(spec: LayerSpec, labels: dict | None = None) -> list[tuple[str, d
     return rows
 
 
-def _label(key: int, base: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(faces, entries) of a packed key, as its TypeVector has them: the walk's label."""
-    counts = _counts(key, base)
-    return sum(counts), tuple([(k, mk) for k, mk in enumerate(counts, 2) if mk])
+def _labels(keys, base: int) -> dict[int, tuple[int, tuple[tuple[int, int], ...]]]:
+    """{key: (faces, entries)} for the packed keys and some smaller ones, as TypeVectors have them.
+
+    A key whose top gon k has count m_k has the label of key % base**(k-2), the type less its
+    k-gons, plus m_k faces and (k, m_k).  Keys go in increasing order, so that smaller key has
+    its label; if it is no key, it and its own remainders, each some rest % base**j, are labelled
+    first, by one more pass that needs no other.  A key naming no monomial raises ValueError.
+    """
+    label = {0: (0, ())}
+    unit, k = 1, 2  # base**(k-2) for the top gon k of the key at hand
+    for key in sorted(keys):
+        if key in label:
+            continue
+        if key < 0 or base < 2:
+            _counts(key, base)  # raises: the key names no monomial
+        while key >= unit * base:
+            unit, k = unit * base, k + 1
+        mk, rest = divmod(key, unit)
+        if rest not in label:  # no key: labelled first, with its own remainders
+            label |= _labels({rest % base**j for j in range(k - 1)}, base)
+        faces, entries = label[rest]
+        label[key] = faces + mk, (*entries, (k, mk))
+    return label
 
 
 class _Pieces(dict):
@@ -530,15 +537,13 @@ class _Pieces(dict):
         return text
 
 
-def _printer(spec: LayerSpec, buckets, fmt: str, labels: dict | None = None):
+def _printer(spec: LayerSpec, buckets, fmt: str):
     """terms(bucket): its nonzero (monomial, coeff) pairs in print order: faces, then entries.
 
-    Each key takes its (faces, entries) label from labels, the walk's, and is decoded only
-    when labels lacks it; the keys sort by label.  A monomial shows as its counts
+    The keys of the buckets sort by their _labels.  A monomial shows as its counts
     '[m2, m3, ...]' in json, as its text 't2^3t4' otherwise, one 'tk' or 'tk^m' per entry.
     """
-    base, known = spec.d + 1, labels or {}
-    label = {key: known.get(key) or _label(key, base) for key in set().union(*buckets)}
+    label = _labels(set().union(*buckets), spec.d + 1)
     rank = dict(zip(sorted(label, key=label.__getitem__), range(len(label))))
     if fmt == "json":
         show = {}
@@ -558,14 +563,12 @@ def _printer(spec: LayerSpec, buckets, fmt: str, labels: dict | None = None):
     return terms
 
 
-def render_table(spec: LayerSpec, rows: list[tuple[str, dict[int, int]]], fmt: str,
-                 labels: dict | None = None) -> str:
+def render_table(spec: LayerSpec, rows: list[tuple[str, dict[int, int]]], fmt: str) -> str:
     """The rows of table_rows as text, csv or json; zero coefficients are skipped.
 
-    labels, filled by table_rows, spares the printer decoding the keys it has.  The json
-    text is written here, as json.dumps writes it with its default separators.
+    The json text is written here, as json.dumps writes it with its default separators.
     """
-    terms = _printer(spec, [b for _, b in rows], fmt, labels)
+    terms = _printer(spec, [b for _, b in rows], fmt)
     if fmt == "json":
         term = '{{"type": {}, "coeff": "{}"}}'.format
         row = '{{"row": {}, "terms": [{}]}}'.format

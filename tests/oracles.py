@@ -562,8 +562,8 @@ def graded(p: LayeredPoly, spec: LayerSpec) -> list[dict[int, int]]:
 
 def bumped_walk(walk, bumps):
     """walk with `by` added to C_m for each (level, m, by) in bumps: a wrong beta."""
-    def bumped(spec, labels=None):
-        buckets = walk(spec, labels)
+    def bumped(spec):
+        buckets = walk(spec)
         for lvl, m, by in bumps:
             key = pack(m, spec.d + 1)
             buckets[lvl][key] = buckets[lvl].get(key, 0) + by

@@ -960,9 +960,9 @@ WELL_FORMED = [command.split() + words for command, words in REQUIRED.items()] +
 
 
 def test_well_formed_calls_never_build_the_parser_tree():
-    cli._parsers.cache_clear()
+    build_parser.cache_clear()
     namespaces = [cli._parse(argv) for argv in WELL_FORMED]
-    assert cli._parsers.cache_info().currsize == 0
+    assert build_parser.cache_info().currsize == 0
     assert namespaces == [build_parser().parse_args(argv) for argv in WELL_FORMED]
 
 

@@ -299,7 +299,7 @@ class TestPackedKernel:
         beta = unpacked({key: c for b in buckets for key, c in b.items()}, spec)
         if spec.max_gon() >= 2:
             assert any(not admits(spec, m) for m in mul(beta, beta).terms)
-        monkeypatch.setattr(series, "_walk", lambda s, labels=None: [dict(b) for b in buckets])
+        monkeypatch.setattr(series, "_walk", lambda s: [dict(b) for b in buckets])
         assert evaluate_geometric(spec) == packed(_oracle_geometric(beta, spec), spec)
 
     @pytest.mark.parametrize("spec", [s for s in SWEEP_SPECS if s.d >= 1], ids=_spec_id)
@@ -343,9 +343,8 @@ class TestPackedKernel:
         assert rows == _oracle_table_rows(spec)
 
 
-def _oracle_render(spec, fmt):
-    """The table as LayeredPoly rows of the oracle chain, each printed on its own."""
-    rows = _oracle_table_rows(spec)
+def _oracle_render(rows, fmt):
+    """LayeredPoly rows, such as the oracle chain's table, each printed on its own."""
     if fmt == "json":
         return table_json(rows)
     if fmt == "csv":
@@ -359,7 +358,8 @@ class TestRenderTable:
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
     def test_matches_oracle(self, spec, fmt):
-        assert render_table(spec, table_rows(spec), fmt) == _oracle_render(spec, fmt)
+        want = _oracle_render(_oracle_table_rows(spec), fmt)
+        assert render_table(spec, table_rows(spec), fmt) == want
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
     def test_str_matches_oracle(self, spec):
@@ -402,27 +402,27 @@ class TestRenderTable:
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
     def test_walk_labels_its_types(self, spec):
-        labels = {}
-        buckets = _walk(spec, labels)
-        assert buckets == _walk(spec)
-        assert labels.keys() == {key for bucket in buckets for key in bucket}
+        # the printer's labeller gives each type the walk makes its TypeVector's label
+        keys = {key for bucket in _walk(spec) for key in bucket}
+        labels = series._labels(keys, spec.d + 1)
+        assert keys <= labels.keys()
         for key, label in labels.items():
             m = unpack(key, spec.d + 1)
             assert label == (m.faces(), m.entries), key
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
     def test_labels_leave_the_text_unchanged(self, spec):
-        # the walk's labels spare decoding; a key the walk did not make is decoded
-        labels = {}
-        rows = table_rows(spec, labels)
-        assert rows == table_rows(spec)
+        # a stray row: key 0 at -1, a key one gon past the spec and 20 random keys, some
+        # labelled from a remainder that is no key of the rows
+        rows = table_rows(spec)
         if spec.d:  # at base 1 no key but 0 has digits
             base, rng = spec.d + 1, random.Random(_spec_id(spec))
             stray = {base ** (spec.max_gon() - 1): 3}  # one gon past the spec
-            stray.update((key, -2) for key in rng.sample(range(base ** 6), 20) if key not in labels)
+            stray.update((key, -2) for key in rng.sample(range(base ** 6), 20))
             rows.append(("stray", {0: -1, **rows[-1][1], **stray}))
+        oracle_rows = [(label, unpacked(bucket, spec)) for label, bucket in rows]
         for fmt in ("text", "csv", "json"):
-            assert render_table(spec, rows, fmt, labels) == render_table(spec, rows, fmt), fmt
+            assert render_table(spec, rows, fmt) == _oracle_render(oracle_rows, fmt), fmt
 
     def test_zero_coefficients_are_skipped(self):
         spec = LayerSpec(Measure.VERTEX, 2)
@@ -845,7 +845,7 @@ class TestPackedWalk:
     def test_walked_residual_matches_build_beta(self, spec, monkeypatch):
         residual = evaluate_geometric(spec)
         beta = graded(build_beta(spec), spec)
-        monkeypatch.setattr(series, "_walk", lambda s, labels=None: [dict(b) for b in beta])
+        monkeypatch.setattr(series, "_walk", lambda s: [dict(b) for b in beta])
         assert residual == evaluate_geometric(spec) == {}
 
     @pytest.mark.parametrize("spec", [s for s in WALK_SPECS if s.max_gon() >= 2], ids=_spec_id)
@@ -854,7 +854,7 @@ class TestPackedWalk:
         wrong = [{key * (spec.d + 1): c for key, c in bucket.items()} for bucket in _walk(spec)]
         assert wrong != _oracle_graded(spec)
         rows = table_rows(spec)
-        monkeypatch.setattr(series, "_walk", lambda s, labels=None: [dict(b) for b in wrong])
+        monkeypatch.setattr(series, "_walk", lambda s: [dict(b) for b in wrong])
         assert evaluate_geometric(spec)
         assert table_rows(spec) != rows
 
