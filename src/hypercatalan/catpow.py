@@ -48,12 +48,6 @@ def residual_text(coeffs) -> str:
                       for k, c in enumerate(coeffs) if c)
 
 
-def catalan(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"negative index {n}")
-    return comb(2 * n, n) // (n + 1)
-
-
 def catalan_power(r: int, m: int) -> int:
     """Coefficient of t^m in T^r, (r/(2m+r)) * binom(2m+r, m): power_coeff of m triangles."""
     if r < 1:

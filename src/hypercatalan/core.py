@@ -82,14 +82,6 @@ class TypeVector:
             merged[k] = merged.get(k, 0) + mk
         return TypeVector.of(merged)
 
-    def __sub__(self, other: "TypeVector") -> "TypeVector":
-        merged = dict(self.entries)
-        for k, mk in other.entries:
-            merged[k] = merged.get(k, 0) - mk
-            if merged[k] < 0:
-                raise ValueError("negative count in type vector difference")
-        return TypeVector.of(merged)
-
     def __bool__(self) -> bool:
         return bool(self.entries)
 

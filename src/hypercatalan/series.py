@@ -11,9 +11,11 @@ coefficient}}, and geode_quotient its quotient of one bucket; table_rows
 returns the buckets that render_table prints.  The residual sums
 1 + sum_n t_n beta^n into fresh level buckets and compares each with beta's:
 only a level where they differ is subtracted term by term.
-Print order and text come from _printer, behind render_table and first_term
-alike: it sorts and spells each key by the (faces, entries) label of _labels.
-render_table writes its json text itself, as json.dumps would.
+_labels is the one decoder of packed keys: it gives each its (faces, entries)
+label, the TypeVector's.  build_beta (and so enumerate_types) and geode_quotient
+read a key's gons from it, and _printer, behind render_table and first_term
+alike, sorts and spells each key by it.  render_table writes its json text
+itself, as json.dumps would.
 
 LayeredPoly, a map from TypeVector to int, is the type-vector form that the
 tests compare the packed paths with, through mul_truncated (which prunes
@@ -47,10 +49,10 @@ Float values take the same cells with Q = 1 and n_k = t_k as floats, the
 cell adding binom(F+s, F)/(s+1) * [mu^e] R^F.  R^F is a plain list, advanced
 by catpow._mul_cut, which adds one slice per nonzero coefficient of R in the
 order given: highest index first, so each float cell adds its terms in one
-fixed order; a quotient past the float range restarts the pass on 4 R(2 mu)
-(``_level_numerators``).  When R is one term c*mu^j (one nonzero value), R^F
-is c^F at index jF, c^F taken by the same repeated products, and no list is
-convolved.
+fixed order; a quotient past the float range restarts the pass on 4 R(2 mu),
+whose cells take the one float loop with the plain ones (``_level_numerators``).
+When R is one term c*mu^j (one nonzero value), R^F is c^F at index jF, c^F
+taken by the same repeated products, and no list is convolved.
 R^F is zero below jF for the first nonzero index j of R, so each F's cells
 start at e = jF, with the binomial from math.comb just below it when jF > 0.
 
@@ -207,13 +209,14 @@ def _walk(spec: LayerSpec) -> Graded:
 
 def enumerate_types(spec: LayerSpec) -> list[TypeVector]:
     """All type vectors admitted by spec, graded by level then lex."""
-    return [m for bucket in _walk(spec)
-            for m in sorted((_unpack(key, spec.d + 1) for key in bucket), key=lambda m: m.entries)]
+    return sorted(build_beta(spec).terms, key=lambda m: (level(m, spec.measure), m.entries))
 
 
 def build_beta(spec: LayerSpec) -> LayeredPoly:
     """The layered truncation of the series zero: sum of C_m * t^m."""
-    return LayeredPoly({_unpack(key, spec.d + 1): c for bucket in _walk(spec)
+    buckets = _walk(spec)
+    label = _labels(set().union(*buckets), spec.d + 1)
+    return LayeredPoly({TypeVector(label[key][1]): c for bucket in buckets
                         for key, c in bucket.items()})
 
 
@@ -223,11 +226,14 @@ def _level_numerators(spec: LayerSpec, values: dict, scaled: bool = False):
     One entry per level that spec admits a type at, in increasing order; the level sum is
     the numerator over qpow[level // w2] (1 for floats), and frac marks a level with a type
     that uses a Fraction value.  A float numerator that is not finite raises OverflowError.
-    A float cell whose binomial quotient passes the float range starts the pass again
-    scaled: R(mu) becomes 4 R(2 mu) and R^0 becomes 2^-64, so c is scaled by 4^F 2^e / 2^64
-    and the quotient by 2^64 / 2^(2F + e), which bounds it by 2^64.  Near the radius of
+    Exact cells take one loop and float cells another.  A float cell whose binomial
+    quotient passes the float range starts the pass again scaled, in the same float loop:
+    R(mu) becomes 4 R(2 mu) and R^0 becomes 2^-64, so c is scaled by 4^F 2^e / 2^64 and
+    the quotient by 2^64 / 2^(2F + e), which bounds it by 2^64.  Near the radius of
     convergence that keeps both in range, where c alone falls below the smallest float
     (0.26^F at F = 554), and a level sum past the float range overflows before c does.
+    Both factors are scaled by powers of 2, so wherever the plain pass stays in the normal
+    float range the scaled one gives its level sums bit for bit.
     """
     d, ks = spec.d, [(k, weight(k, spec.measure)) for k in range(2, spec.max_gon() + 1)]
     # reach[l]: spec admits a type at level l (an unbounded knapsack over the weights)
@@ -277,21 +283,16 @@ def _level_numerators(spec: LayerSpec, values: dict, scaled: bool = False):
                     b = b * (f2 + e) // (f + e)
                 if c:
                     nums[lvl + step * e] += b * c // (f1 + e) * qpow[step * e // w2]
-        elif scaled:
-            for e, c in cells:
-                if e:
-                    b = b * (f2 + e) // (f + e)
-                if c:
-                    nums[lvl + step * e] += (b << 64) / ((f1 + e) << (f2 + e)) * c
-        else:
+            continue
+        try:
             for e, c in cells:
                 if e:
                     b = b * (f2 + e) // (f + e)
                 if c:  # a float c^F can underflow to 0.0
-                    try:
-                        nums[lvl + step * e] += b / (f1 + e) * c
-                    except OverflowError:  # b / (f1 + e) is past the float range
-                        return _level_numerators(spec, values, scaled=True)
+                    nums[lvl + step * e] += ((b << 64) / ((f1 + e) << (f2 + e)) if scaled
+                                             else b / (f1 + e)) * c
+        except OverflowError:  # b / (f1 + e) is past the float range; scaled, it is below 2^64
+            return _level_numerators(spec, values, scaled=True)
     # frac[l]: a type at level l uses a Fraction value, one t_k of weight w on a type at l - w
     frac = [False] * (d + 1)
     for w in {w for k, w in ks if exact and isinstance(values[k], Fraction)}:
@@ -356,25 +357,6 @@ def partial_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
     """
     return {lvl: n if den is None else Fraction(n, den)
             for lvl, n, den in partial_pairs(spec, values)}
-
-
-def _counts(key: int, base: int) -> list[int]:
-    """The exponents [m2, m3, ...] of a packed key, with no trailing zero.
-
-    A key names a monomial only when it is 0, or positive at a base of 2 or more; any
-    other key raises ValueError, as divmod would never bring it to 0.
-    """
-    if key < 0 or (key and base < 2):
-        raise ValueError(f"key {key} names no monomial at base {base}")
-    counts = []
-    while key:
-        key, mk = divmod(key, base)
-        counts.append(mk)
-    return counts
-
-
-def _unpack(key: int, base: int) -> TypeVector:
-    return TypeVector(tuple((k, mk) for k, mk in enumerate(_counts(key, base), 2) if mk))
 
 
 def _mul_graded(a: Graded, b: Graded, bound: int) -> Graded:
@@ -472,9 +454,9 @@ def geode_quotient(d: int, q: int) -> dict[int, dict[int, int]]:
     base = d + 1
     sliced = _walk(LayerSpec(Measure.FACE, d, q))[d]  # rejects q < 2; d >= 1: no constant term
     units = [base ** (k - 2) for k in range(3, q + 1)]  # the keys of t_3 .. t_q
-    quotient: dict[int, int] = {}
+    label, quotient = _labels(sliced, base), {}
     for key in sorted((key for key in sliced if key % base), key=lambda key: -(key % base)):
-        known = (quotient.get(key - u, 0) for u, mk in zip(units, _counts(key, base)[1:]) if mk)
+        known = (quotient.get(key - units[k - 3], 0) for k, _ in label[key][1] if k > 2)
         quotient[key - 1] = sliced[key] - sum(known)
     product: dict[int, int] = {}
     for key, c in quotient.items():
@@ -506,10 +488,12 @@ def table_rows(spec: LayerSpec) -> list[tuple[str, dict[int, int]]]:
 def _labels(keys, base: int) -> dict[int, tuple[int, tuple[tuple[int, int], ...]]]:
     """{key: (faces, entries)} for the packed keys and some smaller ones, as TypeVectors have them.
 
-    A key whose top gon k has count m_k has the label of key % base**(k-2), the type less its
-    k-gons, plus m_k faces and (k, m_k).  Keys go in increasing order, so that smaller key has
-    its label; if it is no key, it and its own remainders, each some rest % base**j, are labelled
-    first, by one more pass that needs no other.  A key naming no monomial raises ValueError.
+    The module's one decoder of packed keys.  A key whose top gon k has count m_k has the label
+    of key % base**(k-2), the type less its k-gons, plus m_k faces and (k, m_k).  Keys go in
+    increasing order, so that smaller key has its label; if it is no key (as in one level's
+    bucket), it and its own remainders, each some rest % base**j, are labelled first, by one
+    more pass that needs no other.  A key naming no monomial (a negative one, or a nonzero one
+    at base 1) raises ValueError.
     """
     label = {0: (0, ())}
     unit, k = 1, 2  # base**(k-2) for the top gon k of the key at hand
@@ -517,7 +501,7 @@ def _labels(keys, base: int) -> dict[int, tuple[int, tuple[tuple[int, int], ...]
         if key in label:
             continue
         if key < 0 or base < 2:
-            _counts(key, base)  # raises: the key names no monomial
+            raise ValueError(f"key {key} names no monomial at base {base}")
         while key >= unit * base:
             unit, k = unit * base, k + 1
         mk, rest = divmod(key, unit)

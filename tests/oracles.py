@@ -7,13 +7,13 @@ from text by ``tokens``, enumerated and counted through ``TypeVector`` arithmeti
 Raney lists by depth-first search over prefixes, rotations by testing
 every offset, the structural helpers that only tests use, the
 hyper-Catalan number, central split and power coefficient by the
-paper's factorial forms, the Catalan power coefficients by their
-factorial form and recurrence, the univariate ``UniPoly`` with the
-Catalan series and the reduction polynomials P_r and Q_r that
-``catpow.verify_power_identity`` is checked against, a univariate product
-that adds in the float order the cell pass keeps for R^F, and
-``LayeredPoly`` admission to a spec, truncation, arithmetic, packing and
-text and JSON forms term by term.
+paper's factorial forms, the Catalan numbers by binom(2n, n)/(n+1), the
+Catalan power coefficients by their factorial form and recurrence, the
+univariate ``UniPoly`` with the Catalan series and the reduction
+polynomials P_r and Q_r that ``catpow.verify_power_identity`` is checked
+against, a univariate product that adds in the float order the cell pass
+keeps for R^F, and ``LayeredPoly`` admission to a spec, truncation,
+arithmetic, packing and text and JSON forms term by term.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Sequence
 
-from hypercatalan.catpow import catalan, catalan_power, residual_text
+from hypercatalan.catpow import catalan_power, residual_text
 from hypercatalan.core import VEF, Composition, TypeVector, unit_type, vef
 from hypercatalan.raney import is_word_list, parse_string, rank
 from hypercatalan.series import LayeredPoly, LayerSpec, Measure, geode_quotient, level
@@ -184,6 +184,11 @@ def psi_sum(subdigons) -> LayeredPoly:
     return LayeredPoly(acc)
 
 
+def _less(m: TypeVector, s: TypeVector) -> TypeVector:
+    """m - s entrywise, for s <= m entrywise."""
+    return TypeVector.of([*m.items(), *((k, -sk) for k, sk in s.items())])
+
+
 def _sub_vectors(m: TypeVector) -> list[TypeVector]:
     """All type vectors s with 0 <= s_k <= m_k entrywise."""
     ks = [k for k, _ in m.items()]
@@ -200,7 +205,7 @@ def _splits(m: TypeVector, parts: int) -> tuple[tuple[TypeVector, ...], ...]:
         return ((m,),)
     out = []
     for first in _sub_vectors(m):
-        for rest in _splits(m - first, parts - 1):
+        for rest in _splits(_less(m, first), parts - 1):
             out.append((first,) + rest)
     return tuple(out)
 
@@ -212,7 +217,7 @@ def enumerate_trees(m: TypeVector) -> tuple[PlaneTree, ...]:
         return (NULL,)
     out = []
     for r, _ in m.items():
-        for split in _splits(m - unit_type(r), r):
+        for split in _splits(_less(m, unit_type(r)), r):
             child_lists = [enumerate_trees(part) for part in split]
             for children in itertools.product(*child_lists):
                 out.append(PlaneTree(children))
@@ -236,7 +241,7 @@ def _count_type(m: TypeVector) -> int:
         return 1
     total = 0
     for r, _ in m.items():
-        total += _count_tuple(m - unit_type(r), r)
+        total += _count_tuple(_less(m, unit_type(r)), r)
     return total
 
 
@@ -251,7 +256,7 @@ def _count_tuple(m: TypeVector, parts: int) -> int:
     for first in _sub_vectors(m):
         c = _count_type(first)
         if c:
-            total += c * _count_tuple(m - first, parts - 1)
+            total += c * _count_tuple(_less(m, first), parts - 1)
     return total
 
 
@@ -425,6 +430,11 @@ class UniPoly:
 
     def __str__(self):
         return residual_text(self.coeffs)
+
+
+def catalan(n: int) -> int:
+    """The Catalan number C_n = binom(2n, n) / (n + 1)."""
+    return comb(2 * n, n) // (n + 1)
 
 
 def catalan_series(order: int) -> UniPoly:

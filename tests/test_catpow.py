@@ -4,11 +4,11 @@ from math import comb
 import pytest
 
 from hypercatalan import catpow
-from hypercatalan.catpow import (_catalan_powers, _mul_cut, catalan, catalan_power,
-                                 verify_power_identity)
+from hypercatalan.catpow import _catalan_powers, _mul_cut, catalan_power, verify_power_identity
 from hypercatalan.core import TypeVector, hyper_catalan, power_coeff
 from oracles import (
     UniPoly,
+    catalan,
     catalan_power_factorial,
     catalan_series,
     p_poly,
@@ -196,15 +196,13 @@ class TestCorruptedForms:
             assert verify_power_identity(r, d) == want, (r, m, d)
 
     def test_bumped_reduction_binomial(self, monkeypatch):
-        # binom(n-1-j, j) is |[t^j] P_n|, and catalan reads only binom(2k, k), so a pair with
-        # n-1-j != 2j is P_n's alone.  Raising it by 1 adds (-1)^j t^j to P_n: for n = r the
-        # residual gains -(-1)^j t^j T, for n = r - 1 (P_{r-1} = -Q_r) it gains (-1)^j t^j
+        # binom(n-1-j, j) is |[t^j] P_n|, and catpow reads no other binomial.  Raising it by 1
+        # adds (-1)^j t^j to P_n: for n = r the residual gains -(-1)^j t^j T, for n = r - 1
+        # (P_{r-1} = -Q_r) it gains (-1)^j t^j
         T = catalan_series(12)
         for r in range(2, 14):
             for n, sign in ((r, -1), (r - 1, 1)):
                 for j in range((n - 1) // 2 + 1):
-                    if n - 1 - j == 2 * j:
-                        continue
                     bumped = (n - 1 - j, j)
                     monkeypatch.setattr(catpow, "comb", lambda a, b: comb(a, b) + ((a, b) == bumped))
                     term = UniPoly([0] * j + [sign * (-1) ** j])

@@ -1,14 +1,15 @@
 """Output identity: what the command line prints, pinned byte for byte.
 
 The corpus is rounds 0-39 of seeds 1-3 of each workload in ``bench/tasks.py``
-(8,040 tasks): one sha256 per (workload, seed) over the argv, exit code, stdout
-and stderr of its tasks in order, held in ``output_digests.json``.  ``ROWS`` are
+(8,040 tasks): one sha256 per (workload, seed, round) over the argv, exit code,
+stdout and stderr of its tasks in order, held in ``output_digests.json`` as a
+list of 40 per "workload:seed", so a failure names its rounds.  ``ROWS`` are
 single command lines, each with its environment, exit code, stderr, and stdout
 or its sha256.  Both run ``cli.main`` in process; a row with a timeout, or one
 whose stdout closes after a line (``| head -n 1``), runs in a subprocess of
 ``sys.executable`` with this interpreter's ``-O``, as CI runs the file.  After a
 deliberate change of output, ``python tests/test_outputs.py`` prints every
-digest as lines of ``<sha256>  <name>``.
+digest as lines of ``<sha256>  <name>``, a round's name being ``workload:seed:round``.
 """
 
 import contextlib
@@ -47,19 +48,23 @@ def _main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def digest(workload: str, seed: int) -> str:
-    """sha256 over (argv, exit code, stdout, stderr) of every task of the corpus, in order."""
-    h = hashlib.sha256()
+def digests(workload: str, seed: int) -> list[str]:
+    """Per round, the sha256 over (argv, exit code, stdout, stderr) of its tasks, in order."""
+    out = []
     for r in range(ROUNDS):
+        h = hashlib.sha256()
         for task in TASKS.round_tasks(workload, seed, r):
             h.update(json.dumps([task.argv, *_main(task.argv)]).encode())
             h.update(b"\n")
-    return h.hexdigest()
+        out.append(h.hexdigest())
+    return out
 
 
 @pytest.mark.parametrize("workload, seed", CORPUS)
 def test_bench_outputs_are_unchanged(workload, seed):
-    assert digest(workload, seed) == DIGESTS[f"{workload}:{seed}"]
+    pairs = zip(digests(workload, seed), DIGESTS[f"{workload}:{seed}"], strict=True)
+    changed = [r for r, (got, want) in enumerate(pairs) if got != want]
+    assert changed == [], f"{workload}:{seed} output changed in rounds {changed}"
 
 
 class Sha(str):
@@ -258,7 +263,8 @@ def test_bumped_slice_has_no_geode_quotient(monkeypatch):
 
 if __name__ == "__main__":
     for w, s in CORPUS:
-        print(f"{digest(w, s)}  {w}:{s}")
+        for r, sha in enumerate(digests(w, s)):
+            print(f"{sha}  {w}:{s}:{r}")
     for case in ROWS:
         argv, out, _, _, env, timeout, head = case.values
         if isinstance(out, Sha):

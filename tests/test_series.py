@@ -9,7 +9,7 @@ from math import comb, prod
 import pytest
 
 from hypercatalan import series
-from hypercatalan.catpow import _mul_cut, catalan
+from hypercatalan.catpow import _mul_cut
 from hypercatalan.core import TypeVector, hyper_catalan, power_coeff, unit_type, vef
 from hypercatalan.series import (
     LayeredPoly,
@@ -31,9 +31,9 @@ from hypercatalan.series import (
     table_rows,
 )
 
-from oracles import (ONE, add, admits, bumped_walk, count_trees, geode, graded, mul, mul_from_top,
-                     pack, packed, poly, poly_from_json, poly_text, poly_to_json, print_order,
-                     table_json, truncate, unpack, unpacked)
+from oracles import (ONE, add, admits, bumped_walk, catalan, count_trees, geode, graded, mul,
+                     mul_from_top, pack, packed, poly, poly_from_json, poly_text, poly_to_json,
+                     print_order, table_json, truncate, unpack, unpacked)
 
 
 def tv(*counts):
@@ -402,13 +402,16 @@ class TestRenderTable:
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
     def test_walk_labels_its_types(self, spec):
-        # the printer's labeller gives each type the walk makes its TypeVector's label
-        keys = {key for bucket in _walk(spec) for key in bucket}
-        labels = series._labels(keys, spec.d + 1)
-        assert keys <= labels.keys()
-        for key, label in labels.items():
-            m = unpack(key, spec.d + 1)
-            assert label == (m.faces(), m.entries), key
+        # the labeller gives each type the walk makes its TypeVector's label, from the keys of
+        # every level or of the top level alone, as geode_quotient gives them, none of whose
+        # remainders is a key
+        buckets = _walk(spec)
+        for keys in ({key for bucket in buckets for key in bucket}, set(buckets[-1])):
+            labels = series._labels(keys, spec.d + 1)
+            assert keys <= labels.keys()
+            for key, label in labels.items():
+                m = unpack(key, spec.d + 1)
+                assert label == (m.faces(), m.entries), key
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
     def test_labels_leave_the_text_unchanged(self, spec):
@@ -786,6 +789,19 @@ class TestExactLevelSums:
         for lvl, v in got.items():
             assert abs(Fraction(v) - want[lvl]) <= FLOAT_TOLERANCE * scale[lvl], lvl
         _assert_partial_sums(spec, values, got)
+
+    def test_float_scalings_agree_bit_for_bit(self):
+        # the scaled cells are the unscaled ones times powers of 2, so wherever the unscaled
+        # pass stays in the float range both give the same level sums, bit for bit
+        rng = random.Random(2025)
+        for _ in range(400):
+            meas, q, d = rng.choice(list(Measure)), rng.randint(2, 6), rng.randint(1, 120)
+            spec = LayerSpec(meas, d, q)
+            floats = {k: rng.choice((0, 1, -1)) / rng.randint(5, 60) for k in range(2, q + 1)}
+            plain, scaled = ([(lvl, float(num).hex()) for lvl, num, _ in
+                              series._level_numerators(spec, floats, scaled=scaled)[3]]
+                             for scaled in (False, True))
+            assert plain == scaled, (spec, floats)
 
     def test_vertex_60_seven_gons_under_a_second(self):
         # walking every admitted type took 3.4 s (2-core Xeon VM, Python 3.11)
