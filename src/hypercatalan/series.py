@@ -50,11 +50,15 @@ cell adding binom(F+s, F)/(s+1) * [mu^e] R^F.  R^F is a plain list, advanced
 by catpow._mul_cut, which adds one slice per nonzero coefficient of R in the
 order given: highest index first, so each float cell adds its terms in one
 fixed order; a quotient past the float range restarts the pass on 4 R(2 mu),
-whose cells take the one float loop with the plain ones (``_level_numerators``).
-When R is one term c*mu^j (one nonzero value), R^F is c^F at index jF, c^F
-taken by the same repeated products, and no list is convolved.
-R^F is zero below jF for the first nonzero index j of R, so each F's cells
-start at e = jF, with the binomial from math.comb just below it when jF > 0.
+whose cells take the same loops as the plain ones (``_level_numerators``).
+When R is one term c*mu^j (one nonzero value t_k, k = j+2), the zero is the
+Fuss-Catalan series: each F has the one cell (F, jF), binom(kF, F)/((k-1)F+1)
+* c^F alone on level (b + a*j)*F.  A loop of its own takes F = 1 .. d // (b +
+a*j), with c^F by repeated products and binom(kF, F) advanced by the ratio
+perm(kF, k) / (F * perm((k-1)F, k-1)), as _walk advances C: no list and no
+binomial from scratch.  Otherwise R^F is zero below jF for the first nonzero
+index j of R, so each F's cells start at e = jF, with the binomial from
+math.comb just below it when jF > 0.
 
 Partial sums (partial_pairs), the truncations of the zero that solve prints,
 come from the same cell pass as plain ints.  Exact ones keep a single running
@@ -226,8 +230,9 @@ def _level_numerators(spec: LayerSpec, values: dict, scaled: bool = False):
     One entry per level that spec admits a type at, in increasing order; the level sum is
     the numerator over qpow[level // w2] (1 for floats), and frac marks a level with a type
     that uses a Fraction value.  A float numerator that is not finite raises OverflowError.
-    Exact cells take one loop and float cells another.  A float cell whose binomial
-    quotient passes the float range starts the pass again scaled, in the same float loop:
+    One nonzero value takes a loop of its own, one cell per F (module docstring); with more,
+    exact cells take one loop and float cells another.  A float cell whose binomial
+    quotient passes the float range starts the pass again scaled, in the same loops:
     R(mu) becomes 4 R(2 mu) and R^0 becomes 2^-64, so c is scaled by 4^F 2^e / 2^64 and
     the quotient by 2^64 / 2^(2F + e), which bounds it by 2^64.  Near the radius of
     convergence that keeps both in range, where c alone falls below the smallest float
@@ -258,41 +263,53 @@ def _level_numerators(spec: LayerSpec, values: dict, scaled: bool = False):
     qpow = list(accumulate([q] * (d // w2), mul, initial=1))  # up to Q^(most faces)
     nums = [1] + [0 if exact else 0.0] * d
     unit = ldexp(1.0, -64) if scaled else 1  # R^0: see the docstring
-    power, central, mono = [unit], 1, unit  # R^F, binom(2F, F), and c^F when R is one term c*mu^j
-    for f in range(1, d // w2 + 1):
-        n = len(power) + len(r) - 1
-        if step:
-            n = min(n, (d - w2 * f) // step + 1)
-        if len(terms) == 1:  # R^F is the one term c^F * mu^(jF): no convolution
-            j, c = terms[0]
-            mono *= c
-            power = [0] * (j * f) + [mono] if j * f < n else []
-        else:
-            power = _mul_cut(terms, power, n)
-        central = central * (4 * f - 2) // f
-        # binom(F + s, F) with s = F + e, advanced by ratios; the cell divides by s + 1.
-        # R^F is zero below e0 = j0*F, so the cells start there, b one ratio before it
-        f2, f1, lvl, e0 = 2 * f, f + 1, w2 * f, j0 * f
-        if e0 >= len(power):  # no cell of this F fits
-            continue
-        b = comb(f2 + e0 - 1, f) if e0 else central
-        cells = enumerate(power[e0:], e0) if e0 else enumerate(power)
-        if exact:  # the cell's numerator over Q^F, rescaled to the level's Q^(lvl // w2)
-            for e, c in cells:
-                if e:
-                    b = b * (f2 + e) // (f + e)
-                if c:
-                    nums[lvl + step * e] += b * c // (f1 + e) * qpow[step * e // w2]
-            continue
+    if len(terms) == 1:  # R = c*mu^j: each F has the one cell (F, jF), on a level of its own
+        [(j, c)] = terms
+        k, lw, mono, b = j + 2, w2 + step * j, unit, 1  # lw: the cell's level per face
         try:
-            for e, c in cells:
-                if e:
-                    b = b * (f2 + e) // (f + e)
-                if c:  # a float c^F can underflow to 0.0
-                    nums[lvl + step * e] += ((b << 64) / ((f1 + e) << (f2 + e)) if scaled
-                                             else b / (f1 + e)) * c
-        except OverflowError:  # b / (f1 + e) is past the float range; scaled, it is below 2^64
+            for f in range(1, d // lw + 1):  # mono = c^F and b = binom(kF, F), advanced by ratios
+                mono *= c
+                b = b * perm(k * f, k) // (f * perm((k - 1) * f, k - 1))
+                if exact:
+                    nums[lw * f] += b * mono // ((k - 1) * f + 1) * qpow[step * j * f // w2]
+                elif not mono:  # c^F underflowed to 0.0, and so does every later power
+                    break
+                else:
+                    nums[lw * f] += ((b << 64) / (((k - 1) * f + 1) << (k * f)) if scaled
+                                     else b / ((k - 1) * f + 1)) * mono
+        except OverflowError:  # as in the float loop below
             return _level_numerators(spec, values, scaled=True)
+    else:
+        power, central = [unit], 1  # R^F and binom(2F, F)
+        for f in range(1, d // w2 + 1):
+            n = len(power) + len(r) - 1
+            if step:
+                n = min(n, (d - w2 * f) // step + 1)
+            power = _mul_cut(terms, power, n)
+            central = central * (4 * f - 2) // f
+            # binom(F + s, F) with s = F + e, advanced by ratios; the cell divides by s + 1.
+            # R^F is zero below e0 = j0*F, so the cells start there, b one ratio before it
+            f2, f1, lvl, e0 = 2 * f, f + 1, w2 * f, j0 * f
+            if e0 >= len(power):  # no cell of this F fits
+                continue
+            b = comb(f2 + e0 - 1, f) if e0 else central
+            cells = enumerate(power[e0:], e0) if e0 else enumerate(power)
+            if exact:  # the cell's numerator over Q^F, rescaled to the level's Q^(lvl // w2)
+                for e, c in cells:
+                    if e:
+                        b = b * (f2 + e) // (f + e)
+                    if c:
+                        nums[lvl + step * e] += b * c // (f1 + e) * qpow[step * e // w2]
+                continue
+            try:
+                for e, c in cells:
+                    if e:
+                        b = b * (f2 + e) // (f + e)
+                    if c:  # a float c^F can underflow to 0.0
+                        nums[lvl + step * e] += ((b << 64) / ((f1 + e) << (f2 + e)) if scaled
+                                                 else b / (f1 + e)) * c
+            except OverflowError:  # b / (f1 + e) is past the float range; scaled, it is below 2^64
+                return _level_numerators(spec, values, scaled=True)
     # frac[l]: a type at level l uses a Fraction value, one t_k of weight w on a type at l - w
     frac = [False] * (d + 1)
     for w in {w for k, w in ks if exact and isinstance(values[k], Fraction)}:

@@ -10,6 +10,7 @@ whose stdout closes after a line (``| head -n 1``), runs in a subprocess of
 ``sys.executable`` with this interpreter's ``-O``, as CI runs the file.  After a
 deliberate change of output, ``python tests/test_outputs.py`` prints every
 digest as lines of ``<sha256>  <name>``, a round's name being ``workload:seed:round``.
+The corpus's ``solve`` tasks are also checked to converge, in exact Fractions.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import takewhile
 from pathlib import Path
 from unittest import mock
@@ -65,6 +67,30 @@ def test_bench_outputs_are_unchanged(workload, seed):
     pairs = zip(digests(workload, seed), DIGESTS[f"{workload}:{seed}"], strict=True)
     changed = [r for r, (got, want) in enumerate(pairs) if got != want]
     assert changed == [], f"{workload}:{seed} output changed in rounds {changed}"
+
+
+# the one corpus task whose zero diverges: bench/tasks.py draws its four values too large
+DIVERGENT = ["solve --coeffs 1/25,1/34,1/33,1/37 --measure vertex --d 21"]
+
+
+def test_every_bench_solve_task_but_one_converges():
+    # every C_m >= 0, so the zero converges at t iff f(y) = 1 - y + sum_k |t_k| y^k has a root
+    # y > 0; f(0) = 1, so some y = i/64 with f(y) <= 0 shows one.  Where none does, f' >= -1
+    # keeps f above f(i/64) - 1/64 up to (i+1)/64, and f is convex, so f(4) > 0 with f'(4) >= 0
+    # keeps it above 0 past 4: no root, and the task diverges
+    tasks = [task for seed in SEEDS for r in range(ROUNDS)
+             for task in TASKS.round_tasks("closed-form", seed, r) if task.argv[0] == "solve"]
+    assert len(tasks) == 1920
+    ys, diverging = [Fraction(i, 64) for i in range(257)], []
+    for task in tasks:
+        t = [abs(Fraction(c)) for c in task.argv[task.argv.index("--coeffs") + 1].split(",")]
+        f = lambda y: 1 - y + sum(tk * y**k for k, tk in enumerate(t, 2))
+        if any(f(y) <= 0 for y in ys[1:]):
+            continue
+        slope = -1 + sum(k * tk * 4 ** (k - 1) for k, tk in enumerate(t, 2))
+        assert all(f(y) > Fraction(1, 64) for y in ys[:256]) and slope >= 0, task.line()
+        diverging.append(task.line())
+    assert diverging == DIVERGENT
 
 
 class Sha(str):
@@ -158,6 +184,10 @@ a5bdf65bd0104ffa32717d386821b12f8fa56b1042fcdf42f71cda827eb68b10  solve --coeffs
 a785e04cf1b200c30d5556c237d319930bbee4d84501d0193511e6ec763f63fc  solve --float --coeffs 1/13 --d 175
 00f44773e32fb8ce08c4735cd97d58dbe0d5d7da247d1bc998047a00f9a9bcf7  solve --float --coeffs=0,-1/4 --d 60
 1e62d90541d181de79fb447691a0419fec285b9c50cfdf30006cb5b98c51667c  solve --float --coeffs=-1/5 --d 120 --measure edge
+# one value past t2, R = c*mu^j with j >= 1, exact and in floats
+47817e4f4ba20476f5dd5b88d82a755a71166f12c8f074cfb35f7619f3f10287  solve --coeffs=0,0,1/9 --measure face --d 40
+2c83a03a550f20ffa0493d5eca60818707287022355af083a023cbada339de7e  solve --coeffs=0,0,1/9 --measure face --d 40 --float
+c711eb255f8ebe7513094168a5130de27ee2aea198e8745cad5b477ea036459a  solve --coeffs=0,1/7 --d 120
 """
 W80, UNBUFFERED = (("COLUMNS", "80"),), (("PYTHONUNBUFFERED", "1"),)
 DIGIT_LIMIT = ("error: result has more than 4300 digits, Python's int-to-str limit "

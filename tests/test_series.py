@@ -821,6 +821,63 @@ class TestExactLevelSums:
         assert all(type(v) is float for lvl, v in sums.items() if lvl)
 
 
+# level bounds of the one-value oracle sweep: the oracle walks every multiset of gons
+ONE_VALUE_ORACLE_BOUND = {Measure.VERTEX: 16, Measure.EDGE: 20, Measure.FACE: 7}
+
+
+class TestOneValue:
+    """One nonzero t_k: the zero is the Fuss-Catalan series, binom(kF, F)/((k-1)F+1) * t_k^F
+    alone at level (b + a(k-2))F, one cell per face count F."""
+
+    @pytest.mark.parametrize("meas", list(Measure), ids=lambda m: m.value)
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_exact_level_sums(self, meas, k):
+        lw = series.weight(k, meas)
+        for q in (k, k + 1):
+            small = LayerSpec(meas, ONE_VALUE_ORACLE_BOUND[meas], q)
+            types = _oracle_types(small)
+            for t in (2, -1, Fraction(1, 7), Fraction(-3, 10)):
+                values = {i: t if i == k else 0 for i in range(2, q + 1)}
+                spec = LayerSpec(meas, 40 * lw + lw - 1, q)
+                got = layer_sums(spec, values)
+                assert all(lw * f in got for f in range(41)), (spec, t)
+                for lvl, s in got.items():
+                    f, rest = divmod(lvl, lw)
+                    want = 0 if rest else Fraction(comb(k * f, f), (k - 1) * f + 1) * t**f
+                    assert s == want, (spec, t, lvl)
+                got, want = layer_sums(small, values), _oracle_layer_sums(types, small, values)
+                assert list(got.items()) == list(want.items()), (small, t)
+                assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+                _assert_partial_sums(small, values, want)
+
+    @pytest.mark.parametrize("meas", list(Measure), ids=lambda m: m.value)
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_float_level_sums_bit_for_bit(self, meas, k, monkeypatch):
+        # c^F by repeated products, its cell the correctly rounded quotient times c^F; from
+        # c = ±1e-6 on, c^F underflows to 0.0 at F = 54 and the quotient passes the float range
+        # before F = 600: the level stays 0.0, and the pass is not restarted scaled
+        passes = []
+        numerators = series._level_numerators
+        monkeypatch.setattr(series, "_level_numerators",
+                            lambda *args, **kw: passes.append(kw) or numerators(*args, **kw))
+        lw = series.weight(k, meas)
+        for c, n in ((0.1, 60), (-0.3, 60), (1 / 7, 60), (1e-6, 600), (-1e-6, 600)):
+            spec = LayerSpec(meas, lw * n, k)
+            passes.clear()
+            got = layer_sums(spec, {i: c if i == k else 0.0 for i in range(2, k + 1)})
+            assert passes == [{}], (spec, c)
+            power, want = 1, [1]
+            for f in range(1, n + 1):
+                power *= c
+                want.append(comb(k * f, f) / ((k - 1) * f + 1) * power if power else 0.0)
+            assert [repr(got[lw * f]) for f in range(n + 1)] == list(map(repr, want)), (spec, c)
+            assert all(s == 0.0 for lvl, s in got.items() if lvl % lw), (spec, c)
+            if abs(c) < 1e-3:
+                assert want[53] and not any(want[54:]), (spec, c)
+                with pytest.raises(OverflowError):
+                    comb(k * n, n) / ((k - 1) * n + 1)
+
+
 # every measure up to d = 12, face layering with q = 2..6 up to d = 6
 WALK_SPECS = (
     [LayerSpec(Measure.VERTEX, d) for d in range(13)]
