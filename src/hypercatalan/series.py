@@ -46,19 +46,21 @@ t_k = n_k/Q over one denominator, R(mu) = sum_k n_k mu^(k-2) and the excess
 e = s - F, the cell (F, e) at level b*F + a*e adds binom(F+s, F) * [mu^e] R^F
 // (s+1) over Q^F (exact: it is sum C_m * prod_k n_k^m_k).
 Float values take the same cells with Q = 1 and n_k = t_k as floats, the
-cell adding binom(F+s, F)/(s+1) * [mu^e] R^F.  R^F is a plain list, advanced
-by catpow._mul_cut, which adds one slice per nonzero coefficient of R in the
+cell adding binom(F+s, F)/(s+1) * [mu^e] R^F.  R = mu^j R~ for the first
+nonzero index j of R (j = 0 unless t_2 = 0), so R^F is zero below e = jF and
+its cells are those of R~^F: F runs 1 .. d // (b + a*j), and each F's first
+cell, (F, jF) on level (b + a*j)*F, has the binomial binom(kF, F), k = j+2,
+advanced from F-1 by the ratio perm(kF, k) / (F * perm((k-1)F, k-1)), as
+_walk advances C, and each later cell by one more ratio.  The cells take one
+of two loops (``_level_numerators``).  When R~ is one term c (one nonzero
+value t_k), the zero is the Fuss-Catalan series: each F has the one cell
+binom(kF, F)/((k-1)F+1) * c^F, alone on its level, with c^F by repeated
+products and no list.  Otherwise R~^F is a plain list, advanced by
+catpow._mul_cut, which adds one slice per nonzero coefficient of R~ in the
 order given: highest index first, so each float cell adds its terms in one
-fixed order; a quotient past the float range restarts the pass on 4 R(2 mu),
-whose cells take the same loops as the plain ones (``_level_numerators``).
-When R is one term c*mu^j (one nonzero value t_k, k = j+2), the zero is the
-Fuss-Catalan series: each F has the one cell (F, jF), binom(kF, F)/((k-1)F+1)
-* c^F alone on level (b + a*j)*F.  A loop of its own takes F = 1 .. d // (b +
-a*j), with c^F by repeated products and binom(kF, F) advanced by the ratio
-perm(kF, k) / (F * perm((k-1)F, k-1)), as _walk advances C: no list and no
-binomial from scratch.  Otherwise R^F is zero below jF for the first nonzero
-index j of R, so each F's cells start at e = jF, with the binomial from
-math.comb just below it when jF > 0.
+fixed order; one loop takes each F's row of cells, exact and float alike.  A
+float quotient past the float range restarts the pass on 4 R(2 mu), in the
+same loops.
 
 Partial sums (partial_pairs), the truncations of the zero that solve prints,
 come from the same cell pass as plain ints.  Exact ones keep a single running
@@ -75,7 +77,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
-from math import comb, gcd, isfinite, lcm, ldexp, perm
+from math import gcd, isfinite, lcm, ldexp, perm
 from operator import mul, or_
 
 from .catpow import _mul_cut, _poly_text
@@ -230,15 +232,15 @@ def _level_numerators(spec: LayerSpec, values: dict, scaled: bool = False):
     One entry per level that spec admits a type at, in increasing order; the level sum is
     the numerator over qpow[level // w2] (1 for floats), and frac marks a level with a type
     that uses a Fraction value.  A float numerator that is not finite raises OverflowError.
-    One nonzero value takes a loop of its own, one cell per F (module docstring); with more,
-    exact cells take one loop and float cells another.  A float cell whose binomial
-    quotient passes the float range starts the pass again scaled, in the same loops:
-    R(mu) becomes 4 R(2 mu) and R^0 becomes 2^-64, so c is scaled by 4^F 2^e / 2^64 and
-    the quotient by 2^64 / 2^(2F + e), which bounds it by 2^64.  Near the radius of
-    convergence that keeps both in range, where c alone falls below the smallest float
-    (0.26^F at F = 554), and a level sum past the float range overflows before c does.
-    Both factors are scaled by powers of 2, so wherever the plain pass stays in the normal
-    float range the scaled one gives its level sums bit for bit.
+    The cells run over R~, R less its factor mu^j0 (module docstring), in one of two loops:
+    one nonzero value has one cell per F, any more a row of cells per F, exact and float
+    alike.  A float cell whose binomial quotient passes the float range starts the pass
+    again scaled, in the same loops: R(mu) becomes 4 R(2 mu) and R^0 becomes 2^-64, so c is
+    scaled by 4^F 2^e / 2^64 and the quotient by 2^64 / 2^(2F + e), which bounds it by 2^64.
+    Near the radius of convergence that keeps both in range, where c alone falls below the
+    smallest float (0.26^F at F = 554), and a level sum past the float range overflows
+    before c does.  Both factors are scaled by powers of 2, so wherever the plain pass stays
+    in the normal float range the scaled one gives its level sums bit for bit.
     """
     d, ks = spec.d, [(k, weight(k, spec.measure)) for k in range(2, spec.max_gon() + 1)]
     # reach[l]: spec admits a type at level l (an unbounded knapsack over the weights)
@@ -254,62 +256,57 @@ def _level_numerators(spec: LayerSpec, values: dict, scaled: bool = False):
         q, r = 1, [float(values[k]) for k, _ in ks]
         if scaled:
             r = [ldexp(x, j + 2) for j, x in enumerate(r)]
-    # R's nonzero terms, highest index first: each cell of R^F then adds its terms
-    # in increasing index of R^(F-1), the order that keeps float sums reproducible
-    terms = [(j, r[j]) for j in reversed(range(len(r))) if r[j]]
-    j0 = terms[-1][0] if terms else 0  # R's first nonzero index: R^F starts at j0*F
-    # the cell (F, e) sits at level w2*F + step*e; R^F is cut at the largest e that fits
+    # R = mu^j0 R~ with R~(0) != 0, so the cell (F, e) of R^F is the cell (F, e - j0 F) of
+    # R~^F.  R~'s nonzero terms go highest index first: each cell of R~^F then adds its
+    # terms in increasing index of R~^(F-1), the order that keeps float sums reproducible
+    nonzero = [j for j, x in enumerate(r) if x]
+    j0 = nonzero[0] if nonzero else 0
+    terms = [(j - j0, r[j]) for j in reversed(nonzero)]
+    # the cell (F, e) sits at level w2*F + step*e, its first (e = j0 F) at lw*F, a
+    # (j0+2)-gon's weight times F; R~^F is cut at the largest e that fits
     w2, step = _GRADING[spec.measure]  # (b, a)
+    k, lw = j0 + 2, w2 + step * j0
     qpow = list(accumulate([q] * (d // w2), mul, initial=1))  # up to Q^(most faces)
     nums = [1] + [0 if exact else 0.0] * d
     unit = ldexp(1.0, -64) if scaled else 1  # R^0: see the docstring
-    if len(terms) == 1:  # R = c*mu^j: each F has the one cell (F, jF), on a level of its own
-        [(j, c)] = terms
-        k, lw, mono, b = j + 2, w2 + step * j, unit, 1  # lw: the cell's level per face
-        try:
+    try:
+        if len(terms) == 1:  # R = c*mu^j0: each F has the one cell (F, j0 F), on a level of its own
+            [(_, c)] = terms
+            mono, b = unit, 1
             for f in range(1, d // lw + 1):  # mono = c^F and b = binom(kF, F), advanced by ratios
                 mono *= c
                 b = b * perm(k * f, k) // (f * perm((k - 1) * f, k - 1))
                 if exact:
-                    nums[lw * f] += b * mono // ((k - 1) * f + 1) * qpow[step * j * f // w2]
+                    nums[lw * f] += b * mono // ((k - 1) * f + 1) * qpow[step * j0 * f // w2]
                 elif not mono:  # c^F underflowed to 0.0, and so does every later power
                     break
                 else:
                     nums[lw * f] += ((b << 64) / (((k - 1) * f + 1) << (k * f)) if scaled
                                      else b / ((k - 1) * f + 1)) * mono
-        except OverflowError:  # as in the float loop below
-            return _level_numerators(spec, values, scaled=True)
-    else:
-        power, central = [unit], 1  # R^F and binom(2F, F)
-        for f in range(1, d // w2 + 1):
-            n = len(power) + len(r) - 1
-            if step:
-                n = min(n, (d - w2 * f) // step + 1)
-            power = _mul_cut(terms, power, n)
-            central = central * (4 * f - 2) // f
-            # binom(F + s, F) with s = F + e, advanced by ratios; the cell divides by s + 1.
-            # R^F is zero below e0 = j0*F, so the cells start there, b one ratio before it
-            f2, f1, lvl, e0 = 2 * f, f + 1, w2 * f, j0 * f
-            if e0 >= len(power):  # no cell of this F fits
-                continue
-            b = comb(f2 + e0 - 1, f) if e0 else central
-            cells = enumerate(power[e0:], e0) if e0 else enumerate(power)
-            if exact:  # the cell's numerator over Q^F, rescaled to the level's Q^(lvl // w2)
-                for e, c in cells:
-                    if e:
-                        b = b * (f2 + e) // (f + e)
-                    if c:
-                        nums[lvl + step * e] += b * c // (f1 + e) * qpow[step * e // w2]
-                continue
-            try:
-                for e, c in cells:
-                    if e:
-                        b = b * (f2 + e) // (f + e)
+        else:
+            power, b0 = [unit], 1  # R~^F and binom(kF, F), the first cell's binomial
+            for f in range(1, d // lw + 1):
+                n = len(power) + len(r) - 1 - j0
+                if step:
+                    n = min(n, (d - lw * f) // step + 1)
+                power = _mul_cut(terms, power, n)
+                b0 = (b0 * perm(k * f, k) // (f * perm((k - 1) * f, k - 1)) if j0
+                      else b0 * (4 * f - 2) // f)  # the same ratio at k = 2, cheaper
+                # b = binom(F + s, F) with s = F + e, advanced by ratios; the cell divides by
+                # s1 = s + 1 = f1 + e and sits on level lvl + step*s1
+                b, f1, lvl = b0, f + 1, w2 * f - step * (f + 1)
+                for s1, c in enumerate(power, f1 + j0 * f):
                     if c:  # a float c^F can underflow to 0.0
-                        nums[lvl + step * e] += ((b << 64) / ((f1 + e) << (f2 + e)) if scaled
-                                                 else b / (f1 + e)) * c
-            except OverflowError:  # b / (f1 + e) is past the float range; scaled, it is below 2^64
-                return _level_numerators(spec, values, scaled=True)
+                        if exact:  # the numerator over Q^F, rescaled to the level's Q^(level // w2)
+                            nums[lvl + step * s1] += b * c // s1 * qpow[step * (s1 - f1) // w2]
+                        else:
+                            nums[lvl + step * s1] += ((b << 64) / (s1 << (f + s1 - 1)) if scaled
+                                                      else b / s1) * c
+                    b = b * (f + s1) // s1
+    except OverflowError:  # a float quotient past the float range, below 2^64 once scaled
+        if scaled:  # so not a quotient: no second restart
+            raise
+        return _level_numerators(spec, values, scaled=True)
     # frac[l]: a type at level l uses a Fraction value, one t_k of weight w on a type at l - w
     frac = [False] * (d + 1)
     for w in {w for k, w in ks if exact and isinstance(values[k], Fraction)}:

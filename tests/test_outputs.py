@@ -9,7 +9,10 @@ or its sha256.  Both run ``cli.main`` in process; a row with a timeout, or one
 whose stdout closes after a line (``| head -n 1``), runs in a subprocess of
 ``sys.executable`` with this interpreter's ``-O``, as CI runs the file.  After a
 deliberate change of output, ``python tests/test_outputs.py`` prints every
-digest as lines of ``<sha256>  <name>``, a round's name being ``workload:seed:round``.
+digest as lines of ``<sha256>  <name>``, a round's name being ``workload:seed:round``;
+``python tests/test_outputs.py --update`` rewrites ``output_digests.json`` and prints
+only what changed: each such round's name, and each such ``PINS`` row as its new line,
+for a hand edit of ``PINS``.
 The corpus's ``solve`` tasks are also checked to converge, in exact Fractions.
 """
 
@@ -22,7 +25,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import takewhile
+from itertools import takewhile, zip_longest
 from pathlib import Path
 from unittest import mock
 
@@ -188,13 +191,21 @@ a785e04cf1b200c30d5556c237d319930bbee4d84501d0193511e6ec763f63fc  solve --float 
 47817e4f4ba20476f5dd5b88d82a755a71166f12c8f074cfb35f7619f3f10287  solve --coeffs=0,0,1/9 --measure face --d 40
 2c83a03a550f20ffa0493d5eca60818707287022355af083a023cbada339de7e  solve --coeffs=0,0,1/9 --measure face --d 40 --float
 c711eb255f8ebe7513094168a5130de27ee2aea198e8745cad5b477ea036459a  solve --coeffs=0,1/7 --d 120
+# t2 = 0 with two or more values past it: R^F = mu^(jF) * R~^F, exact and in floats
+5e8d4ea82f9bf2b2be02fcd5653b3316603556459a9d2d4a7d3917bd098b791a  solve --coeffs=0,1/20,1/30 --d 300
+e0260afa4dc783710bd661095fe251d80af07f1c9e18a6436d0317ca63da698e  solve --coeffs=0,1/20,1/30 --d 300 --float
+984ad7ec3e8c35ab3165fda73fa626efb38113a3308b3c756aa4c5a05f0c1a05  solve --coeffs=0,0,1/30,1/40 --measure edge --d 200
+a1b8a7659ad64eae8e9bfa6fe3c5b44fecb60cfa4ab404a8b0496424ed50508a  solve --coeffs=0,0,1/30,1/40 --measure edge --d 200 --float
+1f6a8e07d6ddfc38f91209cc09f27e57d04c3cbb76c6114550224bd35c3943c6  solve --coeffs=0,1/20,1/25 --measure face --d 60
+0b4bdd11552c95584c6512039f80bbdd6d3437493516a4e083b0b1dab306e5e4  solve --coeffs=0,1/20,1/25 --measure face --d 60 --float
 """
 W80, UNBUFFERED = (("COLUMNS", "80"),), (("PYTHONUNBUFFERED", "1"),)
 DIGIT_LIMIT = ("error: result has more than 4300 digits, Python's int-to-str limit "
                "(PYTHONINTMAXSTRDIGITS=0 lifts it)\n")
 CYCLIC = "".join(str(2 + i * 7 % 4) + "0" * (i % 4) for i in range(90))
 CYCLIC += "0" * (3 + sum(map(int, CYCLIC)) - len(CYCLIC))  # zeros to the length of 3 words
-ROWS = [pin(line) for line in PINS.splitlines() if not line.startswith("#")] + [
+PINNED = [pin(line) for line in PINS.splitlines() if not line.startswith("#")]
+ROWS = PINNED + [
     row("verify --measure vertex --d 15", "ZERO\n"),
     row("verify --measure face --d 8 --q 6", "ZERO\n"),
     row("verify --measure vertex --d 20", "ZERO\n"),
@@ -291,7 +302,34 @@ def test_bumped_slice_has_no_geode_quotient(monkeypatch):
         series.geode_quotient(4, 3)
 
 
+def update(path=HERE / "output_digests.json"):
+    """Rewrite the corpus digests at path; print each round whose digest changed, as
+    ``workload:seed:round``, and each PINS row whose stdout changed, as its new PINS line."""
+    fresh = {f"{w}:{s}": digests(w, s) for w, s in CORPUS}
+    old = json.loads(path.read_text())
+    for name, shas in fresh.items():
+        for r, (sha, was) in enumerate(zip_longest(shas, old.get(name, []))):
+            if sha != was:
+                print(f"{name}:{r}")
+    path.write_text(json.dumps(fresh, indent=2) + "\n")
+    for case in PINNED:
+        argv, sha, _, _, env, _, _ = case.values
+        if (new := hashlib.sha256(run(argv, env)[1].encode()).hexdigest()) != sha:
+            print(f"{new}  {case.id}")
+
+
+def test_update_of_an_unchanged_tree_changes_nothing(tmp_path, capsys):
+    path = tmp_path / "output_digests.json"
+    path.write_bytes((HERE / "output_digests.json").read_bytes())
+    update(path)
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == (HERE / "output_digests.json").read_bytes()
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--update"]:
+        update()
+        sys.exit()
     for w, s in CORPUS:
         for r, sha in enumerate(digests(w, s)):
             print(f"{sha}  {w}:{s}:{r}")
