@@ -279,7 +279,8 @@ _COMMANDS: dict[tuple[str, ...], tuple[dict, Callable, dict[str, dict]]] = {
         "--d": _LEVEL,
         "--float": {"action": "store_true",
                     "help": "float level sums instead of exact rationals, each within 1e-13 "
-                            "of the sum of |terms| of the exact one"},
+                            "of the sum of |terms| of the exact one until a term falls below "
+                            "the normal float range; past that a sum reads too small, or 0"},
     }),
     ("subdigons",): ({"help": "enumerate or count subdigons of a type"}, cmd_subdigons, {
         "--type": {"required": True},
@@ -304,10 +305,26 @@ _COMMANDS: dict[tuple[str, ...], tuple[dict, Callable, dict[str, dict]]] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads --name=-- as the value '--', as argparse does from 3.13 on.
+
+    Before 3.13 argparse drops the '--' from an option's argument strings, so that
+    --d=-- stored [] and failed later with a traceback, or passed as no value at all.
+    The tree alone parses such a line: _scan hands every --name=value to it.
+    """
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:  # an option gets "--" only from =--
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built from _COMMANDS when first asked for; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypercatalan",
         description="Hyper-Catalan numbers, layered series zeros and Raney words",
     )

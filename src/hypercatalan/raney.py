@@ -295,8 +295,10 @@ def lists_text(n: int, c: Composition) -> str:
     The first h symbols are then listed as prefixes in lexicographic
     order, and each prefix adds one block, the rest's suffixes with the
     prefix put before each by one more replace: every byte of the listing
-    is written by exactly one replace.  ``list_blocks`` yields those
-    blocks, which the CLI writes as they come.
+    is written by exactly one replace of the prefix pass, but each layer
+    of the suffix table copies its blocks once more, so one list of
+    length L costs about L²/2 bytes of copies.  ``list_blocks`` yields
+    those blocks, which the CLI writes as they come.
     """
     return "".join(list_blocks(n, c))
 

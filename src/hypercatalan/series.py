@@ -240,7 +240,10 @@ def _level_numerators(spec: LayerSpec, values: dict, scaled: bool = False):
     Near the radius of convergence that keeps both in range, where c alone falls below the
     smallest float (0.26^F at F = 554), and a level sum past the float range overflows
     before c does.  Both factors are scaled by powers of 2, so wherever the plain pass stays
-    in the normal float range the scaled one gives its level sums bit for bit.
+    in the normal float range the scaled one gives its level sums bit for bit.  A float c
+    that falls below the normal range is not rescaled: a subnormal c keeps only some of
+    its bits and a c of 0.0 is skipped, so from there on a float level sum is no longer
+    within 1e-13 of the sum of |terms| of the exact one, and may read 0.0 (layer_sums).
     """
     d, ks = spec.d, [(k, weight(k, spec.measure)) for k in range(2, spec.max_gon() + 1)]
     # reach[l]: spec admits a type at level l (an unbounded knapsack over the weights)
@@ -327,6 +330,11 @@ def layer_sums(spec: LayerSpec, values: dict) -> dict[int, object]:
     give exact sums: one numerator per level l over Q^(l // b), the most
     faces at l, and an int unless a type at l uses a Fraction value.  Other
     values are taken as floats; a level sum that is not finite raises OverflowError.
+    A float level sum is within 1e-13 of the sum of |terms| of the exact one only while
+    every cell's float coefficient stays in the normal float range: one that underflows
+    loses bits or is skipped.  At vertex d = 800, t = {2: 1/7, 3: 1/30} the bound fails
+    from level 502 on, and levels 563-800 read 0.0 where the exact sums are 1.75e-44
+    (level 600) down to 9.52e-58 (level 800).
     """
     exact, w2, qpow, levels = _level_numerators(spec, values)
     if not exact:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -10,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import hypercatalan
 from hypercatalan import catpow, cli, series, subdigon
@@ -744,7 +745,7 @@ def _main_captured(argv, call=main):
 
 # how every one-line usage error that the program writes begins: its own
 # messages and the library's ValueErrors; main reports any ValueError this
-# way, so a stray one (such as int()'s "invalid literal") must fail the fuzz
+# way, so a stray one (such as int()'s "invalid literal") must fail the property test
 USAGE_ERRORS = tuple("error: " + head for head in (
     "bad type vector ", "bad coefficient ", "out of float range ", "result has more than ",
     "input too large to compute: ", "powers needs --identity", "word count ",
@@ -754,216 +755,203 @@ USAGE_ERRORS = tuple("error: " + head for head in (
 ))
 
 
-def _assert_documented_exit(code, err):
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err
-    if code == 2:
-        last = err.splitlines()[-1]
-        if last.startswith("hypercatalan") and ": error: " in last:  # argparse's own
-            return
-        assert err == last + "\n" and last.startswith(USAGE_ERRORS), err
+def _pick(*strategies):
+    """One of the strategies, each as likely: st.one_of would weigh a nested one_of by its
+    branches."""
+    return st.sampled_from(strategies).flatmap(lambda s: s)
 
 
-# strings of at most 30 characters: free text, and comma lists that may hold negative symbols
+# The command-line grammar that the tests draw from: every command of cli._COMMANDS and
+# every argument, with values from its type and choices, spelled well and not.  Only sizes
+# and the free-text values are written here.
+#
+# Sizes, so that no call can run away: the largest value drawn for an int option, by name.
+# Any other int option is a count, drawn up to COUNT, and a call is run only if its counts
+# add up to at most COUNT_TOTAL (a Raney listing of at most 552 lists).  Ints start at -2.
+SIZES = {"--d": 8, "--q": 6, "--max-faces": 6,
+         **dict.fromkeys(["--power", "--r", "--m", "--identity", "--order"], 30)}
+COUNT, COUNT_TOTAL = 3, 4
+# values no argument takes as they are: empty, "--", a leading '-', '_' in digits, a non-ASCII digit
+MALFORMED = ["", "--", "-", "-x", "1_0", "\u0663"]
+# Raney strings: free text of at most 30 characters, and separated forms of at most 10
+# symbols that may be negative or malformed
 RANEY_TEXT = st.one_of(
     st.text(alphabet="0123456789, -", max_size=30),
-    st.lists(st.integers(min_value=-2, max_value=4), max_size=10).map(
-        lambda symbols: ",".join(map(str, symbols))
-    ),
+    st.tuples(st.sampled_from([",", " ", ", "]), st.lists(
+        st.one_of(st.integers(min_value=-2, max_value=4).map(str), st.sampled_from(MALFORMED)),
+        max_size=10)).map(lambda parts: parts[0].join(parts[1])),
 )
-
-
-@settings(max_examples=300, deadline=None)
-@given(command=st.sampled_from(["rank", "check", "rotations", "identify"]), text=RANEY_TEXT)
-def test_raney_fuzz_exit_codes(command, text):
-    code, _, err = _main_captured(["raney", command, text])
-    _assert_documented_exit(code, err)
-
-
-# type vectors of at most 4 entries of at most 3; a cap below the face count is a usage error
-@settings(max_examples=200, deadline=None)
-@given(counts=st.lists(st.integers(min_value=0, max_value=3), max_size=4),
-       fmt=st.sampled_from(["count", "list", "json"]),
-       cap=st.integers(min_value=-2, max_value=6))
-def test_subdigons_fuzz_exit_codes(counts, fmt, cap):
-    argv = ["subdigons", "--type", ",".join(map(str, counts)),
-            "--format", fmt, "--max-faces", str(cap)]
-    code, out, err = _main_captured(argv)
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert out == ""
-        assert err == f"error: face count {sum(counts)} exceeds cap {cap}\n"
-    else:
-        assert fmt == "count" or sum(counts) <= cap
-
-
-# Bounded sizes, so that no case can run away: levels d <= 8, gon bounds q <= 6,
-# at most 6 counts or coefficients, powers and orders <= 30.  None of these
-# commands has a failing verdict on any input, so exit 1 is never right.
-LEVELS = st.integers(min_value=-2, max_value=8)
-SMALL = st.integers(min_value=-2, max_value=30)
+# type vectors of at most 4 counts of at most 3 and at most 5 faces (at most 46,512 subdigons)
+TYPE_TEXT = st.lists(st.integers(min_value=-1, max_value=3), max_size=4).filter(
+    lambda counts: sum(counts) <= 5).map(lambda counts: ",".join(map(str, counts)))
+# lists of 1 to 6 coefficients, three good ones in four (an absent --coeffs is the empty list)
 GOOD_COEFF = st.one_of(
     st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 12)),
     st.builds(str, st.integers(-9, 9)),
     st.sampled_from(["0.25", "-0.1", "1e-3"]),
 )
-# three good coefficients in four, so that whole lists of them are common
-COEFF_TEXT = st.one_of(
-    GOOD_COEFF, GOOD_COEFF, GOOD_COEFF,
-    st.one_of(st.sampled_from(["1e400", "1e300", "1/0", "", "x", "-"]),
-              st.text(alphabet="0123456789/-.", max_size=6)),
+BAD_COEFF = st.one_of(st.sampled_from(["1e400", "1e300", "1/0", "", "x", "-"]),
+                      st.text(alphabet="0123456789/-.", max_size=6))
+COEFF_TEXT = st.lists(_pick(GOOD_COEFF, GOOD_COEFF, GOOD_COEFF, BAD_COEFF), min_size=1,
+                      max_size=6).map(",".join)
+TEXTS = {"--type": TYPE_TEXT, "--coeffs": COEFF_TEXT, "string": RANEY_TEXT}
+ARABIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+# spellings of an int v that int() reads: plain, in non-ASCII digits, between spaces,
+# with its sign, and with a '_'
+SPELLINGS = [str, lambda v: str(v).translate(ARABIC_DIGITS), " {} ".format, "{:+}".format,
+             lambda v: "-" * (v < 0) + f"0_{abs(v)}"]
+# a choice misspelled: in the wrong case, abbreviated, after a '-'
+MISSPELLINGS = [str.upper, str.title, lambda c: c[:2], "-{}".format]
+
+
+def _spelled(values, spellings):
+    return st.tuples(values, st.sampled_from(spellings)).map(lambda pair: pair[1](pair[0]))
+
+
+def _values(name, options):
+    """(good, bad): strategies of the values of an argument that its type and choices take, and
+    of misspellings that they do not take (MALFORMED adds more)."""
+    if "choices" in options:
+        good = st.sampled_from(options["choices"])
+        return good, _spelled(good, MISSPELLINGS)
+    if "type" in options:  # ints at and next to their bounds one time in two
+        top = SIZES.get(name, COUNT)
+        n = _pick(st.integers(min_value=-2, max_value=top), st.sampled_from([-1, 0, 1, top]))
+        return _spelled(n, SPELLINGS), n.map("{}.0".format)
+    return TEXTS.get(name, st.text(max_size=8)), st.nothing()
+
+
+def _items(name, options):
+    """(plain, edge, well-formed): strategies of the words that give one argument.  Plain: its
+    name in full and a value that its type and choices take, after a '=' if it starts with
+    '-'.  Edge: no value, argparse's separator "--" in place of one, '=value', the name
+    abbreviated, or a value that is not taken; for the positional, a value not taken or a
+    "--" before a good one.  Well-formed: plain as _scan reads it, with no value empty or
+    starting with '-'."""
+    good, bad = _values(name, options)
+    value = st.one_of(good, bad, st.sampled_from(MALFORMED))
+    if name[0] != "-":  # the positional
+        plain = good.map(lambda v: [v])
+        edge = _pick(value.map(lambda v: [v]), good.map(lambda v: ["--", v]))
+    elif options.get("action") == "store_true":
+        flag = st.just([name])
+        return flag, st.sampled_from([[name + "=1"], [name[:3]], [name[:-1]]]), flag
+    else:
+        named = st.sampled_from(sorted({name, name[:3], name[:-1]} - {"--"}))
+        plain = good.map(lambda v: [f"{name}={v}"] if v[:1] == "-" else [name, v])
+        edge = _pick(st.just([name]), st.just([name, "--"]), st.just([name + "=--"]),
+                     st.tuples(named, value).map(lambda pair: ["=".join(pair)]),
+                     st.tuples(named, value).map(list))
+    return plain, edge, plain.filter(lambda words: words[-1][:1] not in ("", "-"))
+
+
+def _required(arguments):
+    return [name for name, options in arguments.items() if options.get("required") or name[0] != "-"]
+
+
+# per command, per argument: whether it is required, and its plain, edge and well-formed words
+GRAMMAR = {words: [(name in _required(arguments), *_items(name, options))
+                   for name, options in arguments.items()]
+           for words, (_, _, arguments) in cli._COMMANDS.items()}
+# words no command takes: help and its abbreviation, "--", unknown words and options, and the
+# words and arguments of every command
+NOISE = _pick(
+    st.sampled_from([["-h"], ["--he"], ["--"], ["bogus"], ["--bogus"], ["-x"],
+                     *([word] for words in GRAMMAR for word in words)]),
+    st.one_of(*(plain for arguments in GRAMMAR.values() for _, plain, _, _ in arguments)),
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(command=st.sampled_from(["verify", "table"]),
-       measure=st.sampled_from(["vertex", "edge", "face"]), d=LEVELS,
-       q=st.one_of(st.none(), st.integers(min_value=-1, max_value=6)),
-       fmt=st.sampled_from([None, "text", "csv", "json"]))
-def test_layering_fuzz_exit_codes(command, measure, d, q, fmt):
-    argv = [command, "--measure", measure, "--d", str(d)]
-    argv += [] if q is None else ["--q", str(q)]
-    argv += [] if fmt is None or command == "verify" else ["--format", fmt]
-    code, out, err = _main_captured(argv)
-    _assert_documented_exit(code, err)
-    assert code != 1
-    if code == 2:
-        assert out == ""
-    elif command == "verify":
-        assert out == "ZERO\n"
+@st.composite
+def _call(draw, words, well_formed=False):
+    """An argv of one command: its words, then in any order its required arguments and each
+    other argument one time in two.  If well_formed, all are as _scan reads them.  If not,
+    the others are in their plain words, the required ones well-formed one time in two and
+    else in plain words or left out, and one time in three an odd item is added: an
+    argument's edge words, or noise."""
+    arguments, items = GRAMMAR[words], []
+    form = 2 if well_formed else draw(st.integers(0, 3))  # of the required: 0 out, 1 plain
+    for required, plain, _, well in arguments:
+        if required and form:
+            items.append(draw(plain if form == 1 else well))
+        elif not required and draw(st.booleans()):
+            items.append(draw(well if well_formed else plain))
+    if not (well_formed or draw(st.integers(0, 2))):
+        items.append(draw(draw(st.sampled_from([*(edge for _, _, edge, _ in arguments), NOISE]))))
+    return [*words, *itertools.chain(*draw(st.permutations(items)))]
 
 
-@settings(max_examples=300, deadline=None)
-@given(coeffs=st.lists(COEFF_TEXT, max_size=6), equals_form=st.booleans(),
-       measure=st.sampled_from(["vertex", "edge", "face"]), d=LEVELS, as_float=st.booleans())
-def test_solve_fuzz_exit_codes(coeffs, equals_form, measure, d, as_float):
-    text = ",".join(coeffs)
-    argv = ["solve", f"--coeffs={text}"] if equals_form else ["solve", "--coeffs", text]
-    argv += ["--measure", measure, "--d", str(d)] + (["--float"] if as_float else [])
-    code, out, err = _main_captured(argv)
-    _assert_documented_exit(code, err)
-    assert code != 1
-    if code == 0:
-        assert out.splitlines()[-1].startswith("residual = ")
-
-
-@settings(max_examples=150, deadline=None)
-@given(counts=st.lists(st.integers(min_value=-1, max_value=6), max_size=6),
-       central=st.booleans(), power=st.one_of(st.none(), st.integers(min_value=-2, max_value=6)))
-def test_coeff_fuzz_exit_codes(counts, central, power):
-    argv = ["coeff", "--type", ",".join(map(str, counts))]
-    argv += (["--central"] if central else []) + ([] if power is None else ["--power", str(power)])
-    code, out, err = _main_captured(argv)
-    _assert_documented_exit(code, err)
-    assert code != 1
-    if code == 2:
-        assert out == ""
-
-
-@settings(max_examples=150, deadline=None)
-@given(identity=st.one_of(st.none(), SMALL), r=st.one_of(st.none(), SMALL),
-       m=st.one_of(st.none(), SMALL), order=st.one_of(st.none(), SMALL))
-def test_powers_fuzz_exit_codes(identity, r, m, order):
-    argv = ["powers"]
-    for flag, value in (("--identity", identity), ("--r", r), ("--m", m), ("--order", order)):
-        argv += [] if value is None else [flag, str(value)]
-    code, out, err = _main_captured(argv)
-    _assert_documented_exit(code, err)
-    assert code != 1
-    if code == 2:
-        assert out == ""
-
-
-# each command's own words: options written in full with values that pass, flags, and
-# its positional; drawn more than once, they repeat an option or give a second positional
-OWN_WORDS = {
-    "coeff": [("--type", "2,1"), ("--central",), ("--power", "2")],
-    "table": [("--measure", "edge"), ("--d", "3"), ("--q", "4"), ("--format", "csv")],
-    "verify": [("--measure", "vertex"), ("--d", "4"), ("--q", "3")],
-    "solve": [("--coeffs", "1/3"), ("--measure", "face"), ("--d", "2"), ("--float",)],
-    "subdigons": [("--type", "1,1"), ("--format", "list"), ("--max-faces", "4")],
-    "powers": [("--r", "2"), ("--m", "3"), ("--identity", "2"), ("--order", "4")],
-    "raney rank": [("0030",)],
-    "raney rotations": [("0002",)],
-    "raney check": [("10",), ("--n", "2")],
-    "raney identify": [("200",), ("--cyclic",)],
-    "raney enumerate": [("--n", "1"), *((f"--m{k}", "2") for k in range(1, 10))],
-}
-# the words just past a well-formed call: abbreviations, values that start with '-', are
-# empty, fail their type or choices or are digits outside ASCII, a flag before a bare
-# word, "--", an option with no value, and the --opt=value form of every option
-EDGE_WORDS = {
-    "coeff": [("--ty", "2"), ("--type", ""), ("--power", "-1"), ("--power", "x"),
-              ("--central", "x"), ("--type",)],
-    "table": [("--form", "csv"), ("--ma", "face"), ("--d", "-3"), ("--q", "٣"), ("--format", ""),
-              ("--format", "xml")],
-    "verify": [("--ma", "edge"), ("--d", "٣"), ("--d", "-3"), ("--measure", "Edge")],
-    "solve": [("--coeffs", "-1/3"), ("--coeffs", ""), ("--float", "1/3"), ("--d", "-3"),
-              ("--coeffs=-1/3",), ("--coeffs",)],
-    "subdigons": [("--form", "json"), ("--max-faces", "-4"), ("--format", ""), ("--type", "-1")],
-    "powers": [("--m", "-3"), ("--order", "٤"), ("--r", "1_0"), ("--ord", "3")],
-    "raney rank": [("-1",), ("",)],
-    "raney rotations": [("-0",), ("--", "0")],
-    "raney check": [("--n", "-2"), ("--n", ""), ("-1",), ("--n",)],
-    "raney identify": [("--cyclic", "0"), ("-200",), ("--cyc",)],
-    "raney enumerate": [("--m3", "-1"), ("--m", "1"), ("--n", "x"), ("--m1", "٣")],
-}
-for _command, _items in OWN_WORDS.items():
-    EDGE_WORDS[_command] += [("=".join((*item, "1")[:2]),) for item in _items if item[0][0] == "-"]
-# what each command requires, so that whole calls are drawn as often as bare names
-REQUIRED = {"coeff": ["--type", "1"], "table": ["--measure", "face", "--d", "2", "--q", "3"],
-            "verify": ["--measure", "edge", "--d", "5"], "solve": ["--d", "2"],
-            "subdigons": ["--type", "2"], "raney rank": ["0"], "raney rotations": ["00302"],
-            "raney check": ["1,0"], "raney identify": ["0 0"], "raney enumerate": ["--n", "2"]}
-# help and its abbreviation, "--", a bad value, words and options no parser knows, and
-# options of other commands
-NOISE_WORDS = [("-h",), ("--he",), ("--",), ("--d", "x"), ("--bogus",), ("-x",), ("bogus",),
-               ("verify",), ("enumerate",), ("--cyclic",), ("--max-faces", "3"), ("--n", "1"),
-               ("--type", "2"), ("--float",)]
-# (command, first words of argv): no command, a bare command, or a whole call
-HEADS = [*((None, head) for head in ([], ["-h"], ["--"], ["bogus"], ["raney"],
-                                     ["raney", "bogus"], ["raney", "-h"])),
-         *((command, command.split()) for command in OWN_WORDS),
-         *((command, command.split() + words) for command, words in REQUIRED.items())]
-
-
-def _argv(command, head):
-    own = st.sampled_from(OWN_WORDS.get(command, NOISE_WORDS))
-    edge = st.sampled_from(EDGE_WORDS.get(command, NOISE_WORDS))
-    item = st.one_of(own, own, own, own, edge, st.sampled_from(NOISE_WORDS))  # own 4 times in 6
-    return st.lists(item, max_size=6).map(lambda items: head + [w for i in items for w in i])
+# no command: bare, help, "--" or an unknown word, before any group's commands or none, then noise
+HEADS = [[*group, word] for group in {words[:-1] for words in GRAMMAR}
+         for word in ("-h", "--", "bogus")] + [[], ["raney"]]
+ARGVS = st.one_of(
+    *map(_call, GRAMMAR),
+    st.tuples(st.sampled_from(HEADS), st.lists(NOISE, max_size=3)).map(
+        lambda parts: [*parts[0], *itertools.chain(*parts[1])]),
+)
+WELL_FORMED = st.one_of(*(_call(words, well_formed=True) for words in GRAMMAR))
 
 
 @settings(max_examples=1000, deadline=None)
-@given(argv=st.sampled_from(HEADS).flatmap(lambda head: _argv(*head)))
+@given(argv=ARGVS)
 def test_one_pass_parse_matches_the_parser_tree(argv):
     # the same Namespace, or the same exit code, stdout and stderr
     assert _main_captured(argv, cli._parse) == _main_captured(argv, build_parser().parse_args)
 
 
-def test_grammar_names_every_option():
-    for words, (_, _, arguments) in cli._COMMANDS.items():
-        named = {item[0] for item in OWN_WORDS[" ".join(words)]}
-        assert {name for name in arguments if name[0] == "-"} <= named, words
-
-
-# well-formed calls: every option written in full, values that pass their type and choices
-WELL_FORMED = [command.split() + words for command, words in REQUIRED.items()] + [
-    ["powers"], ["powers", "--r", "2", "--m", "3", "--order", "4", "--identity", "5"],
-    ["coeff", "--central", "--power", "0", "--type", "2,1"],
-    ["table", "--format", "json", "--q", "4", "--d", "3", "--measure", "edge"],
-    ["solve", "--float", "--coeffs", "1/3,2", "--measure", "face", "--d", "٣"],
-    ["subdigons", "--type", " 1,1", "--format", "list", "--max-faces", "+4"],
-    ["raney", "check", "--n", "2", "10"], ["raney", "identify", "--cyclic", "200"],
-    ["raney", "enumerate", *(w for k in range(1, 10) for w in (f"--m{k}", str(k % 3))), "--n", "1"],
-]
-
-
-def test_well_formed_calls_never_build_the_parser_tree():
+@settings(max_examples=200, deadline=None)
+@given(argv=WELL_FORMED)
+def test_well_formed_calls_never_build_the_parser_tree(argv):
     build_parser.cache_clear()
-    namespaces = [cli._parse(argv) for argv in WELL_FORMED]
+    args = cli._parse(argv)
     assert build_parser.cache_info().currsize == 0
-    assert namespaces == [build_parser().parse_args(argv) for argv in WELL_FORMED]
+    assert args == build_parser().parse_args(argv)
+
+
+def _words(args):
+    """The command words of a parsed call, its key in cli._COMMANDS."""
+    return tuple(filter(None, (args.command, getattr(args, "raney_cmd", None))))
+
+
+def _counts(args):
+    """The sum of the counts of a parsed call: the values of its int options not in SIZES."""
+    return sum(max(getattr(args, name.lstrip("-").replace("-", "_")), 0)
+               for name, options in cli._COMMANDS[_words(args)][2].items()
+               if "type" in options and name not in SIZES)
+
+
+# the commands whose verdict can fail, with exit 1; the others exit 0 or 2 on any input
+VERDICTS = [("raney", "check"), ("raney", "identify")]
+
+
+@settings(max_examples=2500, deadline=None)
+@given(argv=ARGVS)
+def test_every_call_exits_as_documented(argv):
+    args = _main_captured(argv, cli._parse)[0]
+    parsed = isinstance(args, argparse.Namespace)
+    if parsed:
+        assume(_counts(args) <= COUNT_TOTAL)
+    code, out, err = _main_captured(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err, err
+    if code == 2:
+        # one error line, the last: argparse's after its usage, or the program's alone
+        last = err.splitlines()[-1]
+        assert out == "" and [line for line in err.splitlines() if "error:" in line] == [last]
+        assert (last.startswith("hypercatalan") and ": error: " in last
+                or err == last + "\n" and last.startswith(USAGE_ERRORS)), err
+    if not parsed:
+        return
+    words = _words(args)
+    assert code != 1 or words in VERDICTS, (code, out)
+    if code == 0 and words == ("verify",):
+        assert out == "ZERO\n"
+    if code == 0 and words == ("solve",):
+        assert out.splitlines()[-1].startswith("residual = ")
+    if words == ("subdigons",) and (code == 0 or err.startswith("error: face count ")):
+        # a listing past its face cap is refused, by an error that names the cap
+        faces = sum(int(p) for p in args.type.split(",") if p.strip())
+        over = args.format != "count" and faces > args.max_faces
+        assert err == (f"error: face count {faces} exceeds cap {args.max_faces}\n" if over else "")
 
 
 def test_parser_is_built_once():

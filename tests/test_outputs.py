@@ -144,7 +144,7 @@ PINS = """\
 4273b0231f9ee4d1157e4ff59a3b8f2e8c9e6e63e6c2265f37a47c5c8eab0ac5  COLUMNS=80 coeff --help
 f67d68957986d84346ea8947aa2442bcbb792887f7e974c68f5c83f9a72fcc53  COLUMNS=80 table --help
 05c1f7cf50d4ae1dc4e0f3911f5b4b59b72777d9f17ad7669ad2b93d2c817378  COLUMNS=80 verify --help
-4eae9b5b2aa631055ac9a9ca5cd514a4aee2f43ce7d1f87117c1d4f1a67aa85f  COLUMNS=80 solve --help
+8dc0addfc6d8c285cf0296fc8dc28e9d00d08b9c9c25a11925b7cfee2c3937a3  COLUMNS=80 solve --help
 5cee7d8726e5659a030f26aba1705e4c9a57df9bb7c749136e89584a5bca9782  COLUMNS=80 subdigons --help
 48547ec8c26524b86e215a81f23da0adbe949a67148adfb0035ab53d89494dd8  COLUMNS=80 raney --help
 08310484d560c68ce372d088947b35cfeb51547bebdb7d3d2c700bb2ce87960b  COLUMNS=80 powers --help
@@ -265,6 +265,11 @@ ROWS = PINNED + [
         "level   2: partial sum = 1 ~ 1\nlevel   3: partial sum = 3/8 ~ 0.375\n"
         "alpha = 3/8 ~ 0.375\nresidual = 71/128 ~ 0.5546875\n"),
     row("solve --coeffs 1_0 --d 2", "", code=2, err="error: bad coefficient '1_0'\n"),
+    # --name=-- is the value "--" on every Python, as argparse reads it from 3.13 on
+    row("verify --measure vertex --d=--", "", code=2, env=W80, err=(
+        "usage: hypercatalan verify [-h] --measure {vertex,edge,face} --d D [--q Q]\n"
+        "hypercatalan verify: error: argument --d: invalid int value: '--'\n")),
+    row("solve --coeffs=-- --d 3", "", code=2, err="error: bad coefficient '--'\n"),
 ]
 
 
