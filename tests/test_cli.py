@@ -924,9 +924,9 @@ def _counts(args):
 VERDICTS = [("raney", "check"), ("raney", "identify")]
 
 
-@settings(max_examples=2500, deadline=None)
-@given(argv=ARGVS)
-def test_every_call_exits_as_documented(argv):
+def _assert_exits_as_documented(argv):
+    """Run argv, if its counts are within COUNT_TOTAL, and check its exit code, stdout and
+    stderr, and the postconditions of verify, solve and subdigons."""
     args = _main_captured(argv, cli._parse)[0]
     parsed = isinstance(args, argparse.Namespace)
     if parsed:
@@ -952,6 +952,54 @@ def test_every_call_exits_as_documented(argv):
         faces = sum(int(p) for p in args.type.split(",") if p.strip())
         over = args.format != "count" and faces > args.max_faces
         assert err == (f"error: face count {faces} exceeds cap {args.max_faces}\n" if over else "")
+
+
+@settings(max_examples=2500, deadline=None)
+@given(argv=ARGVS)
+def test_every_call_exits_as_documented(argv):
+    _assert_exits_as_documented(argv)
+
+
+def _calls(*commands):
+    """The calls of these commands, drawn as in ARGVS."""
+    return st.one_of(*(_call(words) for words in GRAMMAR if words[0] in commands))
+
+
+# one command or group at a time, so that each has a share of examples of its own
+@settings(max_examples=300, deadline=None)
+@given(argv=_calls("raney"))
+def test_raney_fuzz_exit_codes(argv):
+    _assert_exits_as_documented(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_calls("subdigons"))
+def test_subdigons_fuzz_exit_codes(argv):
+    _assert_exits_as_documented(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_calls("verify", "table"))
+def test_layering_fuzz_exit_codes(argv):
+    _assert_exits_as_documented(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_calls("solve"))
+def test_solve_fuzz_exit_codes(argv):
+    _assert_exits_as_documented(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_calls("coeff"))
+def test_coeff_fuzz_exit_codes(argv):
+    _assert_exits_as_documented(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_calls("powers"))
+def test_powers_fuzz_exit_codes(argv):
+    _assert_exits_as_documented(argv)
 
 
 def test_parser_is_built_once():
