@@ -15,12 +15,13 @@ import contextlib
 import functools
 import os
 import sys
-from fractions import Fraction
 from typing import Callable, NoReturn
 
 from . import catpow, raney, series, subdigon
 from .core import (
+    DEFAULT_FACE_CAP,
     Composition,
+    Measure,
     TypeVector,
     central_count,
     hyper_catalan,
@@ -28,7 +29,6 @@ from .core import (
     raney_count,
     vef,
 )
-from .series import LayerSpec, Measure
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -110,13 +110,13 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_table(args) -> int:
-    spec = LayerSpec(Measure(args.measure), args.d, args.q)
+    spec = series.LayerSpec(Measure(args.measure), args.d, args.q)
     _write(series.render_table(spec, series.table_rows(spec), args.format))
     return 0
 
 
 def cmd_verify(args) -> int:
-    spec = LayerSpec(Measure(args.measure), args.d, args.q)
+    spec = series.LayerSpec(Measure(args.measure), args.d, args.q)
     residual = series.evaluate_geometric(spec)
     if not residual:
         print("ZERO")
@@ -128,25 +128,25 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def _parse_coeff(text: str) -> Fraction:
-    """A rational in ASCII without '_'; Fraction() alone would also read '1_0' and '٣'."""
-    try:
-        if not text.isascii() or "_" in text:
-            raise ValueError
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        _usage_error(f"bad coefficient {text!r}")
-
-
 def cmd_solve(args) -> int:
-    coeffs = [_parse_coeff(p) for p in args.coeffs.split(",")] if args.coeffs else []
+    from fractions import Fraction  # here, once a call, so that no other command imports it
+
+    coeffs = []
+    for text in args.coeffs.split(",") if args.coeffs else ():
+        # a rational in ASCII without '_'; Fraction() alone would also read '1_0' and '٣'
+        try:
+            if not text.isascii() or "_" in text:
+                raise ValueError
+            coeffs.append(Fraction(text))
+        except (ValueError, ZeroDivisionError):
+            _usage_error(f"bad coefficient {text!r}")
     q = len(coeffs) + 1
     if q < 2:
         # no t_k at all: alpha = 1 solves 1 - alpha = 0
         print("alpha = 1")
         print("residual = 0")
         return 0
-    spec = LayerSpec(Measure(args.measure), args.d, q)
+    spec = series.LayerSpec(Measure(args.measure), args.d, q)
     values = {k: coeffs[k - 2] for k in range(2, q + 1)}
     # every line is formatted before any is printed, so an overflow prints none
     try:
@@ -156,7 +156,10 @@ def cmd_solve(args) -> int:
         _, n, den = partials[-1]
         alpha = n if den is None else Fraction(n, den)
         try:
-            residual = 1 - alpha + sum(values[k] * alpha**k for k in values)
+            terms = 0  # added in turn: from Python 3.12 on, sum() rounds a float sum otherwise
+            for k, v in values.items():
+                terms += v * alpha**k
+            residual = 1 - alpha + terms
         except OverflowError:  # a float alpha**k, whose message is an errno pair
             raise OverflowError(f"alpha^{q} in the residual, alpha = {alpha:.12g}") from None
         with _digit_limit():
@@ -178,9 +181,10 @@ def _ratio(n: int, den: int) -> str:
 
 
 def _show(x) -> str:
-    if isinstance(x, Fraction):
-        return _ratio(x.numerator, x.denominator)
-    return f"{x:.12g}" if isinstance(x, float) else str(x)
+    """An int or a float as it is, a Fraction by _ratio."""
+    if isinstance(x, float):
+        return f"{x:.12g}"
+    return str(x) if isinstance(x, int) else _ratio(x.numerator, x.denominator)
 
 
 def cmd_subdigons(args) -> int:
@@ -285,7 +289,7 @@ _COMMANDS: dict[tuple[str, ...], tuple[dict, Callable, dict[str, dict]]] = {
     ("subdigons",): ({"help": "enumerate or count subdigons of a type"}, cmd_subdigons, {
         "--type": {"required": True},
         "--format": {"choices": ["count", "list", "json"], "default": "count"},
-        "--max-faces": {"type": int, "default": subdigon.DEFAULT_FACE_CAP},
+        "--max-faces": {"type": int, "default": DEFAULT_FACE_CAP},
     }),
     ("raney", "rank"): ({}, cmd_raney, {"string": {}}),
     ("raney", "rotations"): ({}, cmd_raney, {"string": {}}),

