@@ -31,8 +31,7 @@ catpow, raney, series, subdigon = map(_lazy, ("catpow", "raney", "series", "subd
 _HOME = {name: module for module, names in (
     (core, ("Composition", "TypeVector", "VEF", "Measure", "central_count", "hyper_catalan",
             "power_coeff", "raney_count", "unit_type", "vef")),
-    (series, ("LayeredPoly", "LayerSpec", "NonzeroRemainder", "build_beta", "enumerate_types",
-              "evaluate_geometric", "geode_quotient", "layer_slice", "level", "mul_truncated")),
+    (series, ("LayerSpec", "NonzeroRemainder", "evaluate_geometric", "geode_quotient", "level")),
     (raney, ("list_blocks", "lists_text")),
     (subdigon, ("subdigons_text",)),
 ) for name in names}

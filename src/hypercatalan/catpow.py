@@ -4,10 +4,10 @@ T = 1 + t T^2 lets every power of T be rewritten as a linear
 combination P_r T + Q_r with polynomial coefficients; this module
 holds the closed form for the power coefficients and a finite
 truncated check of that reduction.  A univariate polynomial is a plain
-list of coefficients, lowest degree first, and [] is zero.  _mul_cut is
-the one truncated product, shared with series for R^F.  The check advances
-the coefficients of T^r, and of T as T^1, by the ratio of consecutive ones,
-and takes P_r and Q_r = -P_{r-1} from binomials.
+list of coefficients, lowest degree first, and [] is zero; its one truncated
+product is core._mul_cut, and core._poly_text prints a residual.  The check
+advances the coefficients of T^r, and of T as T^1, by the ratio of consecutive
+ones, and takes P_r and Q_r = -P_{r-1} from binomials.
 """
 
 from __future__ import annotations
@@ -15,31 +15,7 @@ from __future__ import annotations
 from itertools import zip_longest
 from math import comb
 
-from .core import TypeVector, power_coeff
-
-
-def _mul_cut(terms, b: list, n: int) -> list:
-    """The product of sum a_j t^j over terms (j, a_j) and b, cut below index n.
-
-    Each term adds its row into the output in the order given, so float sums
-    follow that order; trailing zeros are dropped.
-    """
-    out = [0] * n
-    for j, a in terms:
-        row = b[: n - j]  # a j at or past n adds to no slot of out
-        out[j : j + len(row)] = [o + a * x for o, x in zip(out[j : j + len(row)], row)]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _poly_text(terms) -> str:
-    """'42t2^5 - t4' from (monomial text, coefficient) pairs in print order; '0' if none."""
-    text = " + ".join(
-        mono if c == 1 and mono else "-" + mono if c == -1 and mono else f"{c}{mono}"
-        for mono, c in terms
-    )
-    return text.replace("+ -", "- ") if text else "0"
+from .core import TypeVector, _mul_cut, _poly_text, power_coeff
 
 
 def residual_text(coeffs) -> str:

@@ -10,7 +10,9 @@ and ``raney_count(n, c)`` n words over c.  All of it is exact integer
 arithmetic.
 The layering ``Measure`` names and the subdigon ``DEFAULT_FACE_CAP`` are defined
 here, where the CLI's option table reads them without running ``series`` or
-``subdigon``; those modules re-export them.
+``subdigon``; those modules re-export them.  ``_mul_cut`` (the cut product of
+coefficient lists) and ``_poly_text`` (the term printer) are here so that
+``series`` and ``catpow``, which share them, each import ``core`` alone.
 """
 
 from __future__ import annotations
@@ -34,6 +36,30 @@ def _exact_div(num: int, den: int) -> int:
     if r != 0:
         raise ArithmeticError(f"non-exact division {num}/{den}")
     return q
+
+
+def _mul_cut(terms, b: list, n: int) -> list:
+    """The product of sum a_j t^j over terms (j, a_j) and b, cut below index n.
+
+    Each term adds its row into the output in the order given, so float sums
+    follow that order; trailing zeros are dropped.
+    """
+    out = [0] * n
+    for j, a in terms:
+        row = b[: n - j]  # a j at or past n adds to no slot of out
+        out[j : j + len(row)] = [o + a * x for o, x in zip(out[j : j + len(row)], row)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _poly_text(terms) -> str:
+    """'42t2^5 - t4' from (monomial text, coefficient) pairs in print order; '0' if none."""
+    text = " + ".join(
+        mono if c == 1 and mono else "-" + mono if c == -1 and mono else f"{c}{mono}"
+        for mono, c in terms
+    )
+    return text.replace("+ -", "- ") if text else "0"
 
 
 @dataclass(frozen=True)
@@ -68,16 +94,6 @@ class TypeVector:
     def from_counts(cls, counts: Iterable[int]) -> "TypeVector":
         """Build from the JSON list form [m2, m3, ...]."""
         return cls.of(enumerate(counts, start=2))
-
-    def to_counts(self) -> list[int]:
-        """JSON list form [m2, m3, ...] with trailing zeros stripped."""
-        if not self.entries:
-            return []
-        top = self.entries[-1][0]
-        out = [0] * (top - 1)
-        for k, mk in self.entries:
-            out[k - 2] = mk
-        return out
 
     def get(self, k: int) -> int:
         for kk, mk in self.entries:

@@ -20,7 +20,8 @@ itself, as json.dumps would, with no json module.
 LayeredPoly, a map from TypeVector to int, is the type-vector form that the
 tests compare the packed paths with, through mul_truncated (which prunes
 partial products past level d, sound because every measure is additive),
-build_beta, enumerate_types and layer_slice.
+build_beta, enumerate_types and layer_slice.  No command reaches them, and they
+are outside the package's __all__; bench/tracer.py wraps them by name.
 
 - Packed keys: a monomial admitted at level bound d is the int
   sum_k m_k * B^(k-2) with B = d+1 (Kronecker substitution), so a
@@ -56,7 +57,7 @@ of two loops (``_level_numerators``).  When R~ is one term c (one nonzero
 value t_k), the zero is the Fuss-Catalan series: each F has the one cell
 binom(kF, F)/((k-1)F+1) * c^F, alone on its level, with c^F by repeated
 products and no list.  Otherwise R~^F is a plain list, advanced by
-catpow._mul_cut, which adds one slice per nonzero coefficient of R~ in the
+core._mul_cut, which adds one slice per nonzero coefficient of R~ in the
 order given: highest index first, so each float cell adds its terms in one
 fixed order; one loop takes each F's row of cells, exact and float alike.  A
 float quotient past the float range restarts the pass on 4 R(2 mu), in the
@@ -78,8 +79,7 @@ from itertools import accumulate, compress
 from math import gcd, isfinite, lcm, ldexp, perm
 from operator import mul, or_
 
-from .catpow import _mul_cut, _poly_text
-from .core import Measure, TypeVector
+from .core import Measure, TypeVector, _mul_cut, _poly_text
 
 
 _GRADING = {Measure.VERTEX: (1, 1), Measure.EDGE: (2, 1), Measure.FACE: (1, 0)}  # (b, a)

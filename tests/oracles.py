@@ -13,7 +13,8 @@ univariate ``UniPoly`` with the Catalan series and the reduction
 polynomials P_r and Q_r that ``catpow.verify_power_identity`` is checked
 against, a univariate product that adds in the float order the cell pass
 keeps for R^F, and ``LayeredPoly`` admission to a spec, truncation,
-arithmetic, packing and text and JSON forms term by term.
+arithmetic, packing and text and JSON forms term by term, with a type
+vector's JSON list form ``to_counts``.
 """
 
 from __future__ import annotations
@@ -584,6 +585,14 @@ def bumped_walk(walk, bumps):
 # -- polynomial display -----------------------------------------------------------
 
 
+def to_counts(m: TypeVector) -> list[int]:
+    """JSON list form [m2, m3, ...] with trailing zeros stripped: the inverse of from_counts."""
+    out = [0] * (m.entries[-1][0] - 1) if m.entries else []
+    for k, mk in m.entries:
+        out[k - 2] = mk
+    return out
+
+
 def print_order(p: LayeredPoly) -> list[tuple[TypeVector, int]]:
     return sorted(p.terms.items(), key=lambda t: (t[0].faces(), t[0].entries))
 
@@ -608,13 +617,13 @@ def poly_text(p: LayeredPoly) -> str:
 
 def poly_to_json(p: LayeredPoly) -> str:
     """JSON list of {"type": [m2, m3, ...], "coeff": "<int>"} in print order."""
-    return json.dumps([{"type": m.to_counts(), "coeff": str(c)} for m, c in print_order(p)])
+    return json.dumps([{"type": to_counts(m), "coeff": str(c)} for m, c in print_order(p)])
 
 
 def table_json(rows) -> str:
     """(label, LayeredPoly) table rows built as dicts and written by json.dumps, one line."""
     table = [{"row": label,
-              "terms": [{"type": m.to_counts(), "coeff": str(c)} for m, c in print_order(p)]}
+              "terms": [{"type": to_counts(m), "coeff": str(c)} for m, c in print_order(p)]}
              for label, p in rows]
     return json.dumps(table) + "\n"
 

@@ -4,8 +4,8 @@ from math import comb
 import pytest
 
 from hypercatalan import catpow
-from hypercatalan.catpow import _catalan_powers, _mul_cut, catalan_power, verify_power_identity
-from hypercatalan.core import TypeVector, hyper_catalan, power_coeff
+from hypercatalan.catpow import _catalan_powers, catalan_power, verify_power_identity
+from hypercatalan.core import TypeVector, _mul_cut, hyper_catalan, power_coeff
 from oracles import (
     UniPoly,
     catalan,

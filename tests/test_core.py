@@ -16,7 +16,8 @@ from hypercatalan.core import (
     unit_type,
     vef,
 )
-from oracles import central_count_factorial, hyper_catalan_factorial, power_coeff_factorial
+from oracles import (central_count_factorial, hyper_catalan_factorial, power_coeff_factorial,
+                     to_counts)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012,
            742900, 2674440, 9694845]
@@ -39,8 +40,8 @@ class TestTypeVector:
         assert TypeVector.from_counts([]) == TypeVector()
 
     def test_trailing_zeros_stripped_on_output(self):
-        assert TypeVector.from_counts([2, 1, 0, 0]).to_counts() == [2, 1]
-        assert TypeVector().to_counts() == []
+        assert to_counts(TypeVector.from_counts([2, 1, 0, 0])) == [2, 1]
+        assert to_counts(TypeVector()) == []
 
     def test_addition_identity_and_commutativity(self):
         a, b = tv(2, 1), tv(0, 3, 1)

@@ -23,6 +23,7 @@ from oracles import (
     group_trees,
     panel,
     psi_sum,
+    to_counts,
     to_word,
     tree_of,
     type_of,
@@ -286,7 +287,7 @@ class TestMemo:
         # the memo holds each listed type's finished text, so no listing
         # depends on which types were listed before it
         types = sorted(all_small_types(max_faces=5, max_gon=5),
-                       key=lambda m: (m.faces(), m.to_counts()))
+                       key=lambda m: (m.faces(), to_counts(m)))
         try:
             expected = {m: sorted(_words_of_trees(m), key=parse_string) for m in types}
         finally:
