@@ -55,10 +55,8 @@ def _mul_cut(terms, b: list, n: int) -> list:
 
 def _poly_text(terms) -> str:
     """'42t2^5 - t4' from (monomial text, coefficient) pairs in print order; '0' if none."""
-    text = " + ".join(
-        mono if c == 1 and mono else "-" + mono if c == -1 and mono else f"{c}{mono}"
-        for mono, c in terms
-    )
+    text = " + ".join([f"{c}{mono}" if c != 1 and c != -1 or not mono
+                       else mono if c == 1 else "-" + mono for mono, c in terms])
     return text.replace("+ -", "- ") if text else "0"
 
 

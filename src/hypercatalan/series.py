@@ -11,11 +11,14 @@ coefficient}}, and geode_quotient its quotient of one bucket; table_rows
 returns the buckets that render_table prints.  The residual sums
 1 + sum_n t_n beta^n into fresh level buckets and compares each with beta's:
 only a level where they differ is subtracted term by term.
-_labels is the one decoder of packed keys: it gives each its (faces, entries)
-label, the TypeVector's.  build_beta (and so enumerate_types) and geode_quotient
-read a key's gons from it, and _printer, behind render_table and first_term
-alike, sorts and spells each key by it.  render_table writes its json text
-itself, as json.dumps would, with no json module.
+_labels is the one decoder of packed keys.  In one pass in increasing key order it
+gives each key, from the label of a smaller one, its TypeVector's faces and
+entries, its print order as one int that sorts as (faces, entries) does, and its
+text.  build_beta (and so enumerate_types) and geode_quotient read a key's gons
+from it; _printer, behind render_table and first_term alike, sorts the ints once
+into a rank table and shows each key by its text.  The int is sized from the
+largest key it is given, not from d, so a key past the spec sorts right too.
+render_table writes its json text itself, as json.dumps would, with no json module.
 
 LayeredPoly, a map from TypeVector to int, is the type-vector form that the
 tests compare the packed paths with, through mul_truncated (which prunes
@@ -109,6 +112,12 @@ class LayerSpec:
     gon_bound: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.measure, Measure):
+            raise ValueError(f"measure {self.measure!r} is not a Measure")
+        if not isinstance(self.d, int):
+            raise ValueError(f"level bound {self.d!r} is not an int")
+        if not isinstance(self.gon_bound, (int, type(None))):
+            raise ValueError(f"gon bound {self.gon_bound!r} is not an int")
         if self.d < 0:
             raise ValueError(f"negative level bound {self.d}")
         if self.gon_bound is not None and self.gon_bound < 2:
@@ -214,7 +223,7 @@ def build_beta(spec: LayerSpec) -> LayeredPoly:
     """The layered truncation of the series zero: sum of C_m * t^m."""
     buckets = _walk(spec)
     label = _labels(set().union(*buckets), spec.d + 1)
-    return LayeredPoly({TypeVector(label[key][1]): c for bucket in buckets
+    return LayeredPoly({TypeVector(label[key][3]): c for bucket in buckets
                         for key, c in bucket.items()})
 
 
@@ -470,7 +479,7 @@ def geode_quotient(d: int, q: int) -> dict[int, dict[int, int]]:
     units = [base ** (k - 2) for k in range(3, q + 1)]  # the keys of t_3 .. t_q
     label, quotient = _labels(sliced, base), {}
     for key in sorted((key for key in sliced if key % base), key=lambda key: -(key % base)):
-        known = (quotient.get(key - units[k - 3], 0) for k, _ in label[key][1] if k > 2)
+        known = (quotient.get(key - units[k - 3], 0) for k, _ in label[key][3] if k > 2)
         quotient[key - 1] = sliced[key] - sum(known)
     product: dict[int, int] = {}
     for key, c in quotient.items():
@@ -499,64 +508,69 @@ def table_rows(spec: LayerSpec) -> list[tuple[str, dict[int, int]]]:
     return rows
 
 
-def _labels(keys, base: int) -> dict[int, tuple[int, tuple[tuple[int, int], ...]]]:
-    """{key: (faces, entries)} for the packed keys and some smaller ones, as TypeVectors have them.
+def _labels(keys, base: int, json: bool = False) -> dict[int, tuple[int, str, int, tuple]]:
+    """{key: (order, text, faces, entries)} for the packed keys and some smaller ones.
 
-    The module's one decoder of packed keys.  A key whose top gon k has count m_k has the label
-    of key % base**(k-2), the type less its k-gons, plus m_k faces and (k, m_k).  Keys go in
-    increasing order, so that smaller key has its label; if it is no key (as in one level's
-    bucket), it and its own remainders, each some rest % base**j, are labelled first, by one
-    more pass that needs no other.  A key naming no monomial (a negative one, or a nonzero one
-    at base 1) raises ValueError.
+    The module's one decoder of packed keys.  faces and entries are the TypeVector's; text is
+    the monomial as 't2^3t4', or its counts '[3, 0, 1]' if json; order is an int that sorts
+    as (faces, entries) does.  A key whose top gon k has count m_k has the label of key %
+    base**(k-2), the type less its k-gons, plus m_k faces, the entry (k, m_k) and its text.
+    Keys go in increasing order, so that smaller key has its label; if it is no key (as in
+    one level's bucket), it and its own remainders, each some rest % base**j, are labelled
+    first, by one more pass that needs no other.  order is faces * base**(K-1) + sum_k
+    (m_k - base) * base**(K-k) over the entries, K the top gon of the largest key: the
+    counts are digits below the base and an absent gon reads as the base, so a smaller
+    first gon, or a smaller count at it, sorts first.  A key naming no monomial (a negative
+    one, or a nonzero one at base 1) raises ValueError.
     """
-    label = {0: (0, ())}
-    unit, k = 1, 2  # base**(k-2) for the top gon k of the key at hand
-    for key in sorted(keys):
-        if key in label:
-            continue
-        if key < 0 or base < 2:
-            raise ValueError(f"key {key} names no monomial at base {base}")
-        while key >= unit * base:
-            unit, k = unit * base, k + 1
-        mk, rest = divmod(key, unit)
-        if rest not in label:  # no key: labelled first, with its own remainders
-            label |= _labels({rest % base**j for j in range(k - 1)}, base)
-        faces, entries = label[rest]
-        label[key] = faces + mk, (*entries, (k, mk))
+    keys = sorted(keys)
+    high = keys[-1] if keys else 0
+    if keys and keys[0] < 0 or high and base < 2:
+        raise ValueError(f"key {keys[0] if keys[0] < 0 else high} names no monomial at base {base}")
+    place = [1]  # place[i] = base**i up to base**(K-1), K the top gon of the largest key
+    while place[-1] <= high:
+        place.append(place[-1] * base)
+    place.reverse()  # now base**(K-1-i): the faces at place[0], the count m_k at place[k-1]
+    # per gon k: the order added by each (k+1)-gon and taken once, the text 'tk', the json lead
+    gon = [(place[0] + place[k - 1], place[k - 2], f"t{k}", "[" + "0, " * (k - 2))
+           for k in range(2, len(place) + 1)]
+    label = {0: (0, "[]" if json else "", 0, ())}
+
+    def decode(keys):
+        k, unit, span = 1, 0, 1  # the top gon k of the key at hand, base**(k-2) and base**(k-1)
+        for key in keys:
+            if key in label:
+                continue
+            while key >= span:
+                k, unit, span = k + 1, span, span * base
+                each, once, tk, lead = gon[k - 2]
+            mk, rest = divmod(key, unit)
+            if rest not in label:  # no key: labelled first, with its own remainders
+                decode(sorted({rest % base**j for j in range(k - 1)}))
+            order, text, faces, entries = label[rest]
+            if json:  # '[m2, ..., mj]' less its ']', zeros up to gon k, then ', mk]'
+                text = (f"{text[:-1]}{', 0' * (k - 1 - entries[-1][0])}, {mk}]" if entries
+                        else f"{lead}{mk}]")
+            else:
+                text = f"{text}{tk}^{mk}" if mk > 1 else text + tk
+            label[key] = order + mk * each - once, text, faces + mk, (*entries, (k, mk))
+
+    decode(keys)
     return label
-
-
-class _Pieces(dict):
-    """The text 'tk' or 'tk^m' of each entry (k, m), made when first asked for."""
-
-    def __missing__(self, entry):
-        k, mk = entry
-        text = self[entry] = f"t{k}^{mk}" if mk > 1 else f"t{k}"
-        return text
 
 
 def _printer(spec: LayerSpec, buckets, fmt: str):
     """terms(bucket): its nonzero (monomial, coeff) pairs in print order: faces, then entries.
 
-    The keys of the buckets sort by their _labels.  A monomial shows as its counts
-    '[m2, m3, ...]' in json, as its text 't2^3t4' otherwise, one 'tk' or 'tk^m' per entry.
+    The keys of the buckets sort by the order of their _labels, and show as its text: the
+    counts '[m2, m3, ...]' in json, the text 't2^3t4' otherwise.
     """
-    label = _labels(set().union(*buckets), spec.d + 1)
-    rank = dict(zip(sorted(label, key=label.__getitem__), range(len(label))))
-    if fmt == "json":
-        show = {}
-        for key, (_, entries) in label.items():
-            counts = [0] * (entries[-1][0] - 1) if entries else []
-            for k, mk in entries:
-                counts[k - 2] = mk
-            show[key] = str(counts)
-    else:
-        piece = _Pieces().__getitem__
-        show = {key: "".join(map(piece, entries)) for key, (_, entries) in label.items()}
+    label = _labels(set().union(*buckets), spec.d + 1, fmt == "json")
+    rank = dict(zip(sorted(label, key=lambda key: label[key][0]), range(len(label))))
 
     def terms(bucket):
-        ranked = sorted(bucket, key=rank.__getitem__)
-        return [(show[key], bucket[key]) for key in ranked if bucket[key]]
+        return [(label[key][1], c) for key in sorted(bucket, key=rank.__getitem__)
+                if (c := bucket[key])]
 
     return terms
 
@@ -566,17 +580,21 @@ def render_table(spec: LayerSpec, rows: list[tuple[str, dict[int, int]]], fmt: s
 
     The json text is written here, as json.dumps writes it with its default separators.
     A row label holds only the measure letter, digits, 't', 'b', '^', brackets and
-    spaces, so it goes between quotes with nothing to escape.
+    spaces, so it goes between quotes with nothing to escape.  Any other fmt raises
+    ValueError.
     """
+    if fmt not in ("text", "csv", "json"):
+        raise ValueError(f"unknown table format {fmt!r}")
     terms = _printer(spec, [b for _, b in rows], fmt)
     if fmt == "json":
-        term = '{{"type": {}, "coeff": "{}"}}'.format
-        row = '{{"row": "{}", "terms": [{}]}}'.format
-        return "[" + ", ".join([row(label, ", ".join([term(m, c) for m, c in terms(b)]))
-                                for label, b in rows]) + "]\n"
-    line = '{},"{}"'.format if fmt == "csv" else "{:>16}  {}".format
-    lines = ["row,polynomial"] if fmt == "csv" else []
-    lines += [line(label, _poly_text(terms(b))) for label, b in rows]
+        shown = [", ".join([f'{{"type": {m}, "coeff": "{c}"}}' for m, c in terms(b)])
+                 for _, b in rows]
+        return "[" + ", ".join([f'{{"row": "{label}", "terms": [{text}]}}'
+                                for (label, _), text in zip(rows, shown)]) + "]\n"
+    if fmt == "csv":
+        lines = ["row,polynomial", *[f'{label},"{_poly_text(terms(b))}"' for label, b in rows]]
+    else:
+        lines = [f"{label:>16}  {_poly_text(terms(b))}" for label, b in rows]
     return "\n".join(lines) + "\n"
 
 

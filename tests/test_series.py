@@ -102,6 +102,19 @@ class TestLayerSpec:
         with pytest.raises(ValueError):
             LayerSpec(Measure.FACE, 2, 1)
 
+    @pytest.mark.parametrize("args, match", [
+        (("vertex", 3), "measure 'vertex' is not a Measure"),
+        ((None, 3), "measure None is not a Measure"),
+        ((Measure.VERTEX, 2.5), "level bound 2.5 is not an int"),
+        ((Measure.EDGE, "3"), "level bound '3' is not an int"),
+        ((Measure.FACE, 3, 2.5), "gon bound 2.5 is not an int"),
+        ((Measure.VERTEX, 3, Fraction(3)), "gon bound Fraction\\(3, 1\\) is not an int"),
+    ])
+    def test_fields_are_checked(self, args, match):
+        # refused with one line before any work, not by a KeyError or TypeError deep inside
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            LayerSpec(*args)
+
 
 class TestTruncate:
     def test_identity_on_truncated(self):
@@ -404,6 +417,24 @@ class TestRenderTable:
         want = sorted({unpack(key, base) for key in keys}, key=lambda m: (m.faces(), m.entries))
         assert shown == [json.dumps(to_counts(m)) for m in want]
 
+    @pytest.mark.parametrize("spec", [LayerSpec(Measure.VERTEX, 16), LayerSpec(Measure.VERTEX, 30),
+                                      LayerSpec(Measure.FACE, 16, 3), LayerSpec(Measure.EDGE, 30, 4)],
+                             ids=_spec_id)
+    def test_print_order_beyond_the_sweep(self, spec):
+        # bases the sweep never reaches, and stray keys up to base**12: more entries than the
+        # spec admits and, for face and edge here, higher gons, so the order cannot be sized
+        # from d or max_gon
+        base = spec.d + 1
+        rng = random.Random(_spec_id(spec))
+        keys = [0, base ** 12 - 1, *(rng.randrange(base ** rng.randrange(1, 13)) for _ in range(400))]
+        keys += _walk(spec)[min(spec.d, 6)]
+        bucket = dict.fromkeys(keys, 1)
+        want = sorted({unpack(key, base) for key in keys}, key=lambda m: (m.faces(), m.entries))
+        shown = {fmt: [m for m, _ in series._printer(spec, [bucket], fmt)(bucket)] for fmt in ("json", "text")}
+        assert shown["json"] == [json.dumps(to_counts(m)) for m in want]
+        assert shown["text"] == ["".join(f"t{k}^{mk}" if mk > 1 else f"t{k}" for k, mk in m.entries)
+                                 for m in want]
+
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
     def test_walk_labels_its_types(self, spec):
         # the labeller gives each type the walk makes its TypeVector's label, from the keys of
@@ -413,9 +444,9 @@ class TestRenderTable:
         for keys in ({key for bucket in buckets for key in bucket}, set(buckets[-1])):
             labels = series._labels(keys, spec.d + 1)
             assert keys <= labels.keys()
-            for key, label in labels.items():
+            for key, (_, _, faces, entries) in labels.items():
                 m = unpack(key, spec.d + 1)
-                assert label == (m.faces(), m.entries), key
+                assert (faces, entries) == (m.faces(), m.entries), key
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
     def test_labels_leave_the_text_unchanged(self, spec):
@@ -430,6 +461,12 @@ class TestRenderTable:
         oracle_rows = [(label, unpacked(bucket, spec)) for label, bucket in rows]
         for fmt in ("text", "csv", "json"):
             assert render_table(spec, rows, fmt) == _oracle_render(oracle_rows, fmt), fmt
+
+    @pytest.mark.parametrize("fmt", ["xml", "TEXT", "", None])
+    def test_unknown_format_is_refused(self, fmt):
+        spec = LayerSpec(Measure.VERTEX, 2)
+        with pytest.raises(ValueError, match=f"^unknown table format {fmt!r}$"):
+            render_table(spec, table_rows(spec), fmt)
 
     def test_zero_coefficients_are_skipped(self):
         spec = LayerSpec(Measure.VERTEX, 2)
