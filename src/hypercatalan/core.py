@@ -72,6 +72,10 @@ class TypeVector:
 
     def __post_init__(self):
         for k, mk in self.entries:
+            if not isinstance(k, int):
+                raise ValueError(f"gon index {k!r} is not an int")
+            if not isinstance(mk, int):
+                raise ValueError(f"count {mk!r} for k={k} is not an int")
             if k < 2:
                 raise ValueError(f"gon index {k} < 2")
             if mk < 1:
@@ -132,8 +136,6 @@ class TypeVector:
 
 def unit_type(j: int) -> TypeVector:
     """The basis vector with m_j = 1 and all other counts zero."""
-    if j < 2:
-        raise ValueError(f"gon index {j} < 2")
     return TypeVector(((j, 1),))
 
 
@@ -170,6 +172,8 @@ class Composition:
     tail: TypeVector = field(default_factory=TypeVector)
 
     def __post_init__(self):
+        if not isinstance(self.m1, int):
+            raise ValueError(f"m_1 {self.m1!r} is not an int")
         if self.m1 < 0:
             raise ValueError("negative m_1")
 
@@ -203,6 +207,8 @@ def central_count(m: TypeVector, r: int) -> int:
     Equals r*m_r*C_m/(E_m - 1) = r*m_r*(E-2)!/((V-1)! m!): the lists of
     r words, one per subdigon glued to that polygon, over m less it.
     """
+    if not isinstance(r, int):
+        raise ValueError(f"central gon arity {r!r} is not an int")
     if r < 2:
         raise ValueError(f"central gon arity {r} < 2")
     if m.get(r) == 0:

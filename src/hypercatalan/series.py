@@ -12,12 +12,12 @@ returns the buckets that render_table prints.  The residual sums
 1 + sum_n t_n beta^n into fresh level buckets and compares each with beta's:
 only a level where they differ is subtracted term by term.
 _labels is the one decoder of packed keys.  In one pass in increasing key order it
-gives each key, from the label of a smaller one, its TypeVector's faces and
-entries, its print order as one int that sorts as (faces, entries) does, and its
-text.  build_beta (and so enumerate_types) and geode_quotient read a key's gons
-from it; _printer, behind render_table and first_term alike, sorts the ints once
-into a rank table and shows each key by its text.  The int is sized from the
-largest key it is given, not from d, so a key past the spec sorts right too.
+gives each key, from the label of a smaller one, its TypeVector's entries, its
+print order as one int that sorts as (faces, entries) does, and its text.
+build_beta (and so enumerate_types) and geode_quotient read a key's gons from
+it; _printer, behind render_table and first_term alike, sorts each bucket by
+that int and shows each key by its text.  The int is sized from the largest key
+it is given, not from d, so a key past the spec sorts right too.
 render_table writes its json text itself, as json.dumps would, with no json module.
 
 LayeredPoly, a map from TypeVector to int, is the type-vector form that the
@@ -223,7 +223,7 @@ def build_beta(spec: LayerSpec) -> LayeredPoly:
     """The layered truncation of the series zero: sum of C_m * t^m."""
     buckets = _walk(spec)
     label = _labels(set().union(*buckets), spec.d + 1)
-    return LayeredPoly({TypeVector(label[key][3]): c for bucket in buckets
+    return LayeredPoly({TypeVector(label[key][2]): c for bucket in buckets
                         for key, c in bucket.items()})
 
 
@@ -232,7 +232,8 @@ def _level_numerators(spec: LayerSpec, values: dict, scaled: bool = False):
 
     One entry per level that spec admits a type at, in increasing order; the level sum is
     the numerator over qpow[level // w2] (1 for floats), and frac marks a level with a type
-    that uses a Fraction value.  A float numerator that is not finite raises OverflowError.
+    that uses a Fraction value.  A float numerator that is not finite raises OverflowError, and
+    values that lack a gon spec admits raise ValueError, before any cell.
     The cells run over R~, R less its factor mu^j0 (module docstring), in one of two loops:
     one nonzero value has one cell per F, any more a row of cells per F, exact and float
     alike.  A float cell whose binomial quotient passes the float range starts the pass
@@ -247,6 +248,8 @@ def _level_numerators(spec: LayerSpec, values: dict, scaled: bool = False):
     within 1e-13 of the sum of |terms| of the exact one, and may read 0.0 (layer_sums).
     """
     d, ks = spec.d, [(k, weight(k, spec.measure)) for k in range(2, spec.max_gon() + 1)]
+    if missing := [k for k, _ in ks if k not in values]:
+        raise ValueError(f"no value for the gons {missing}, which spec admits")
     # reach[l]: spec admits a type at level l (an unbounded knapsack over the weights)
     reach = [True] + [False] * d
     for _, w in ks:
@@ -479,7 +482,7 @@ def geode_quotient(d: int, q: int) -> dict[int, dict[int, int]]:
     units = [base ** (k - 2) for k in range(3, q + 1)]  # the keys of t_3 .. t_q
     label, quotient = _labels(sliced, base), {}
     for key in sorted((key for key in sliced if key % base), key=lambda key: -(key % base)):
-        known = (quotient.get(key - units[k - 3], 0) for k, _ in label[key][3] if k > 2)
+        known = (quotient.get(key - units[k - 3], 0) for k, _ in label[key][2] if k > 2)
         quotient[key - 1] = sliced[key] - sum(known)
     product: dict[int, int] = {}
     for key, c in quotient.items():
@@ -508,13 +511,13 @@ def table_rows(spec: LayerSpec) -> list[tuple[str, dict[int, int]]]:
     return rows
 
 
-def _labels(keys, base: int, json: bool = False) -> dict[int, tuple[int, str, int, tuple]]:
-    """{key: (order, text, faces, entries)} for the packed keys and some smaller ones.
+def _labels(keys, base: int, json: bool = False) -> dict[int, tuple[int, str, tuple]]:
+    """{key: (order, text, entries)} for the packed keys and some smaller ones.
 
-    The module's one decoder of packed keys.  faces and entries are the TypeVector's; text is
-    the monomial as 't2^3t4', or its counts '[3, 0, 1]' if json; order is an int that sorts
-    as (faces, entries) does.  A key whose top gon k has count m_k has the label of key %
-    base**(k-2), the type less its k-gons, plus m_k faces, the entry (k, m_k) and its text.
+    The module's one decoder of packed keys.  entries are the TypeVector's; text is the
+    monomial as 't2^3t4', or its counts '[3, 0, 1]' if json; order is an int that sorts as
+    (faces, entries) does.  A key whose top gon k has count m_k has the label of key %
+    base**(k-2), the type less its k-gons, plus the entry (k, m_k), its order and its text.
     Keys go in increasing order, so that smaller key has its label; if it is no key (as in
     one level's bucket), it and its own remainders, each some rest % base**j, are labelled
     first, by one more pass that needs no other.  order is faces * base**(K-1) + sum_k
@@ -534,7 +537,7 @@ def _labels(keys, base: int, json: bool = False) -> dict[int, tuple[int, str, in
     # per gon k: the order added by each (k+1)-gon and taken once, the text 'tk', the json lead
     gon = [(place[0] + place[k - 1], place[k - 2], f"t{k}", "[" + "0, " * (k - 2))
            for k in range(2, len(place) + 1)]
-    label = {0: (0, "[]" if json else "", 0, ())}
+    label = {0: (0, "[]" if json else "", ())}
 
     def decode(keys):
         k, unit, span = 1, 0, 1  # the top gon k of the key at hand, base**(k-2) and base**(k-1)
@@ -547,13 +550,13 @@ def _labels(keys, base: int, json: bool = False) -> dict[int, tuple[int, str, in
             mk, rest = divmod(key, unit)
             if rest not in label:  # no key: labelled first, with its own remainders
                 decode(sorted({rest % base**j for j in range(k - 1)}))
-            order, text, faces, entries = label[rest]
+            order, text, entries = label[rest]
             if json:  # '[m2, ..., mj]' less its ']', zeros up to gon k, then ', mk]'
                 text = (f"{text[:-1]}{', 0' * (k - 1 - entries[-1][0])}, {mk}]" if entries
                         else f"{lead}{mk}]")
             else:
                 text = f"{text}{tk}^{mk}" if mk > 1 else text + tk
-            label[key] = order + mk * each - once, text, faces + mk, (*entries, (k, mk))
+            label[key] = order + mk * each - once, text, (*entries, (k, mk))
 
     decode(keys)
     return label
@@ -562,14 +565,14 @@ def _labels(keys, base: int, json: bool = False) -> dict[int, tuple[int, str, in
 def _printer(spec: LayerSpec, buckets, fmt: str):
     """terms(bucket): its nonzero (monomial, coeff) pairs in print order: faces, then entries.
 
-    The keys of the buckets sort by the order of their _labels, and show as its text: the
-    counts '[m2, m3, ...]' in json, the text 't2^3t4' otherwise.
+    Each bucket sorts by its keys' _labels order, read through one {key: order} map, and a key
+    shows as its label's text: the counts '[m2, m3, ...]' in json, the text 't2^3t4' otherwise.
     """
     label = _labels(set().union(*buckets), spec.d + 1, fmt == "json")
-    rank = dict(zip(sorted(label, key=lambda key: label[key][0]), range(len(label))))
+    order = {key: lab[0] for key, lab in label.items()}
 
     def terms(bucket):
-        return [(label[key][1], c) for key in sorted(bucket, key=rank.__getitem__)
+        return [(label[key][1], c) for key in sorted(bucket, key=order.__getitem__)
                 if (c := bucket[key])]
 
     return terms

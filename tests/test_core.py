@@ -55,6 +55,27 @@ class TestTypeVector:
         with pytest.raises(ValueError):
             unit_type(1)
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: TypeVector(((2, 1.5),)), "count 1.5 for k=2 is not an int"),
+        (lambda: TypeVector(((2.0, 1),)), "gon index 2.0 is not an int"),
+        (lambda: TypeVector.from_counts([1.5]), "count 1.5 for k=2 is not an int"),
+        (lambda: TypeVector.of({2: 1, 3: 2.5}), "count 2.5 for k=3 is not an int"),
+        (lambda: unit_type(2.5), "gon index 2.5 is not an int"),
+        (lambda: unit_type(1), "gon index 1 < 2"),
+        (lambda: Composition(0.5), "m_1 0.5 is not an int"),
+        (lambda: central_count(tv(1), 2.5), "central gon arity 2.5 is not an int"),
+        (lambda: central_count(tv(1), 2.0), "central gon arity 2.0 is not an int"),
+    ])
+    def test_field_types_are_checked(self, make, match):
+        # refused with one line before any work, not by a wrong count or a TypeError deep inside
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            make()
+
+    def test_int_subclasses_pass(self):
+        assert TypeVector(((2, True),)) == unit_type(2)
+        assert Composition(True).m1 == 1
+        assert central_count(tv(1), True + 1) == 1
+
     @given(type_vectors, type_vectors)
     def test_add_entrywise(self, a, b):
         s = a + b

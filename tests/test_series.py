@@ -1,6 +1,7 @@
 import contextlib
 import json
 import random
+import re
 import signal
 import time
 from fractions import Fraction
@@ -437,16 +438,15 @@ class TestRenderTable:
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
     def test_walk_labels_its_types(self, spec):
-        # the labeller gives each type the walk makes its TypeVector's label, from the keys of
+        # the labeller gives each type the walk makes its TypeVector's entries, from the keys of
         # every level or of the top level alone, as geode_quotient gives them, none of whose
         # remainders is a key
         buckets = _walk(spec)
         for keys in ({key for bucket in buckets for key in bucket}, set(buckets[-1])):
             labels = series._labels(keys, spec.d + 1)
             assert keys <= labels.keys()
-            for key, (_, _, faces, entries) in labels.items():
-                m = unpack(key, spec.d + 1)
-                assert (faces, entries) == (m.faces(), m.entries), key
+            for key, (_, _, entries) in labels.items():
+                assert entries == unpack(key, spec.d + 1).entries, key
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
     def test_labels_leave_the_text_unchanged(self, spec):
@@ -583,6 +583,21 @@ class TestLayerSums:
         assert sorted(sums) == list(range(31))
         for n, part in sums.items():
             assert part == catalan(n) * t2**n
+
+    @pytest.mark.parametrize("spec, values, missing", [
+        (LayerSpec(Measure.VERTEX, 5), {2: 1}, [3, 4, 5, 6]),
+        (LayerSpec(Measure.FACE, 3, 4), {2: 1, 3: 1}, [4]),
+        (LayerSpec(Measure.EDGE, 4), {3: 0.5, 4: Fraction(1, 3)}, [2]),
+    ], ids=["vertex", "face", "edge"])
+    def test_missing_value_is_refused(self, spec, values, missing):
+        # refused with one line naming the gons, not by a KeyError from inside the cell pass;
+        # partial_pairs is a generator, so its error comes on the first level
+        match = "^" + re.escape(f"no value for the gons {missing}, which spec admits") + "$"
+        with pytest.raises(ValueError, match=match):
+            layer_sums(spec, values)
+        pairs = series.partial_pairs(spec, values)
+        with pytest.raises(ValueError, match=match):
+            next(pairs)
 
 
 # The oracle for the coefficient walk: every multiset of gons, filtered by
